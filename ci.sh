@@ -11,6 +11,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> game + core tests with every CGBA iteration checked against the rescan oracle"
+cargo test -q --release -p eotora-game -p eotora-core --features eotora-game/naive-check
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

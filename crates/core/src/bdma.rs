@@ -18,7 +18,7 @@ use std::fmt;
 
 use eotora_game::{
     cgba_from_reference, cgba_from_with_scratch, cgba_warm_from_with_scratch, CgbaConfig,
-    CgbaScratch, Profile,
+    CgbaReport, CgbaScratch, Profile,
 };
 use eotora_obs::{NoopRecorder, Recorder, SpanGuard, TraceEvent};
 use eotora_states::SystemState;
@@ -101,11 +101,7 @@ impl P2aSolver for CgbaSolver {
     }
 
     fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
-        let initial = Profile::random(problem.game(), rng);
-        cgba_from_with_scratch(problem.game(), initial, &self.config, &mut self.scratch)
-            .profile
-            .choices()
-            .to_vec()
+        self.solve_with(problem, rng, &NoopRecorder)
     }
 
     fn solve_with(
@@ -118,13 +114,7 @@ impl P2aSolver for CgbaSolver {
         let probes_before = self.scratch.probes();
         let report =
             cgba_from_with_scratch(problem.game(), initial, &self.config, &mut self.scratch);
-        if recorder.is_enabled() {
-            recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, report.iterations as u64);
-            recorder.add(eotora_obs::COUNTER_CGBA_PROBES, self.scratch.probes() - probes_before);
-            if report.converged {
-                recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
-            }
-        }
+        CgbaTally::of(&report, self.scratch.probes() - probes_before, false).emit(recorder);
         report.profile.choices().to_vec()
     }
 
@@ -149,16 +139,68 @@ impl P2aSolver for CgbaSolver {
             &self.config,
             &mut self.warm_scratch,
         );
-        if recorder.is_enabled() {
-            recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, report.iterations as u64);
-            recorder
-                .add(eotora_obs::COUNTER_CGBA_PROBES, self.warm_scratch.probes() - probes_before);
-            recorder.add(eotora_obs::COUNTER_CGBA_WARM_MOVES, report.iterations as u64);
-            if report.converged {
-                recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
-            }
-        }
+        CgbaTally::of(&report, self.warm_scratch.probes() - probes_before, true).emit(recorder);
         report.profile.choices().to_vec()
+    }
+}
+
+/// One P2-A CGBA solve's work, emitted as the `cgba.*` counters (plus
+/// `shard.*` for a sharded solve). Every CGBA solve reports through
+/// [`CgbaTally::emit`]: sequential, sharded, plain and robust.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CgbaTally {
+    pub iterations: u64,
+    pub probes: u64,
+    pub converged: bool,
+    pub warm: bool,
+    /// `None` for a sequential solve.
+    pub shards: Option<ShardTally>,
+}
+
+/// The `shard.*` counts of a sharded solve: shards solved, shards the
+/// deadline cut short, cut players, and reconcile moves.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardTally {
+    pub solves: u64,
+    pub degraded: u64,
+    pub cut_players: u64,
+    pub reconcile_moves: u64,
+}
+
+impl CgbaTally {
+    /// The tally of one sequential run.
+    pub(crate) fn of(report: &CgbaReport, probes: u64, warm: bool) -> Self {
+        Self {
+            iterations: report.iterations as u64,
+            probes,
+            converged: report.converged,
+            warm,
+            shards: None,
+        }
+    }
+
+    /// Adds the counters to `recorder`.
+    pub(crate) fn emit(&self, recorder: &dyn Recorder) {
+        if !recorder.is_enabled() {
+            return;
+        }
+        recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, self.iterations);
+        recorder.add(eotora_obs::COUNTER_CGBA_PROBES, self.probes);
+        if self.warm {
+            recorder.add(eotora_obs::COUNTER_CGBA_WARM_MOVES, self.iterations);
+        }
+        if self.converged {
+            recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
+        }
+        let Some(shards) = self.shards else { return };
+        recorder.add(eotora_obs::COUNTER_SHARD_SOLVES, shards.solves);
+        if shards.degraded > 0 {
+            recorder.add(eotora_obs::COUNTER_SHARD_DEADLINE_DEGRADED, shards.degraded);
+        }
+        if shards.cut_players > 0 {
+            recorder.add(eotora_obs::COUNTER_SHARD_CUT_PLAYERS, shards.cut_players);
+            recorder.add(eotora_obs::COUNTER_SHARD_RECONCILE_MOVES, shards.reconcile_moves);
+        }
     }
 }
 

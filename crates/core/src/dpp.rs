@@ -23,6 +23,7 @@ use crate::bdma::{solve_p2_in, BdmaConfig, CgbaSolver, P2Solution, P2aSolver, St
 use crate::decision::SlotDecision;
 use crate::fault::AvailabilityMask;
 use crate::robust::{equal_share_decision, solve_p2_robust, RobustConfig, RobustReport};
+use crate::sharded::ShardedCgbaSolver;
 use crate::system::MecSystem;
 use crate::workspace::SlotWorkspace;
 
@@ -64,7 +65,7 @@ impl SolverKind {
         match self {
             Self::Cgba { lambda } => Box::new(CgbaSolver::with_lambda(lambda)),
             Self::ShardedCgba { lambda, shards } => {
-                Box::new(crate::sharded::ShardedCgbaSolver::with_lambda(lambda, shards))
+                Box::new(ShardedCgbaSolver::with_lambda(lambda, shards))
             }
             Self::Ropt => Box::new(RoptSolver),
             Self::Greedy => Box::new(GreedySolver),
@@ -126,13 +127,16 @@ impl Default for DppConfig {
 
 /// The EOTORA-specific slot solver handed to the generic DPP controller.
 /// Owns a [`SlotWorkspace`] so steady-state slots refresh the P2-A game in
-/// place instead of rebuilding it (see [`crate::workspace`]).
+/// place instead of rebuilding it (see [`crate::workspace`]), and next to
+/// it the robust path's P2-A solver, whose shard plan and CGBA scratch are
+/// likewise reused across rounds and slots.
 pub struct EotoraSlotSolver {
     system: MecSystem,
     bdma: BdmaConfig,
     p2a: Box<dyn P2aSolver>,
     rng: Pcg32,
     workspace: SlotWorkspace,
+    robust_p2a: ShardedCgbaSolver,
 }
 
 impl fmt::Debug for EotoraSlotSolver {
@@ -235,6 +239,7 @@ impl EotoraDpp {
             // P2-A game, later slots refresh it in place with identical
             // numerics (so checkpoint/resume stays bit-exact).
             workspace: SlotWorkspace::new(),
+            robust_p2a: ShardedCgbaSolver::default(),
         };
         Self {
             solver,
@@ -448,6 +453,7 @@ impl EotoraDpp {
             mask,
             robust,
             &mut self.solver.workspace,
+            &mut self.solver.robust_p2a,
             slot,
             recorder,
         )

@@ -81,7 +81,7 @@ pub use multi_budget::MultiBudgetDpp;
 pub use per_slot::PerSlotController;
 pub use robust::{solve_p2_robust, RobustConfig, RobustReport};
 pub use sanitize::{SanitizeDefaults, SanitizeLimits, StateSanitizer};
-pub use sharded::{cgba_sharded_filtered, ShardedCgbaSolver, ShardedFilteredOutcome};
+pub use sharded::ShardedCgbaSolver;
 pub use speculate::{
     PredictorKind, SpecOutcome, SpeculativeConfig, SpeculativeController, Speculator,
     StatePredictor,

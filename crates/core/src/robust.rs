@@ -27,6 +27,14 @@
 //!   deterministic solo seed at minimum frequencies, at most
 //!   [`RobustConfig::max_retries`] times; exhaustion returns the incumbent.
 //!
+//! The P2-A step runs the same incremental CGBA kernel as the paper path,
+//! through [`ShardedCgbaSolver`] with the filter and the deadline as the
+//! kernel's two hooks; [`RobustConfig::shards`] picks a sequential (`1`)
+//! or sharded solve. The caller owns that solver next to its
+//! [`SlotWorkspace`], so the shard plan and the CGBA scratch are reused
+//! across rounds and slots, and it emits the same `cgba.*` / `shard.*`
+//! counters as the paper path.
+//!
 //! Unlike the paper path, the robust solve is deterministic given its
 //! inputs (no RNG): the seed profile is the repaired retained profile or
 //! the solo-cheapest profile, never a random one. Determinism is what makes
@@ -37,7 +45,7 @@
 
 use std::time::{Duration, Instant};
 
-use eotora_game::{cgba_from_filtered, CgbaConfig, Profile};
+use eotora_game::{CgbaConfig, Profile};
 use eotora_obs::{Recorder, SpanGuard, TraceEvent};
 use eotora_states::SystemState;
 
@@ -46,6 +54,7 @@ use crate::decision::{Assignment, SlotDecision};
 use crate::error::SolveError;
 use crate::fault::AvailabilityMask;
 use crate::p2b::solve_p2b;
+use crate::sharded::ShardedCgbaSolver;
 use crate::system::MecSystem;
 use crate::workspace::SlotWorkspace;
 
@@ -68,13 +77,12 @@ pub struct RobustConfig {
     pub max_retries: u32,
     /// CGBA approximation slack λ.
     pub lambda: f64,
-    /// Shard cap for the P2-A step: `0` keeps the sequential
-    /// [`cgba_from_filtered`] solve; any other value routes through
-    /// [`crate::sharded::cgba_sharded_filtered`] with this cap
-    /// (`usize::MAX` ≈ one shard per BS-cluster component). On dense
-    /// topologies the plan collapses to one shard either way, so enabling
-    /// this is always safe; a shard that misses the deadline degrades
-    /// alone while the rest still converge.
+    /// Shard cap for the P2-A step, in [`eotora_game::ShardPlan::compute`]'s
+    /// convention: `1` (the default) solves sequentially, `0` one shard per
+    /// BS-cluster component, `N` at most `N` shards. On dense topologies
+    /// the plan collapses to one shard either way, so sharding is always
+    /// safe; a shard that misses the deadline degrades alone while the
+    /// rest still converge.
     pub shards: usize,
     /// Whether the engine runs the state sanitizer ahead of the solve
     /// (consumed by the simulation runner, not by
@@ -87,7 +95,7 @@ pub struct RobustConfig {
 
 impl Default for RobustConfig {
     fn default() -> Self {
-        Self { deadline: None, rounds: 5, max_retries: 2, lambda: 0.0, shards: 0, sanitize: true }
+        Self { deadline: None, rounds: 5, max_retries: 2, lambda: 0.0, shards: 1, sanitize: true }
     }
 }
 
@@ -111,9 +119,10 @@ pub struct RobustReport {
 }
 
 /// Solves one slot's P2 under an availability mask with an anytime
-/// deadline. Emits the usual `p2a`/`p2b` spans, `bdma_iteration` events and
-/// BDMA counters, plus the `fault.*` / `deadline.*` counters, into
-/// `recorder`.
+/// deadline. `p2a` is the caller's long-lived P2-A solver; its λ and shard
+/// cap are set from `config`. Emits the usual `p2a`/`p2b` spans,
+/// `bdma_iteration` events and BDMA / CGBA counters, plus the `fault.*` /
+/// `deadline.*` counters, into `recorder`.
 ///
 /// # Errors
 ///
@@ -131,6 +140,7 @@ pub fn solve_p2_robust(
     mask: &AvailabilityMask,
     config: &RobustConfig,
     workspace: &mut SlotWorkspace,
+    p2a: &mut ShardedCgbaSolver,
     slot: u64,
     recorder: &dyn Recorder,
 ) -> Result<RobustReport, SolveError> {
@@ -208,7 +218,8 @@ pub fn solve_p2_robust(
     };
     let mut incumbent_choices = seed_choices.clone();
 
-    let cgba_config = CgbaConfig { lambda: config.lambda, ..Default::default() };
+    p2a.config = CgbaConfig { lambda: config.lambda, ..Default::default() };
+    p2a.max_shards = config.shards;
     let mut current = seed_choices;
     let mut retries = 0u32;
     let mut rounds_used = 0usize;
@@ -222,33 +233,14 @@ pub fn solve_p2_robust(
         let p2a_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2A);
         let (choices, assignments) = {
             let problem = workspace.refresh_frequencies(system);
-            let game = problem.game();
-            let initial = Profile::from_choices(game, current.clone());
-            let report = if config.shards == 0 {
-                cgba_from_filtered(game, initial, &cgba_config, &effect.filter, expired)
-            } else {
-                let out = crate::sharded::cgba_sharded_filtered(
-                    game,
-                    initial,
-                    &cgba_config,
-                    &effect.filter,
-                    config.shards,
-                    &expired,
-                );
-                if recorder.is_enabled() {
-                    recorder.add(eotora_obs::COUNTER_SHARD_SOLVES, out.shards_used as u64);
-                    if out.degraded_shards > 0 {
-                        recorder
-                            .add(eotora_obs::COUNTER_SHARD_DEADLINE_DEGRADED, out.degraded_shards);
-                    }
-                    if out.reconcile_moves > 0 {
-                        recorder
-                            .add(eotora_obs::COUNTER_SHARD_RECONCILE_MOVES, out.reconcile_moves);
-                    }
-                }
-                out.report
-            };
-            let choices = report.profile.choices().to_vec();
+            let choices = p2a.solve_split(
+                problem,
+                std::mem::take(&mut current),
+                false,
+                Some(&effect.filter),
+                &expired,
+                recorder,
+            );
             let assignments = problem.assignments_from_choices(&choices);
             (choices, assignments)
         };
@@ -456,6 +448,7 @@ mod tests {
         let (system, state) = setup(12, 51);
         let run = || {
             let mut ws = SlotWorkspace::new();
+            let mut p2a = ShardedCgbaSolver::default();
             solve_p2_robust(
                 &system,
                 &state,
@@ -464,6 +457,7 @@ mod tests {
                 &AvailabilityMask::default(),
                 &RobustConfig::default(),
                 &mut ws,
+                &mut p2a,
                 0,
                 &NoopRecorder,
             )
@@ -494,6 +488,7 @@ mod tests {
             severed_links: vec![],
         };
         let mut ws = SlotWorkspace::new();
+        let mut p2a = ShardedCgbaSolver::default();
         let r = solve_p2_robust(
             &system,
             &state,
@@ -502,6 +497,7 @@ mod tests {
             &mask,
             &RobustConfig::default(),
             &mut ws,
+            &mut p2a,
             0,
             &NoopRecorder,
         )
@@ -522,6 +518,7 @@ mod tests {
     fn warm_profile_is_repaired_when_its_server_crashes() {
         let (system, state) = setup(10, 53);
         let mut ws = SlotWorkspace::new();
+        let mut p2a = ShardedCgbaSolver::default();
         // Slot 0: fault-free, retains a warm profile.
         let first = solve_p2_robust(
             &system,
@@ -531,6 +528,7 @@ mod tests {
             &AvailabilityMask::default(),
             &RobustConfig::default(),
             &mut ws,
+            &mut p2a,
             0,
             &NoopRecorder,
         )
@@ -554,6 +552,7 @@ mod tests {
             &mask,
             &RobustConfig::default(),
             &mut ws,
+            &mut p2a,
             1,
             &NoopRecorder,
         )
@@ -568,6 +567,7 @@ mod tests {
     fn zero_deadline_returns_the_seed_incumbent_immediately() {
         let (system, state) = setup(20, 54);
         let mut ws = SlotWorkspace::new();
+        let mut p2a = ShardedCgbaSolver::default();
         let rec = MetricsRecorder::new();
         let config = RobustConfig { deadline: Some(Duration::ZERO), ..Default::default() };
         let r = solve_p2_robust(
@@ -578,6 +578,7 @@ mod tests {
             &AvailabilityMask::default(),
             &config,
             &mut ws,
+            &mut p2a,
             0,
             &rec,
         )
@@ -602,6 +603,7 @@ mod tests {
     fn no_deadline_runs_all_rounds_and_counts_nothing() {
         let (system, state) = setup(10, 55);
         let mut ws = SlotWorkspace::new();
+        let mut p2a = ShardedCgbaSolver::default();
         let rec = MetricsRecorder::new();
         let config = RobustConfig { rounds: 3, ..Default::default() };
         let r = solve_p2_robust(
@@ -612,6 +614,7 @@ mod tests {
             &AvailabilityMask::default(),
             &config,
             &mut ws,
+            &mut p2a,
             0,
             &rec,
         )
@@ -620,12 +623,20 @@ mod tests {
         assert_eq!(r.solution.rounds_used, 3);
         assert_eq!(rec.counter(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS), 0);
         assert_eq!(rec.counter(eotora_obs::COUNTER_BDMA_ROUNDS), 3);
+        // The P2-A step reports like the plain sequential CGBA solver: work
+        // counters every round, no shard counters at `shards = 1`.
+        assert!(rec.counter(eotora_obs::COUNTER_CGBA_ITERATIONS) > 0);
+        assert!(rec.counter(eotora_obs::COUNTER_CGBA_PROBES) > 0);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_CGBA_CONVERGED), 3);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_SOLVES), 0);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_CUT_PLAYERS), 0);
     }
 
     #[test]
     fn fault_counters_are_emitted() {
         let (system, state) = setup(8, 56);
         let mut ws = SlotWorkspace::new();
+        let mut p2a = ShardedCgbaSolver::default();
         let rec = MetricsRecorder::new();
         let mask = AvailabilityMask {
             down_servers: vec![1],
@@ -640,6 +651,7 @@ mod tests {
             &mask,
             &RobustConfig::default(),
             &mut ws,
+            &mut p2a,
             0,
             &rec,
         )
@@ -650,7 +662,8 @@ mod tests {
     #[test]
     fn sharded_robust_solve_matches_sequential_on_islands() {
         // The robust solve is RNG-free, so on a separable island topology
-        // the sharded P2-A step must reproduce the sequential run exactly.
+        // the sharded P2-A step must reproduce the sequential run exactly —
+        // also with a server down inside one island.
         let sys_config = SystemConfig {
             topology: eotora_topology::RandomTopologyConfig::scale_up(30, 3),
             ..SystemConfig::paper_defaults(30)
@@ -658,28 +671,42 @@ mod tests {
         let system = MecSystem::random(&sys_config, 61);
         let mut p = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 61);
         let state = p.observe(0, system.topology());
-        let run = |shards: usize| {
+        let run = |shards: usize, mask: &AvailabilityMask, rec: &dyn Recorder| {
             let mut ws = SlotWorkspace::new();
+            let mut p2a = ShardedCgbaSolver::default();
             solve_p2_robust(
                 &system,
                 &state,
                 100.0,
                 0.0,
-                &AvailabilityMask::default(),
+                mask,
                 &RobustConfig { shards, ..Default::default() },
                 &mut ws,
+                &mut p2a,
                 0,
-                &NoopRecorder,
+                rec,
             )
             .unwrap()
         };
-        assert_eq!(run(0), run(usize::MAX));
+        let server_down = AvailabilityMask {
+            down_servers: vec![0],
+            down_stations: vec![],
+            severed_links: vec![],
+        };
+        for mask in [AvailabilityMask::default(), server_down] {
+            let rec = MetricsRecorder::new();
+            let auto = run(0, &mask, &rec);
+            assert_eq!(run(1, &mask, &NoopRecorder), auto);
+            let rounds = auto.solution.rounds_used as u64;
+            assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_SOLVES), 3 * rounds);
+        }
     }
 
     #[test]
     fn equal_share_fallback_validates() {
         let (system, state) = setup(9, 57);
         let mut ws = SlotWorkspace::new();
+        let mut p2a = ShardedCgbaSolver::default();
         let r = solve_p2_robust(
             &system,
             &state,
@@ -688,6 +715,7 @@ mod tests {
             &AvailabilityMask::default(),
             &RobustConfig::default(),
             &mut ws,
+            &mut p2a,
             0,
             &NoopRecorder,
         )

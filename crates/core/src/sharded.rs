@@ -38,20 +38,30 @@
 //! sequential solve is small (≤ 1% on weakly cut topologies, pinned by
 //! tests). When the cut is not weak, [`ShardPlan::compute`] already
 //! collapses to a single shard and this module degrades exactly to the
-//! sequential path.
+//! sequential path: a trivial plan solves on the global game, with no
+//! local copy.
+//!
+//! # Filter and deadline
+//!
+//! Every shard runs the one incremental CGBA kernel. The robust path
+//! ([`crate::robust::solve_p2_robust`]) calls the same solver with a
+//! [`StrategyFilter`], projected onto each shard's local view, and a
+//! deadline predicate polled by every shard's kernel and before each
+//! reconcile move. A shard the deadline cuts short merges its best-so-far
+//! profile while the others still converge.
 
 use std::sync::Mutex;
 
 use eotora_game::{
     cgba_from_filtered, cgba_from_with_scratch, cgba_warm_from_with_scratch, CgbaConfig,
-    CgbaReport, CgbaScratch, CongestionGame, GameStructure, Profile, ResourceWeights, ShardPlan,
+    CgbaScratch, CongestionGame, GameRef, GameStructure, Profile, ResourceWeights, ShardPlan,
     SplitGame, StrategyFilter,
 };
 use eotora_obs::{NoopRecorder, Recorder};
 use eotora_util::pool::WorkerPool;
 use eotora_util::rng::Pcg32;
 
-use crate::bdma::P2aSolver;
+use crate::bdma::{CgbaTally, P2aSolver, ShardTally};
 use crate::p2a::P2aProblem;
 
 /// Upper bound on post-merge global best-response sweeps over the cut
@@ -61,14 +71,14 @@ use crate::p2a::P2aProblem;
 /// the whole game.
 pub const RECONCILE_PASSES: usize = 4;
 
-/// One shard's dense solver state: the remapped local game plus the cold
+/// One shard's solver state: the remapped local game (`None` under a
+/// trivial plan, which solves on the global game directly) plus the cold
 /// and warm CGBA scratches (separate, for the same reason
 /// [`crate::bdma::CgbaSolver`] keeps two — a cold restart must not wipe
 /// the warm snapshot).
 #[derive(Debug)]
 struct ShardState {
-    structure: GameStructure,
-    weights: ResourceWeights,
+    local: Option<(GameStructure, ResourceWeights)>,
     scratch: CgbaScratch,
     warm_scratch: CgbaScratch,
 }
@@ -81,20 +91,53 @@ struct ShardRun {
     converged: bool,
 }
 
+/// Runs one shard's CGBA on `game` from `initial` on `scratch`: filtered
+/// and deadline-polled when a filter is given (the robust path, always
+/// cold), else warm or cold.
+fn run_shard<G: GameRef>(
+    game: &G,
+    initial: Vec<usize>,
+    config: &CgbaConfig,
+    warm: bool,
+    filter: Option<&StrategyFilter>,
+    should_stop: &(dyn Fn() -> bool + Sync),
+    scratch: &mut CgbaScratch,
+) -> ShardRun {
+    let initial = Profile::from_choices(game, initial);
+    let before = scratch.probes();
+    let report = match filter {
+        Some(f) => cgba_from_filtered(game, initial, config, f, should_stop, scratch),
+        None if warm => cgba_warm_from_with_scratch(game, initial, config, scratch),
+        None => cgba_from_with_scratch(game, initial, config, scratch),
+    };
+    ShardRun {
+        choices: report.profile.choices().to_vec(),
+        iterations: report.iterations,
+        probes: scratch.probes() - before,
+        converged: report.converged,
+    }
+}
+
 /// A [`P2aSolver`] running CGBA(λ) per shard of a [`ShardPlan`] on a
 /// bounded worker pool, then merging deterministically and reconciling cut
 /// players. Owns the plan and per-shard state, rebuilt only when the game
-/// *shape* changes (per-slot weight updates are synced in place inside the
-/// shard jobs, so steady-state slots allocate nothing).
+/// *shape* or the shard cap changes (per-slot weight updates are synced in
+/// place inside the shard jobs, so steady-state slots allocate nothing).
+///
+/// The robust path ([`crate::robust::solve_p2_robust`]) runs its P2-A step
+/// through the same solver, with a [`StrategyFilter`] and a deadline.
 #[derive(Debug, Default)]
 pub struct ShardedCgbaSolver {
     /// CGBA parameters (λ, iteration cap, scheduling rule) applied to
     /// every shard.
     pub config: CgbaConfig,
-    /// Shard-count cap handed to [`ShardPlan::compute`]; `0` means one
-    /// shard per connected component.
+    /// Shard-count cap handed to [`ShardPlan::compute`]: `0` means one
+    /// shard per connected component, `1` a sequential solve on the global
+    /// game.
     pub max_shards: usize,
     plan: Option<ShardPlan>,
+    /// The `max_shards` the cached plan was computed with.
+    planned_shards: usize,
     shards: Vec<Mutex<ShardState>>,
 }
 
@@ -114,38 +157,56 @@ impl ShardedCgbaSolver {
         self.plan.as_ref()
     }
 
-    /// (Re)computes the plan and per-shard local games when the shape
-    /// changed; otherwise leaves them in place (weights are synced inside
-    /// the shard jobs).
+    /// (Re)computes the plan and per-shard local games when the shape or
+    /// the shard cap changed; otherwise leaves them in place (weights are
+    /// synced inside the shard jobs). A trivial plan builds no local game.
     fn ensure_plan(&mut self, game: &CongestionGame) {
         let structure = game.structure();
-        if self.plan.as_ref().is_some_and(|p| p.matches(structure)) {
+        if self.planned_shards == self.max_shards
+            && self.plan.as_ref().is_some_and(|p| p.matches(structure))
+        {
             return;
         }
         let plan = ShardPlan::compute(structure, self.max_shards);
+        let trivial = plan.is_trivial();
         self.shards = plan
             .shards()
             .iter()
             .map(|spec| {
-                let (local_structure, local_weights) = spec.build_local(structure, game.weights());
                 Mutex::new(ShardState {
-                    structure: local_structure,
-                    weights: local_weights,
+                    local: (!trivial).then(|| spec.build_local(structure, game.weights())),
                     scratch: CgbaScratch::default(),
                     warm_scratch: CgbaScratch::default(),
                 })
             })
             .collect();
         self.plan = Some(plan);
+        self.planned_shards = self.max_shards;
     }
 
     /// The shared solve body: split `initial_choices`, run CGBA per shard
-    /// (cold or warm scratch), merge, reconcile cut players, emit counters.
-    fn solve_split(
+    /// (cold or warm scratch; filtered and deadline-polled when `filter` is
+    /// given), merge, reconcile cut players, emit counters.
+    ///
+    /// The filter is projected onto each shard's local view
+    /// ([`StrategyFilter::project`]); cut players are reconciled with
+    /// filtered best responses, polling `should_stop` before each one. A
+    /// shard that misses the deadline merges its best-so-far profile while
+    /// the others still converge. On separable games with no filter (or an
+    /// all-allowing one) and a never-firing `should_stop`, the merged
+    /// choices equal the sequential solve move for move (see the module
+    /// docs).
+    ///
+    /// Shard counters are emitted unless `max_shards == 1`, which is the
+    /// sequential solve and reports exactly like
+    /// [`crate::bdma::CgbaSolver`].
+    pub(crate) fn solve_split(
         &mut self,
         problem: &P2aProblem,
         initial_choices: Vec<usize>,
         warm: bool,
+        filter: Option<&StrategyFilter>,
+        should_stop: &(dyn Fn() -> bool + Sync),
         recorder: &dyn Recorder,
     ) -> Vec<usize> {
         let game = problem.game();
@@ -158,29 +219,22 @@ impl ShardedCgbaSolver {
         let shards = &self.shards;
         let runs: Vec<ShardRun> = WorkerPool::with_default().map_indexed(plan.num_shards(), |s| {
             let state = &mut *shards[s].lock().expect("shard state poisoned");
-            plan.shard(s).sync_local(structure, weights, &mut state.structure, &mut state.weights);
-            let local_game = SplitGame { structure: &state.structure, weights: &state.weights };
-            let initial = Profile::from_choices(&local_game, locals[s].clone());
-            let (report, probes) = if warm {
-                let before = state.warm_scratch.probes();
-                let report = cgba_warm_from_with_scratch(
-                    &local_game,
-                    initial,
-                    config,
-                    &mut state.warm_scratch,
-                );
-                (report, state.warm_scratch.probes() - before)
-            } else {
-                let before = state.scratch.probes();
-                let report =
-                    cgba_from_with_scratch(&local_game, initial, config, &mut state.scratch);
-                (report, state.scratch.probes() - before)
-            };
-            ShardRun {
-                choices: report.profile.choices().to_vec(),
-                iterations: report.iterations,
-                probes,
-                converged: report.converged,
+            let ShardState { local, scratch, warm_scratch } = state;
+            let scratch = if warm && filter.is_none() { warm_scratch } else { scratch };
+            let initial = locals[s].clone();
+            match local {
+                // A trivial plan solves on the global game: no local copy,
+                // no sync, the filter as given.
+                None => run_shard(game, initial, config, warm, filter, should_stop, scratch),
+                Some((local_structure, local_weights)) => {
+                    let spec = plan.shard(s);
+                    spec.sync_local(structure, weights, local_structure, local_weights);
+                    let local_filter = filter.map(|f| f.project(spec, local_structure));
+                    let local_game =
+                        SplitGame { structure: local_structure, weights: local_weights };
+                    let filter = local_filter.as_ref();
+                    run_shard(&local_game, initial, config, warm, filter, should_stop, scratch)
+                }
             }
         });
 
@@ -191,11 +245,18 @@ impl ShardedCgbaSolver {
         let mut reconcile_moves = 0u64;
         if !plan.cut_players().is_empty() {
             let mut profile = Profile::from_choices(game, merged);
-            for _ in 0..RECONCILE_PASSES {
+            'passes: for _ in 0..RECONCILE_PASSES {
                 let mut moved = false;
                 for &i in plan.cut_players() {
+                    if should_stop() {
+                        break 'passes;
+                    }
                     let cost = profile.player_cost(game, i);
-                    let (s, br) = profile.best_response(game, i);
+                    let best = match filter {
+                        Some(f) => profile.best_response_filtered(game, i, f),
+                        None => Some(profile.best_response(game, i)),
+                    };
+                    let Some((s, br)) = best else { continue };
                     if (1.0 - self.config.lambda) * cost > br {
                         profile.switch(game, i, s);
                         reconcile_moves += 1;
@@ -209,24 +270,19 @@ impl ShardedCgbaSolver {
             merged = profile.choices().to_vec();
         }
 
-        if recorder.is_enabled() {
-            let iterations: u64 = runs.iter().map(|r| r.iterations as u64).sum();
-            let probes: u64 = runs.iter().map(|r| r.probes).sum();
-            recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, iterations);
-            recorder.add(eotora_obs::COUNTER_CGBA_PROBES, probes);
-            if warm {
-                recorder.add(eotora_obs::COUNTER_CGBA_WARM_MOVES, iterations);
-            }
-            if runs.iter().all(|r| r.converged) {
-                recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
-            }
-            recorder.add(eotora_obs::COUNTER_SHARD_SOLVES, plan.num_shards() as u64);
-            if !plan.cut_players().is_empty() {
-                recorder
-                    .add(eotora_obs::COUNTER_SHARD_CUT_PLAYERS, plan.cut_players().len() as u64);
-                recorder.add(eotora_obs::COUNTER_SHARD_RECONCILE_MOVES, reconcile_moves);
-            }
+        CgbaTally {
+            iterations: runs.iter().map(|r| r.iterations as u64).sum(),
+            probes: runs.iter().map(|r| r.probes).sum(),
+            converged: runs.iter().all(|r| r.converged),
+            warm,
+            shards: (self.max_shards != 1).then(|| ShardTally {
+                solves: plan.num_shards() as u64,
+                degraded: runs.iter().filter(|r| !r.converged).count() as u64,
+                cut_players: plan.cut_players().len() as u64,
+                reconcile_moves,
+            }),
         }
+        .emit(recorder);
         merged
     }
 }
@@ -249,7 +305,7 @@ impl P2aSolver for ShardedCgbaSolver {
         // The initial profile is drawn from the *global* game, exactly like
         // the sequential CgbaSolver — same RNG consumption, same split seed.
         let initial = Profile::random(problem.game(), rng);
-        self.solve_split(problem, initial.choices().to_vec(), false, recorder)
+        self.solve_split(problem, initial.choices().to_vec(), false, None, &|| false, recorder)
     }
 
     fn solve_seeded(
@@ -263,122 +319,7 @@ impl P2aSolver for ShardedCgbaSolver {
         let Some(initial) = warm_seed else {
             return self.solve_with(problem, rng, recorder);
         };
-        self.solve_split(problem, initial.choices().to_vec(), true, recorder)
-    }
-}
-
-/// Result of [`cgba_sharded_filtered`]: the merged report plus shard-level
-/// accounting for the robust ladder's counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedFilteredOutcome {
-    /// The merged profile with global costs — drop-in for the report
-    /// [`cgba_from_filtered`] would have produced.
-    pub report: CgbaReport,
-    /// Shards the plan produced (1 when the cut was not weak).
-    pub shards_used: usize,
-    /// Shards whose run ended un-converged — the deadline (or iteration
-    /// cap) cut them short and their best-so-far profile was merged. Each
-    /// shard degrades alone; converged shards still contribute their
-    /// equilibrium.
-    pub degraded_shards: u64,
-    /// Global best-response moves the cut-player reconciliation made.
-    pub reconcile_moves: u64,
-}
-
-/// The sharded counterpart of [`cgba_from_filtered`]: split, solve each
-/// shard with the filter projected onto its local view
-/// ([`StrategyFilter::project`]) and the shared `should_stop` deadline,
-/// merge, then reconcile cut players with *filtered* global best responses
-/// (also deadline-polled). Built for the robust path, where plans are not
-/// cached — locals are built per call.
-///
-/// On separable games with an all-allowing filter and a never-firing
-/// `should_stop`, the merged choices equal the sequential
-/// [`cgba_from_filtered`] run move for move (same restriction argument as
-/// the module docs). A shard that misses the deadline merges its
-/// best-so-far profile while the others still converge — the failure is
-/// contained to the shard.
-///
-/// # Panics
-///
-/// Same conditions as [`cgba_from_filtered`].
-pub fn cgba_sharded_filtered(
-    game: &CongestionGame,
-    initial: Profile,
-    config: &CgbaConfig,
-    filter: &StrategyFilter,
-    max_shards: usize,
-    should_stop: &(dyn Fn() -> bool + Sync),
-) -> ShardedFilteredOutcome {
-    let plan = ShardPlan::compute(game.structure(), max_shards);
-    if plan.is_trivial() {
-        let report = cgba_from_filtered(game, initial, config, filter, should_stop);
-        let degraded_shards = u64::from(!report.converged);
-        return ShardedFilteredOutcome {
-            report,
-            shards_used: 1,
-            degraded_shards,
-            reconcile_moves: 0,
-        };
-    }
-
-    let initial_cost = initial.total_cost(game);
-    let locals = plan.split_choices(initial.choices());
-    let structure = game.structure();
-    let weights = game.weights();
-    let runs: Vec<ShardRun> = WorkerPool::with_default().map_indexed(plan.num_shards(), |s| {
-        let spec = plan.shard(s);
-        let (local_structure, local_weights) = spec.build_local(structure, weights);
-        let local_game = SplitGame { structure: &local_structure, weights: &local_weights };
-        let local_filter = filter.project(spec, &local_structure);
-        let init = Profile::from_choices(&local_game, locals[s].clone());
-        let report = cgba_from_filtered(&local_game, init, config, &local_filter, should_stop);
-        ShardRun {
-            choices: report.profile.choices().to_vec(),
-            iterations: report.iterations,
-            probes: 0,
-            converged: report.converged,
-        }
-    });
-
-    let mut merged = initial.choices().to_vec();
-    let choice_vecs: Vec<Vec<usize>> = runs.iter().map(|r| r.choices.clone()).collect();
-    plan.merge_choices(&choice_vecs, &mut merged);
-    let mut iterations: usize = runs.iter().map(|r| r.iterations).sum();
-    let converged = runs.iter().all(|r| r.converged);
-    let degraded_shards = runs.iter().filter(|r| !r.converged).count() as u64;
-
-    let mut profile = Profile::from_choices(game, merged);
-    let mut reconcile_moves = 0u64;
-    if !plan.cut_players().is_empty() {
-        'passes: for _ in 0..RECONCILE_PASSES {
-            let mut moved = false;
-            for &i in plan.cut_players() {
-                if should_stop() {
-                    break 'passes;
-                }
-                let cost = profile.player_cost(game, i);
-                let Some((s, br)) = profile.best_response_filtered(game, i, filter) else {
-                    continue;
-                };
-                if (1.0 - config.lambda) * cost > br {
-                    profile.switch(game, i, s);
-                    reconcile_moves += 1;
-                    moved = true;
-                }
-            }
-            if !moved {
-                break;
-            }
-        }
-    }
-    iterations += reconcile_moves as usize;
-    let total_cost = profile.total_cost(game);
-    ShardedFilteredOutcome {
-        report: CgbaReport { profile, total_cost, initial_cost, iterations, converged },
-        shards_used: plan.num_shards(),
-        degraded_shards,
-        reconcile_moves,
+        self.solve_split(problem, initial.choices().to_vec(), true, None, &|| false, recorder)
     }
 }
 
@@ -498,12 +439,23 @@ mod tests {
         let filter = StrategyFilter::allow_all(game.structure());
         let config = CgbaConfig::default();
         let initial = Profile::random(game, &mut Pcg32::seed(2));
-        let reference = cgba_from_filtered(game, initial.clone(), &config, &filter, || false);
-        let out = cgba_sharded_filtered(game, initial, &config, &filter, 0, &|| false);
-        assert!(out.shards_used > 1);
-        assert_eq!(out.degraded_shards, 0);
-        assert_eq!(out.report.profile.choices(), reference.profile.choices());
-        assert!(out.report.converged);
+        let mut scratch = CgbaScratch::default();
+        let reference =
+            cgba_from_filtered(game, initial.clone(), &config, &filter, || false, &mut scratch);
+        let mut sharded = ShardedCgbaSolver::default();
+        let rec = eotora_obs::MetricsRecorder::new();
+        let choices = sharded.solve_split(
+            &problem,
+            initial.choices().to_vec(),
+            false,
+            Some(&filter),
+            &|| false,
+            &rec,
+        );
+        assert!(rec.counter(eotora_obs::COUNTER_SHARD_SOLVES) > 1);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_DEADLINE_DEGRADED), 0);
+        assert_eq!(choices, reference.profile.choices());
+        assert_eq!(rec.counter(eotora_obs::COUNTER_CGBA_CONVERGED), 1);
     }
 
     #[test]
@@ -514,12 +466,21 @@ mod tests {
         let game = problem.game();
         let filter = StrategyFilter::allow_all(game.structure());
         let initial = Profile::random(game, &mut Pcg32::seed(4));
-        let out =
-            cgba_sharded_filtered(game, initial, &CgbaConfig::default(), &filter, 0, &|| true);
-        assert!(out.shards_used > 1);
-        assert_eq!(out.degraded_shards, out.shards_used as u64);
-        assert!(!out.report.converged);
-        assert_eq!(out.report.profile.choices().len(), game.num_players());
+        let mut sharded = ShardedCgbaSolver::default();
+        let rec = eotora_obs::MetricsRecorder::new();
+        let choices = sharded.solve_split(
+            &problem,
+            initial.choices().to_vec(),
+            false,
+            Some(&filter),
+            &|| true,
+            &rec,
+        );
+        let shards_used = rec.counter(eotora_obs::COUNTER_SHARD_SOLVES);
+        assert!(shards_used > 1);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_DEADLINE_DEGRADED), shards_used);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_CGBA_CONVERGED), 0);
+        assert_eq!(choices.len(), game.num_players());
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! rescan (asserted per-iteration under `cfg(test)` or the `naive-check`
 //! feature, and property-tested in `tests/incremental.rs`).
 //!
+//! Every solve runs this one kernel. It has two hooks for the
+//! fault-tolerant path ([`cgba_from_filtered`]): an optional
+//! [`StrategyFilter`] whose disallowed entries are never probed (their
+//! cached cost stays `+∞`, so they never win a best response), and a
+//! `should_stop` predicate polled at the top of every iteration (the
+//! anytime-deadline cut-off). The plain entry points pass no filter and a
+//! never-firing predicate.
+//!
 //! [`cgba_from_reference`] keeps the pre-refactor rescan loop verbatim as
 //! the equivalence oracle and benchmark baseline.
 
@@ -358,10 +366,7 @@ pub fn cgba_from_with_scratch<G: GameRef>(
         "game must validate before solving"
     );
     scratch.reset(game.structure());
-    match config.scheduling {
-        SchedulingRule::MaxGain => cgba_max_gain(game, initial, config, scratch),
-        SchedulingRule::RoundRobin => cgba_round_robin(game, initial, config, scratch),
-    }
+    run_kernel(game, initial, config, None, || false, scratch)
 }
 
 /// Runs CGBA(λ) from a caller-supplied profile with the warm
@@ -396,10 +401,7 @@ pub fn cgba_warm_from_with_scratch<G: GameRef>(
     if !warm {
         scratch.reset(game.structure());
     }
-    let report = match config.scheduling {
-        SchedulingRule::MaxGain => cgba_max_gain(game, initial, config, scratch),
-        SchedulingRule::RoundRobin => cgba_round_robin(game, initial, config, scratch),
-    };
+    let report = run_kernel(game, initial, config, None, || false, scratch);
     // Only a converged MaxGain run leaves every cache entry clean (the
     // final no-mover scan refreshed them all); an iteration-capped exit
     // leaves stale entries behind and cannot seed the fast path.
@@ -411,12 +413,40 @@ pub fn cgba_warm_from_with_scratch<G: GameRef>(
     report
 }
 
+/// Dispatches to the scheduler's kernel. `filter` and `should_stop` are
+/// the fault-tolerance hooks (see the module docs); the plain entry points
+/// pass `None` and a never-firing predicate.
+fn run_kernel<G: GameRef>(
+    game: &G,
+    initial: Profile,
+    config: &CgbaConfig,
+    filter: Option<&StrategyFilter>,
+    should_stop: impl FnMut() -> bool,
+    scratch: &mut CgbaScratch,
+) -> CgbaReport {
+    debug_assert!(
+        filter.is_none_or(|f| f.num_players() == game.structure().num_players()),
+        "filter built for a different game"
+    );
+    match config.scheduling {
+        SchedulingRule::MaxGain => {
+            cgba_max_gain(game, initial, config, filter, should_stop, scratch)
+        }
+        SchedulingRule::RoundRobin => {
+            cgba_round_robin(game, initial, config, filter, should_stop, scratch)
+        }
+    }
+}
+
 /// Incremental MaxGain loop: refresh dirty cache entries, pick the max-gap
 /// mover from the caches, dirty only what the move invalidates.
+/// Disallowed entries are never probed; their cached cost is `+∞`.
 fn cgba_max_gain<G: GameRef>(
     game: &G,
     initial: Profile,
     config: &CgbaConfig,
+    filter: Option<&StrategyFilter>,
+    mut should_stop: impl FnMut() -> bool,
     scratch: &mut CgbaScratch,
 ) -> CgbaReport {
     let mut profile = initial;
@@ -426,6 +456,9 @@ fn cgba_max_gain<G: GameRef>(
     let n = game.structure().num_players();
 
     while iterations < config.max_iterations {
+        if should_stop() {
+            break;
+        }
         let mut mover: Option<(usize, usize)> = None; // (player, strategy)
         let mut best_gap = 0.0;
         for i in 0..n {
@@ -439,9 +472,13 @@ fn cgba_max_gain<G: GameRef>(
                 let mut best = (profile.choices[i], f64::INFINITY);
                 for s in 0..(scratch.offsets[i + 1] - off) {
                     if scratch.entry_dirty[off + s] {
-                        scratch.strat_cost[off + s] = profile.strategy_cost(game, i, s);
+                        scratch.strat_cost[off + s] = if filter.is_none_or(|f| f.is_allowed(i, s)) {
+                            scratch.probes += 1;
+                            profile.strategy_cost(game, i, s)
+                        } else {
+                            f64::INFINITY
+                        };
                         scratch.entry_dirty[off + s] = false;
-                        scratch.probes += 1;
                     }
                     let cost = scratch.strat_cost[off + s];
                     if cost < best.1 {
@@ -465,7 +502,7 @@ fn cgba_max_gain<G: GameRef>(
         #[cfg(any(test, feature = "naive-check"))]
         assert_eq!(
             mover,
-            naive_max_gain_mover(game, &profile, config),
+            naive_max_gain_mover(game, &profile, config, filter),
             "incremental MaxGain diverged from naive rescan at iteration {iterations}"
         );
         match mover {
@@ -485,11 +522,27 @@ fn cgba_max_gain<G: GameRef>(
     CgbaReport { profile, total_cost, initial_cost, iterations, converged }
 }
 
+/// Player `i`'s best response over the strategies `filter` allows (all of
+/// them without a filter); `None` when the filter allows none.
+fn best_response_in<G: GameRef>(
+    game: &G,
+    profile: &Profile,
+    i: usize,
+    filter: Option<&StrategyFilter>,
+) -> Option<(usize, f64)> {
+    match filter {
+        Some(f) => profile.best_response_filtered(game, i, f),
+        None => Some(profile.best_response(game, i)),
+    }
+}
+
 /// RoundRobin is an ablation baseline, not a hot path: keep the naive scan.
 fn cgba_round_robin<G: GameRef>(
     game: &G,
     initial: Profile,
     config: &CgbaConfig,
+    filter: Option<&StrategyFilter>,
+    mut should_stop: impl FnMut() -> bool,
     scratch: &mut CgbaScratch,
 ) -> CgbaReport {
     let mut profile = initial;
@@ -500,12 +553,18 @@ fn cgba_round_robin<G: GameRef>(
     let n = game.structure().num_players();
 
     while iterations < config.max_iterations {
+        if should_stop() {
+            break;
+        }
         let mut mover: Option<(usize, usize)> = None;
         for step in 0..n {
             let i = (rr_cursor + step) % n;
             let cost = profile.player_cost(game, i);
-            let (s, br) = profile.best_response(game, i);
-            scratch.probes += 1 + game.structure().strategies(i).len() as u64;
+            let best = best_response_in(game, &profile, i, filter);
+            scratch.probes += 1 + filter
+                .map_or(game.structure().strategies(i).len(), |f| f.allowed_count(i))
+                as u64;
+            let Some((s, br)) = best else { continue };
             if (1.0 - config.lambda) * cost > br {
                 mover = Some((i, s));
                 rr_cursor = (i + 1) % n;
@@ -530,19 +589,24 @@ fn cgba_round_robin<G: GameRef>(
 }
 
 /// One step of the pre-refactor MaxGain selection: full rescan of every
-/// player's cost and best response. The incremental loop asserts against
-/// this each iteration under `cfg(test)` / the `naive-check` feature.
+/// player's cost and (filtered) best response. The incremental loop
+/// asserts against this each iteration under `cfg(test)` / the
+/// `naive-check` feature, so every filtered and deadline-cut solve is
+/// checked move by move.
 #[cfg(any(test, feature = "naive-check"))]
 fn naive_max_gain_mover<G: GameRef>(
     game: &G,
     profile: &Profile,
     config: &CgbaConfig,
+    filter: Option<&StrategyFilter>,
 ) -> Option<(usize, usize)> {
     let mut mover: Option<(usize, usize)> = None;
     let mut best_gap = 0.0;
     for i in 0..game.structure().num_players() {
         let cost = profile.player_cost(game, i);
-        let (s, br) = profile.best_response(game, i);
+        let Some((s, br)) = best_response_in(game, profile, i, filter) else {
+            continue;
+        };
         if (1.0 - config.lambda) * cost > br {
             let gap = cost - br;
             if gap > best_gap {
@@ -636,18 +700,22 @@ pub fn cgba_from_reference<G: GameRef>(
     CgbaReport { profile, total_cost, initial_cost, iterations, converged }
 }
 
-/// The [`cgba_from_reference`] loop with two fault-tolerance hooks: a
-/// [`StrategyFilter`] restricting each player's best-response scan to
-/// allowed strategies, and a `should_stop` predicate polled once per
-/// iteration (the anytime-deadline hook — returning `true` breaks out with
-/// `converged == false` and the best-so-far profile).
+/// Runs CGBA(λ) with the two fault-tolerance hooks: a [`StrategyFilter`]
+/// restricting each player's best response to allowed strategies, and a
+/// `should_stop` predicate polled at the top of every iteration (the
+/// anytime-deadline hook — returning `true` breaks out with
+/// `converged == false` and the best-so-far profile). Runs the same
+/// incremental kernel as [`cgba_from_with_scratch`], cold, on `scratch`.
 ///
 /// With an all-allowing filter and a never-stopping predicate this is
 /// bit-identical to [`cgba_from_reference`] from the same initial profile:
-/// same scan order, same float expressions, same mover selection
-/// (property-tested in `tests/masking.rs`). Players the filter leaves with
-/// *no* allowed strategy never move; callers must seed `initial` with those
-/// players already on a deliberate (best-effort) strategy.
+/// same mover sequence, same floats (property-tested in
+/// `tests/masking.rs`). Players the filter leaves with *no* allowed
+/// strategy never move; callers must seed `initial` with those players
+/// already on a deliberate (best-effort) strategy.
+///
+/// Unlike the plain entry points, the game is fully validated on every
+/// call, not only in debug builds.
 ///
 /// # Panics
 ///
@@ -657,70 +725,14 @@ pub fn cgba_from_filtered<G: GameRef>(
     initial: Profile,
     config: &CgbaConfig,
     filter: &StrategyFilter,
-    mut should_stop: impl FnMut() -> bool,
+    should_stop: impl FnMut() -> bool,
+    scratch: &mut CgbaScratch,
 ) -> CgbaReport {
-    let n = game.structure().num_players();
-    assert!(n > 0, "game has no players");
+    assert!(game.structure().num_players() > 0, "game has no players");
     assert!((0.0..1.0).contains(&config.lambda), "lambda must be in [0, 1)");
     validate_parts(game.structure(), game.weights()).expect("game must validate before solving");
-
-    let mut profile = initial;
-    let initial_cost = profile.total_cost(game);
-    let mut iterations = 0;
-    let mut converged = false;
-    let mut rr_cursor = 0usize;
-
-    while iterations < config.max_iterations {
-        if should_stop() {
-            break;
-        }
-        let mut mover: Option<(usize, usize)> = None; // (player, strategy)
-        match config.scheduling {
-            SchedulingRule::MaxGain => {
-                let mut best_gap = 0.0;
-                for i in 0..n {
-                    let cost = profile.player_cost(game, i);
-                    let Some((s, br)) = profile.best_response_filtered(game, i, filter) else {
-                        continue;
-                    };
-                    if (1.0 - config.lambda) * cost > br {
-                        let gap = cost - br;
-                        if gap > best_gap {
-                            best_gap = gap;
-                            mover = Some((i, s));
-                        }
-                    }
-                }
-            }
-            SchedulingRule::RoundRobin => {
-                for step in 0..n {
-                    let i = (rr_cursor + step) % n;
-                    let cost = profile.player_cost(game, i);
-                    let Some((s, br)) = profile.best_response_filtered(game, i, filter) else {
-                        continue;
-                    };
-                    if (1.0 - config.lambda) * cost > br {
-                        mover = Some((i, s));
-                        rr_cursor = (i + 1) % n;
-                        break;
-                    }
-                }
-            }
-        }
-        match mover {
-            Some((i, s)) => {
-                profile.switch(game, i, s);
-                iterations += 1;
-            }
-            None => {
-                converged = true;
-                break;
-            }
-        }
-    }
-
-    let total_cost = profile.total_cost(game);
-    CgbaReport { profile, total_cost, initial_cost, iterations, converged }
+    scratch.reset(game.structure());
+    run_kernel(game, initial, config, Some(filter), should_stop, scratch)
 }
 
 /// Exhaustively computes the social optimum of a *small* game.

@@ -3,7 +3,8 @@
 //! must restore bit-identical behavior to the never-masked cold path.
 
 use eotora_game::{
-    cgba_from_filtered, cgba_from_reference, CgbaConfig, CongestionGame, Profile, StrategyFilter,
+    cgba_from_filtered, cgba_from_reference, CgbaConfig, CgbaScratch, CongestionGame, Profile,
+    SchedulingRule, StrategyFilter,
 };
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
@@ -54,13 +55,15 @@ proptest! {
     /// Masked CGBA never lands any player on a strategy touching a masked
     /// resource (for players the mask leaves a choice; fully-masked players
     /// are re-allowed best-effort and exempt), and the run still converges
-    /// to an equilibrium *of the filtered game*.
+    /// to an equilibrium *of the filtered game* — under either scheduling
+    /// rule.
     #[test]
     fn masked_cgba_never_touches_masked_resources(
         seed in 0u64..1_000_000,
         players in 1usize..10,
         resources in 2usize..6,
         max_strats in 1usize..5,
+        scheduling in 0usize..2,
     ) {
         let mut rng = Pcg32::seed(seed);
         let game = random_game(&mut rng, players, resources, max_strats);
@@ -82,8 +85,12 @@ proptest! {
                 *e = true;
             }
         }
-        let report = cgba_from_filtered(&game, solo_seed(&game, &filter), &CgbaConfig::default(),
-            &filter, || false);
+        let config = CgbaConfig {
+            scheduling: [SchedulingRule::MaxGain, SchedulingRule::RoundRobin][scheduling],
+            ..Default::default()
+        };
+        let report = cgba_from_filtered(&game, solo_seed(&game, &filter), &config, &filter,
+            || false, &mut CgbaScratch::default());
         prop_assert!(report.converged);
         for (i, &s) in report.profile.choices().iter().enumerate() {
             prop_assert!(filter.is_allowed(i, s), "player {i} on disallowed strategy {s}");
@@ -118,14 +125,14 @@ proptest! {
         let game = random_game(&mut rng, players, resources, max_strats);
         let config = CgbaConfig {
             lambda: [0.0, 0.05, 0.12][lambda],
-            scheduling: [eotora_game::SchedulingRule::MaxGain,
-                eotora_game::SchedulingRule::RoundRobin][scheduling],
+            scheduling: [SchedulingRule::MaxGain, SchedulingRule::RoundRobin][scheduling],
             ..Default::default()
         };
         let initial = Profile::random(&game, &mut Pcg32::seed(seed ^ 0xABCD));
         let filter = StrategyFilter::allow_all(game.structure());
         let reference = cgba_from_reference(&game, initial.clone(), &config);
-        let filtered = cgba_from_filtered(&game, initial, &config, &filter, || false);
+        let filtered = cgba_from_filtered(&game, initial, &config, &filter, || false,
+            &mut CgbaScratch::default());
         prop_assert_eq!(&filtered, &reference);
     }
 
@@ -195,15 +202,23 @@ fn deadline_predicate_stops_the_loop_with_converged_false() {
     let config = CgbaConfig::default();
     let filter = StrategyFilter::allow_all(game.structure());
     let initial = Profile::random(&game, &mut Pcg32::seed(99));
-    let full = cgba_from_filtered(&game, initial.clone(), &config, &filter, || false);
+    let mut scratch = CgbaScratch::default();
+    let full = cgba_from_filtered(&game, initial.clone(), &config, &filter, || false, &mut scratch);
     // Stop after two iterations: the loop must return the best-so-far
     // profile without claiming convergence (unless it truly converged in
     // fewer moves).
     let mut polls = 0;
-    let cut = cgba_from_filtered(&game, initial, &config, &filter, move || {
-        polls += 1;
-        polls > 2
-    });
+    let cut = cgba_from_filtered(
+        &game,
+        initial,
+        &config,
+        &filter,
+        move || {
+            polls += 1;
+            polls > 2
+        },
+        &mut scratch,
+    );
     if full.iterations > 2 {
         assert!(!cut.converged);
         assert_eq!(cut.iterations, 2);

@@ -194,17 +194,13 @@ pub(crate) fn run_engine(
 }
 
 /// The robust-solve configuration a scenario implies: the scenario's BDMA
-/// round count and CGBA λ, plus the given per-slot wall-clock deadline.
+/// round count, CGBA λ and shard cap (sequential unless its solver is
+/// sharded), plus the given per-slot wall-clock deadline.
 pub fn robust_config(scenario: &Scenario, deadline: Option<std::time::Duration>) -> RobustConfig {
     let (lambda, shards) = match scenario.dpp.solver {
-        SolverKind::Cgba { lambda } => (lambda, 0),
-        // The solver's `shards == 0` means "one shard per component"; the
-        // robust path reserves 0 for "sequential", so auto maps to MAX
-        // (the shard planner clamps to the live component count).
-        SolverKind::ShardedCgba { lambda, shards } => {
-            (lambda, if shards == 0 { usize::MAX } else { shards })
-        }
-        _ => (0.0, 0),
+        SolverKind::Cgba { lambda } => (lambda, 1),
+        SolverKind::ShardedCgba { lambda, shards } => (lambda, shards),
+        _ => (0.0, 1),
     };
     RobustConfig {
         deadline,
@@ -457,8 +453,8 @@ mod tests {
     #[test]
     fn robust_config_maps_sharded_solver() {
         let s = Scenario::scale_up(24, 3, 5);
-        assert_eq!(robust_config(&s, None).shards, 0);
-        assert_eq!(robust_config(&s.clone().with_shards(0), None).shards, usize::MAX);
+        assert_eq!(robust_config(&s, None).shards, 1);
+        assert_eq!(robust_config(&s.clone().with_shards(0), None).shards, 0);
         assert_eq!(robust_config(&s.with_shards(2), None).shards, 2);
     }
 
