@@ -491,4 +491,51 @@ for i in range(3):
 print("OK: clean-link Fixed federation decision-identical to independent fixed-share runs")
 EOF
 
+echo "==> trace tee smoke (--trace + --fault-trace + --metrics-out vs untraced, bit-for-bit)"
+# A robust run whose live telemetry session and JSONL trace share one tee
+# sink. Gates: `eotora trace` reads every line of the trace, both sinks saw
+# all 60 slots, and the per-slot CSV matches the same flags without
+# --trace once the wall-clock columns (solve_time_s, stage_*_s) are dropped.
+TEE_DIR="$(mktemp -d)"
+trap 'rm -rf "$CHAOS_DIR" "$TEL_DIR" "$DUR_DIR" "$SHARD_DIR" "$SPEC_DIR" "$SRV_DIR" "$FED_DIR" "$TEE_DIR"' EXIT
+./target/release/eotora template --devices 8 --seed 29 \
+  | sed 's/"horizon": [0-9]*/"horizon": 60/' > "$TEE_DIR/scenario.json"
+cat > "$TEE_DIR/faults.json" <<'EOF'
+{"events": [
+  {"slot": 8,  "action": {"ServerDown": {"server": 1}}},
+  {"slot": 15, "action": {"CorruptState": {"slots": 4}}},
+  {"slot": 30, "action": {"ServerUp": {"server": 1}}}
+]}
+EOF
+./target/release/eotora run "$TEE_DIR/scenario.json" --fault-trace "$TEE_DIR/faults.json" \
+  --metrics-out "$TEE_DIR/untraced.jsonl" --csv "$TEE_DIR/untraced" > /dev/null
+./target/release/eotora run "$TEE_DIR/scenario.json" --fault-trace "$TEE_DIR/faults.json" \
+  --metrics-out "$TEE_DIR/traced.jsonl" --trace "$TEE_DIR/run.jsonl" \
+  --csv "$TEE_DIR/traced" > /dev/null
+./target/release/eotora trace "$TEE_DIR/run.jsonl" > "$TEE_DIR/trace.txt" 2> "$TEE_DIR/trace.err"
+grep -q "run.jsonl: [0-9]* events over 60 slots" "$TEE_DIR/trace.txt"
+if [ -s "$TEE_DIR/trace.err" ]; then cat "$TEE_DIR/trace.err"; exit 1; fi
+python3 - "$TEE_DIR" <<'EOF'
+import json, sys
+
+def decisions(path):
+    rows = [line.rstrip("\n").split(",") for line in open(path)]
+    header = rows[0]
+    keep = [
+        i
+        for i, name in enumerate(header)
+        if name != "solve_time_s" and not name.startswith("stage_")
+    ]
+    return [[row[i] for i in keep] for row in rows]
+
+d = sys.argv[1]
+untraced, traced = decisions(f"{d}/untraced_slots.csv"), decisions(f"{d}/traced_slots.csv")
+assert len(untraced) == 61, f"untraced CSV has {len(untraced) - 1} slots, expected 60"
+assert untraced == traced, "the trace/telemetry tee perturbed the run"
+assert "ctr_fault.state_substitutions" in traced[0], "fault counters missing from CSV"
+final = [json.loads(l) for l in open(f"{d}/traced.jsonl")][-1]
+assert final["counters"]["slots"] == 60, "telemetry half of the tee missed slots"
+print("OK: trace tee smoke — 60 slots bit-identical with and without --trace")
+EOF
+
 echo "ci: all green"

@@ -27,17 +27,11 @@ use eotora_federation::{LinkFaultConfig, RebalancePolicy};
 use eotora_obs::{
     HealthMonitor, HealthSample, HealthSummary, Recorder, TelemetryConfig, TelemetrySession,
 };
-use eotora_sim::durable::{
-    resume_durable_traced, run_durable_robust_traced, run_durable_traced, DurabilityConfig,
-    DurableRun,
-};
+use eotora_sim::durable::{resume_durable, run_durable, DurabilityConfig, DurableRun};
 use eotora_sim::report::{ascii_table, num, slot_csv};
-use eotora_sim::runner::{
-    robust_config, run, run_many, run_robust, run_robust_traced, run_speculative,
-    run_speculative_traced, run_traced, SimulationResult,
-};
+use eotora_sim::runner::{robust_config, run_many, run_mode, SimulationResult};
 use eotora_sim::scenario::Scenario;
-use eotora_sim::{FederationConfig, FederationReport, FederationRun};
+use eotora_sim::{DriverMode, FederationConfig, FederationReport, FederationRun};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -328,21 +322,107 @@ fn cmd_run_resume(args: &[String]) -> Result<(), String> {
         metrics.session(v, budget, Some(dir))
     });
     eprintln!("resuming checkpointed run in {dir} …");
-    let outcome = resume_durable_traced(&cfg, telemetry.as_ref().map(|t| t as &dyn Recorder))
+    let outcome = resume_durable(&cfg, telemetry.as_ref().map(|t| t as &dyn Recorder))
         .map_err(|e| e.to_string())?;
+    report_outcome(args, Some(dir), outcome, telemetry)
+}
+
+/// Reports how a `run` ended: the resume hint when the kill hook
+/// interrupted the checkpointed run in `dir`, else the result table, the
+/// requested output files, and the health line.
+fn report_outcome(
+    args: &[String],
+    dir: Option<&str>,
+    outcome: DurableRun,
+    telemetry: Option<TelemetrySession>,
+) -> Result<(), String> {
     match outcome {
         DurableRun::Interrupted { slot } => {
+            let dir = dir.unwrap_or_default();
             println!("interrupted after slot {slot}; resume with `eotora run --resume {dir}`");
             Ok(())
         }
         DurableRun::Completed(result) => {
             report_run(args, &result)?;
-            if let Some(t) = telemetry {
-                finish_telemetry(t)?;
-            }
-            Ok(())
+            telemetry.map_or(Ok(()), finish_telemetry)
         }
     }
+}
+
+/// Picks the engine pipeline from the `run` flags.
+///
+/// `--fault-trace` and/or `--slot-deadline-ms` select the robust engine:
+/// failures are masked per slot, corrupt state is sanitized (unless
+/// `no_sanitize`), and each slot's solve honours the wall-clock deadline by
+/// returning its best checkpointed incumbent. `--speculate` selects the
+/// speculative pipeline instead: a predicted next-slot solve is staged in
+/// the inter-slot gap and adopted (or repaired, or discarded) when the real
+/// state arrives, with `--slot-deadline-ms` as the staged solve's budget.
+/// Speculation dropped for `--checkpoint-dir` (see
+/// [`reconcile_speculation`]) leaves the plain engine, as its warning says.
+fn run_driver_mode(
+    args: &[String],
+    scenario: &Scenario,
+    no_sanitize: bool,
+) -> Result<DriverMode, String> {
+    let fault_trace = flag_value(args, "--fault-trace").map(load_fault_trace).transpose()?;
+    let deadline = match flag_value(args, "--slot-deadline-ms") {
+        Some(raw) => {
+            let ms: u64 = raw
+                .parse()
+                .map_err(|_| format!("--slot-deadline-ms expects milliseconds, got `{raw}`"))?;
+            Some(std::time::Duration::from_millis(ms))
+        }
+        None => None,
+    };
+    let speculate = args.iter().any(|a| a == "--speculate");
+    let spec = if speculate {
+        if fault_trace.is_some() {
+            return Err("--speculate cannot be combined with --fault-trace".into());
+        }
+        let name = flag_value(args, "--spec-predictor").unwrap_or("last-value");
+        let period: usize = parse_flag(args, "--spec-period", 24)?;
+        let predictor = PredictorKind::parse(name, period).ok_or_else(|| {
+            format!(
+                "--spec-predictor expects last-value|periodic-price|markov-ewma|adversarial, \
+                 got `{name}`"
+            )
+        })?;
+        let tolerance: f64 = parse_flag(args, "--spec-tolerance", 0.0)?;
+        if tolerance.is_nan() || tolerance < 0.0 {
+            return Err("--spec-tolerance must be a number ≥ 0".into());
+        }
+        Some(SpeculativeConfig { predictor, tolerance, deadline, ..Default::default() })
+    } else {
+        for flag in ["--spec-tolerance", "--spec-predictor", "--spec-period"] {
+            if flag_value(args, flag).is_some() {
+                return Err(format!("{flag} requires --speculate"));
+            }
+        }
+        None
+    };
+    let (spec, spec_warning) =
+        reconcile_speculation(spec, flag_value(args, "--checkpoint-dir").is_some());
+    if let Some(warning) = spec_warning {
+        eprintln!("{warning}");
+    }
+    // Decided from the flag, not from the reconciled `spec`: a deadline
+    // given with `--speculate` budgets the staged solve, never the slot.
+    let robust_mode = fault_trace.is_some() || (deadline.is_some() && !speculate);
+    if no_sanitize && !robust_mode {
+        return Err(
+            "--no-sanitize requires robust mode (--fault-trace or --slot-deadline-ms)".into()
+        );
+    }
+    Ok(match spec {
+        Some(spec) => DriverMode::Speculative { spec },
+        None if robust_mode => {
+            let mut robust = robust_config(scenario, deadline);
+            robust.sanitize = !no_sanitize;
+            DriverMode::Robust { faults: fault_trace.unwrap_or_default(), robust }
+        }
+        None => DriverMode::Plain,
+    })
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -397,175 +477,73 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         scenario.system.budget_per_slot,
         scenario.dpp.start
     );
-    // `--fault-trace` and/or `--slot-deadline-ms` switch to the robust slot
-    // engine: failures are masked per slot, corrupt state is sanitized, and
-    // each slot's solve honours the wall-clock deadline by returning its
-    // best checkpointed incumbent.
-    let fault_trace = flag_value(args, "--fault-trace").map(load_fault_trace).transpose()?;
-    let deadline = match flag_value(args, "--slot-deadline-ms") {
-        Some(raw) => {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|_| format!("--slot-deadline-ms expects milliseconds, got `{raw}`"))?;
-            Some(std::time::Duration::from_millis(ms))
+    let metrics = MetricsFlags::parse(args)?;
+    let mode = run_driver_mode(args, &scenario, metrics.no_sanitize)?;
+    match &mode {
+        DriverMode::Plain => {}
+        DriverMode::Robust { faults, robust } => eprintln!(
+            "robust mode: {} fault event(s), slot deadline {}{}",
+            faults.events.len(),
+            robust.deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
+            if robust.sanitize { "" } else { ", sanitizer OFF (diagnostic)" },
+        ),
+        DriverMode::Speculative { spec } => eprintln!(
+            "speculative mode: predictor {:?}, tolerance {}, staged-solve deadline {}",
+            spec.predictor,
+            spec.tolerance,
+            spec.deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
+        ),
+    }
+    // `--checkpoint-dir` makes the run durable: a write-ahead slot journal
+    // plus periodic controller snapshots, resumable with `run --resume`.
+    let checkpoint_dir = flag_value(args, "--checkpoint-dir");
+    let durability = match checkpoint_dir {
+        Some(dir) => {
+            if flag_value(args, "--trace").is_some() {
+                return Err("--trace cannot be combined with --checkpoint-dir".into());
+            }
+            if metrics.no_sanitize {
+                return Err("--no-sanitize cannot be combined with --checkpoint-dir (the \
+                            journal must stay replayable)"
+                    .into());
+            }
+            Some(durability_config(args, dir)?)
         }
         None => None,
     };
-    // `--speculate` switches to the speculative pipeline: a predicted
-    // next-slot solve is staged in the inter-slot gap and adopted (or
-    // repaired, or discarded) when the real state arrives. It reuses
-    // `--slot-deadline-ms` as the staged solve's wall-clock budget, so a
-    // deadline alone no longer implies the robust engine here.
-    let speculate = args.iter().any(|a| a == "--speculate");
-    let spec = if speculate {
-        if fault_trace.is_some() {
-            return Err("--speculate cannot be combined with --fault-trace".into());
+    let telemetry = metrics
+        .active()
+        .then(|| metrics.session(scenario.dpp.v, scenario.system.budget_per_slot, checkpoint_dir));
+    let trace = match flag_value(args, "--trace") {
+        Some(path) => {
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            Some((path, eotora_obs::JsonlRecorder::new(std::io::BufWriter::new(file))))
         }
-        let name = flag_value(args, "--spec-predictor").unwrap_or("last-value");
-        let period: usize = parse_flag(args, "--spec-period", 24)?;
-        let predictor = PredictorKind::parse(name, period).ok_or_else(|| {
-            format!(
-                "--spec-predictor expects last-value|periodic-price|markov-ewma|adversarial, \
-                 got `{name}`"
-            )
-        })?;
-        let tolerance: f64 = parse_flag(args, "--spec-tolerance", 0.0)?;
-        if tolerance.is_nan() || tolerance < 0.0 {
-            return Err("--spec-tolerance must be a number ≥ 0".into());
-        }
-        Some(SpeculativeConfig { predictor, tolerance, deadline, ..Default::default() })
-    } else {
-        for flag in ["--spec-tolerance", "--spec-predictor", "--spec-period"] {
-            if flag_value(args, flag).is_some() {
-                return Err(format!("{flag} requires --speculate"));
-            }
-        }
-        None
+        None => None,
     };
-    // `--checkpoint-dir` and `--speculate` cannot coexist (staged solves are
-    // not journaled); the durable path wins and speculation is dropped with
-    // a warning rather than failing the whole run.
-    let (spec, spec_warning) =
-        reconcile_speculation(spec, flag_value(args, "--checkpoint-dir").is_some());
-    if let Some(warning) = spec_warning {
-        eprintln!("{warning}");
-    }
-    let robust_mode = fault_trace.is_some() || (deadline.is_some() && spec.is_none());
-    let faults = fault_trace.unwrap_or_default();
-    let metrics = MetricsFlags::parse(args)?;
-    if metrics.no_sanitize && !robust_mode {
-        return Err(
-            "--no-sanitize requires robust mode (--fault-trace or --slot-deadline-ms)".into()
-        );
-    }
-    let mut robust = robust_config(&scenario, deadline);
-    robust.sanitize = !metrics.no_sanitize;
-    if robust_mode {
-        eprintln!(
-            "robust mode: {} fault event(s), slot deadline {}{}",
-            faults.events.len(),
-            deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
-            if metrics.no_sanitize { ", sanitizer OFF (diagnostic)" } else { "" },
-        );
-    }
-    if let Some(sc) = spec.as_ref() {
-        eprintln!(
-            "speculative mode: predictor {:?}, tolerance {}, staged-solve deadline {}",
-            sc.predictor,
-            sc.tolerance,
-            sc.deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
-        );
-    }
-    let make_telemetry = |checkpoint_dir: Option<&str>| {
-        metrics.active().then(|| {
-            metrics.session(scenario.dpp.v, scenario.system.budget_per_slot, checkpoint_dir)
-        })
+    let outcome = {
+        // One sink: the telemetry session, the JSONL trace, or a tee of both.
+        let tee = telemetry
+            .as_ref()
+            .zip(trace.as_ref())
+            .map(|(t, (_, jsonl))| eotora_obs::TeeRecorder::new(t, jsonl));
+        let sink = tee
+            .as_ref()
+            .map(|t| t as &dyn Recorder)
+            .or(telemetry.as_ref().map(|t| t as &dyn Recorder))
+            .or(trace.as_ref().map(|(_, jsonl)| jsonl as &dyn Recorder));
+        match &durability {
+            Some(cfg) => run_durable(&scenario, mode, cfg, sink).map_err(|e| e.to_string())?,
+            None => DurableRun::Completed(Box::new(run_mode(&scenario, mode, sink))),
+        }
     };
-    // `--checkpoint-dir` makes the run durable: a write-ahead slot journal
-    // plus periodic controller snapshots, resumable with `run --resume`.
-    if let Some(dir) = flag_value(args, "--checkpoint-dir") {
-        if flag_value(args, "--trace").is_some() {
-            return Err("--trace cannot be combined with --checkpoint-dir".into());
-        }
-        if metrics.no_sanitize {
-            return Err("--no-sanitize cannot be combined with --checkpoint-dir (the journal \
-                        must stay replayable)"
-                .into());
-        }
-        let cfg = durability_config(args, dir)?;
-        let telemetry = make_telemetry(Some(dir));
-        let tsink = telemetry.as_ref().map(|t| t as &dyn Recorder);
-        let outcome = if robust_mode {
-            run_durable_robust_traced(&scenario, &faults, deadline, &cfg, tsink)
-        } else {
-            run_durable_traced(&scenario, &cfg, tsink)
-        }
-        .map_err(|e| e.to_string())?;
-        return match outcome {
-            DurableRun::Interrupted { slot } => {
-                println!("interrupted after slot {slot}; resume with `eotora run --resume {dir}`");
-                Ok(())
-            }
-            DurableRun::Completed(result) => {
-                report_run(args, &result)?;
-                if let Some(t) = telemetry {
-                    finish_telemetry(t)?;
-                }
-                Ok(())
-            }
-        };
+    if let Some((path, sink)) = trace {
+        let events = sink.records_written();
+        sink.finish().map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote {path} ({events} events)");
     }
-    let telemetry = make_telemetry(None);
-    let result = match flag_value(args, "--trace") {
-        Some(trace_path) => {
-            let file = std::fs::File::create(trace_path)
-                .map_err(|e| format!("cannot create {trace_path}: {e}"))?;
-            let sink = eotora_obs::JsonlRecorder::new(std::io::BufWriter::new(file));
-            let result = match telemetry.as_ref() {
-                Some(t) => {
-                    let tee = eotora_obs::TeeRecorder::new(t, &sink);
-                    if let Some(sc) = spec.as_ref() {
-                        run_speculative_traced(&scenario, sc, &tee)
-                    } else if robust_mode {
-                        run_robust_traced(&scenario, &faults, &robust, &tee)
-                    } else {
-                        run_traced(&scenario, &tee)
-                    }
-                }
-                None => {
-                    if let Some(sc) = spec.as_ref() {
-                        run_speculative_traced(&scenario, sc, &sink)
-                    } else if robust_mode {
-                        run_robust_traced(&scenario, &faults, &robust, &sink)
-                    } else {
-                        run_traced(&scenario, &sink)
-                    }
-                }
-            };
-            let events = sink.records_written();
-            sink.finish().map_err(|e| format!("cannot write {trace_path}: {e}"))?;
-            eprintln!("wrote {trace_path} ({events} events)");
-            result
-        }
-        None => match (telemetry.as_ref(), spec.as_ref()) {
-            (Some(t), Some(sc)) => run_speculative_traced(&scenario, sc, t),
-            (Some(t), None) => {
-                if robust_mode {
-                    run_robust_traced(&scenario, &faults, &robust, t)
-                } else {
-                    run_traced(&scenario, t)
-                }
-            }
-            (None, Some(sc)) => run_speculative(&scenario, sc),
-            (None, None) if robust_mode => run_robust(&scenario, &faults, &robust),
-            (None, None) => run(&scenario),
-        },
-    };
-    report_run(args, &result)?;
-    if let Some(t) = telemetry {
-        finish_telemetry(t)?;
-    }
-    Ok(())
+    report_outcome(args, checkpoint_dir, outcome, telemetry)
 }
 
 /// `eotora serve`: the long-running controller daemon. Slot states arrive
@@ -1369,6 +1347,14 @@ mod tests {
         let warning = warning.expect("dropping speculation must warn");
         assert!(warning.contains("--speculate"), "{warning}");
         assert!(warning.contains("--checkpoint-dir"), "{warning}");
+        // The dropped speculation leaves the plain engine, as the warning
+        // says: its staged-solve deadline must not make the run robust.
+        let args: Vec<String> = ["--speculate", "--slot-deadline-ms", "5", "--checkpoint-dir", "D"]
+            .into_iter()
+            .map(str::to_owned)
+            .collect();
+        let mode = run_driver_mode(&args, &Scenario::paper(4, 1), false).unwrap();
+        assert_eq!(mode, DriverMode::Plain);
     }
 
     #[test]

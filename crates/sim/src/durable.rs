@@ -54,7 +54,7 @@ use eotora_util::rng::Pcg32;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::DriverMode;
-use crate::runner::{robust_config, run_engine, EngineOutcome, SimulationResult};
+use crate::runner::{robust_config, run_engine, SimulationResult};
 use crate::scenario::Scenario;
 
 /// Version of `manifest.json`; bump on incompatible layout changes.
@@ -119,7 +119,8 @@ pub enum DurableRun {
 pub struct RunManifest {
     /// Manifest layout version.
     pub version: u32,
-    /// `"plain"` or `"robust"`.
+    /// The pipeline: `"plain"` or `"robust"` for batch runs (see
+    /// [`RunManifest::new`]), `"server"` for the `eotora-server` daemon.
     pub mode: String,
     /// The full scenario being run.
     pub scenario: Scenario,
@@ -131,6 +132,71 @@ pub struct RunManifest {
     pub checkpoint_every: u64,
     /// Journal fsync policy, as its display string.
     pub fsync: String,
+}
+
+impl RunManifest {
+    /// The manifest of a batch run of `scenario` in `mode` under `cfg` —
+    /// the one place a [`DriverMode`] is written down, inverted by
+    /// [`RunManifest::driver_mode`] on resume.
+    ///
+    /// Refuses, with [`DurabilityError::InvalidConfig`], any mode the
+    /// manifest cannot reproduce: [`DriverMode::Speculative`] (staged
+    /// solves are not journaled) and a [`DriverMode::Robust`] config other
+    /// than [`robust_config`] of `scenario` at the deadline's
+    /// whole-millisecond value (`deadline_ms` is the only robust knob on
+    /// disk, so a sub-millisecond deadline would resume as another run).
+    pub fn new(
+        scenario: &Scenario,
+        mode: &DriverMode,
+        cfg: &DurabilityConfig,
+    ) -> Result<Self, DurabilityError> {
+        let (name, faults, deadline_ms) = match mode {
+            DriverMode::Plain => ("plain", None, None),
+            DriverMode::Robust { faults, robust } => {
+                let deadline_ms = robust.deadline.map(|d| d.as_millis() as u64);
+                if *robust != robust_config(scenario, deadline_ms.map(Duration::from_millis)) {
+                    return Err(DurabilityError::InvalidConfig {
+                        reason: format!(
+                            "a checkpointed robust run must use the scenario's robust config \
+                             with a whole-millisecond deadline (got {robust:?}); the manifest \
+                             could not resume it"
+                        ),
+                    });
+                }
+                ("robust", Some(faults.clone()), deadline_ms)
+            }
+            DriverMode::Speculative { .. } => {
+                return Err(DurabilityError::InvalidConfig {
+                    reason: "a speculative run cannot be checkpointed (staged solves are not \
+                             journaled)"
+                        .to_owned(),
+                })
+            }
+        };
+        Ok(RunManifest {
+            version: MANIFEST_VERSION,
+            mode: name.to_owned(),
+            scenario: scenario.clone(),
+            faults,
+            deadline_ms,
+            checkpoint_every: cfg.checkpoint_every.max(1),
+            fsync: cfg.fsync.to_string(),
+        })
+    }
+
+    /// The [`DriverMode`] a batch manifest resumes — the inverse of
+    /// [`RunManifest::new`]. Errs with the reason on any other mode name
+    /// (the server's `"server"` manifests resume through the daemon).
+    pub fn driver_mode(&self) -> Result<DriverMode, String> {
+        match self.mode.as_str() {
+            "plain" => Ok(DriverMode::Plain),
+            "robust" => Ok(DriverMode::Robust {
+                faults: self.faults.clone().unwrap_or_default(),
+                robust: robust_config(&self.scenario, self.deadline_ms.map(Duration::from_millis)),
+            }),
+            other => Err(format!("unknown run mode `{other}`")),
+        }
+    }
 }
 
 /// The payload of `snapshot.bin`: the full resumable state as of `slots`
@@ -291,154 +357,45 @@ fn fresh_session(
     })
 }
 
-fn finish(outcome: EngineOutcome) -> DurableRun {
-    match outcome {
-        EngineOutcome::Completed(result) => DurableRun::Completed(result),
-        EngineOutcome::Interrupted { slot } => DurableRun::Interrupted { slot },
-    }
-}
-
-/// Runs `scenario` with checkpointing under `cfg`. The directory must not
-/// already hold a run (use [`resume_durable`] for that).
+/// Runs `scenario` in `mode` with checkpointing under `cfg`. The directory
+/// must not already hold a run (use [`resume_durable`] for that), and the
+/// mode must be one the manifest can reproduce (see [`RunManifest::new`]).
+///
+/// The optional `sink` (live telemetry, JSONL) additionally receives the
+/// journal/fsync/snapshot latency spans, which never enter the aggregated
+/// metrics — keeping resumed-run counters and CSV columns bit-identical to
+/// an untraced run.
 pub fn run_durable(
     scenario: &Scenario,
-    cfg: &DurabilityConfig,
-) -> Result<DurableRun, DurabilityError> {
-    run_durable_traced(scenario, cfg, None)
-}
-
-/// [`run_durable`] with an optional trace sink (live telemetry, JSONL).
-/// The sink additionally receives the journal/fsync/snapshot latency
-/// spans, which never enter the aggregated metrics — keeping resumed-run
-/// counters and CSV columns bit-identical to an untraced run.
-pub fn run_durable_traced(
-    scenario: &Scenario,
+    mode: DriverMode,
     cfg: &DurabilityConfig,
     sink: Option<&dyn Recorder>,
 ) -> Result<DurableRun, DurabilityError> {
-    let manifest = RunManifest {
-        version: MANIFEST_VERSION,
-        mode: "plain".to_owned(),
-        scenario: scenario.clone(),
-        faults: None,
-        deadline_ms: None,
-        checkpoint_every: cfg.checkpoint_every.max(1),
-        fsync: cfg.fsync.to_string(),
-    };
+    let manifest = RunManifest::new(scenario, &mode, cfg)?;
     let session = fresh_session(cfg, &manifest)?;
-    let system = eotora_core::system::MecSystem::random(&scenario.system, scenario.seed);
-    let mut states =
-        eotora_states::StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    let outcome = run_engine(
-        scenario,
-        system,
-        &mut |slot, topo| states.observe(slot, topo),
-        sink,
-        DriverMode::Plain,
-        Some(session),
-    )?;
-    Ok(finish(outcome))
-}
-
-/// Runs the fault-tolerant pipeline with checkpointing: [`run_durable`]
-/// for [`crate::runner::run_robust`].
-pub fn run_durable_robust(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    deadline: Option<Duration>,
-    cfg: &DurabilityConfig,
-) -> Result<DurableRun, DurabilityError> {
-    run_durable_robust_traced(scenario, faults, deadline, cfg, None)
-}
-
-/// [`run_durable_robust`] with an optional trace sink — see
-/// [`run_durable_traced`] for the span-routing contract.
-pub fn run_durable_robust_traced(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    deadline: Option<Duration>,
-    cfg: &DurabilityConfig,
-    sink: Option<&dyn Recorder>,
-) -> Result<DurableRun, DurabilityError> {
-    let manifest = RunManifest {
-        version: MANIFEST_VERSION,
-        mode: "robust".to_owned(),
-        scenario: scenario.clone(),
-        faults: Some(faults.clone()),
-        deadline_ms: deadline.map(|d| d.as_millis() as u64),
-        checkpoint_every: cfg.checkpoint_every.max(1),
-        fsync: cfg.fsync.to_string(),
-    };
-    let session = fresh_session(cfg, &manifest)?;
-    let robust = robust_config(scenario, deadline);
-    let system = eotora_core::system::MecSystem::random(&scenario.system, scenario.seed);
-    let mut states =
-        eotora_states::StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    let outcome = run_engine(
-        scenario,
-        system,
-        &mut |slot, topo| states.observe(slot, topo),
-        sink,
-        DriverMode::Robust { faults: faults.clone(), robust },
-        Some(session),
-    )?;
-    Ok(finish(outcome))
+    run_engine(scenario, mode, sink, Some(session))
 }
 
 /// Resumes the run checkpointed in `cfg.dir`: reads the manifest, restores
 /// the snapshot, replays the journal head, truncates the stale journal
 /// suffix, and re-executes the remaining slots deterministically. The
-/// manifest supplies the scenario and policies; of `cfg`, only `dir` and
-/// the `kill_at_slot` test hook are consulted.
+/// manifest supplies the scenario, mode, and policies; of `cfg`, only
+/// `dir`, `max_segment_bytes` and the `kill_at_slot` test hook are
+/// consulted. `sink` is routed as in [`run_durable`].
 ///
 /// Returns the same [`DurableRun`] a never-interrupted run would — all
 /// decision-derived values bit-identical (see the module docs).
-pub fn resume_durable(cfg: &DurabilityConfig) -> Result<DurableRun, DurabilityError> {
-    resume_durable_traced(cfg, None)
-}
-
-/// [`resume_durable`] with an optional trace sink — see
-/// [`run_durable_traced`] for the span-routing contract.
-pub fn resume_durable_traced(
+pub fn resume_durable(
     cfg: &DurabilityConfig,
     sink: Option<&dyn Recorder>,
 ) -> Result<DurableRun, DurabilityError> {
     let manifest = read_manifest(&cfg.dir)?;
+    let mode = manifest.driver_mode().map_err(|reason| DurabilityError::CorruptManifest {
+        path: manifest_path(&cfg.dir).display().to_string(),
+        reason,
+    })?;
     let session = resume_session(cfg, &manifest)?;
-    let scenario = manifest.scenario;
-    let system = eotora_core::system::MecSystem::random(&scenario.system, scenario.seed);
-    let mut states =
-        eotora_states::StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    let outcome = match manifest.mode.as_str() {
-        "plain" => run_engine(
-            &scenario,
-            system,
-            &mut |slot, topo| states.observe(slot, topo),
-            sink,
-            DriverMode::Plain,
-            Some(session),
-        )?,
-        "robust" => {
-            let faults = manifest.faults.unwrap_or_default();
-            let deadline = manifest.deadline_ms.map(Duration::from_millis);
-            let robust = robust_config(&scenario, deadline);
-            run_engine(
-                &scenario,
-                system,
-                &mut |slot, topo| states.observe(slot, topo),
-                sink,
-                DriverMode::Robust { faults, robust },
-                Some(session),
-            )?
-        }
-        other => {
-            return Err(DurabilityError::CorruptManifest {
-                path: manifest_path(&cfg.dir).display().to_string(),
-                reason: format!("unknown run mode `{other}`"),
-            })
-        }
-    };
-    Ok(finish(outcome))
+    run_engine(&manifest.scenario, mode, sink, Some(session))
 }
 
 /// Reconstructs the live session of a checkpoint directory that already

@@ -36,24 +36,27 @@ use eotora_util::series::TimeSeries;
 use crate::durable::{DurableSession, ResumeState, RunSnapshot};
 use crate::scenario::Scenario;
 
-/// Which per-slot pipeline the driver runs. Owned (unlike the borrowed
-/// pre-extraction `EngineMode`) so a long-lived driver — the server —
-/// can hold and hot-patch it across reloads.
+/// Which per-slot pipeline the driver runs — the one option a batch caller
+/// chooses ([`crate::run_mode`], [`crate::run_durable`]). Owned so a
+/// long-lived driver — the server — can hold and hot-patch it across
+/// reloads.
+#[derive(Debug, Clone, PartialEq)]
 pub enum DriverMode {
-    /// The plain DPP step ([`crate::run`]).
+    /// The plain DPP step — the paper's controller ([`crate::run`]).
     Plain,
-    /// The fault-tolerant step ([`crate::run_robust`]): corruption
-    /// injection, sanitization, availability masking, anytime deadline.
+    /// The fault-tolerant step: corruption injection, sanitization,
+    /// availability masking, anytime deadline.
     Robust {
         /// Scripted fault trace (empty on the server — real deployments
         /// get their faults from the world, not a script).
         faults: FaultSchedule,
-        /// Robust-solve configuration (deadline, rounds, λ).
+        /// Robust-solve configuration (deadline, rounds, λ); usually
+        /// [`crate::robust_config`] of the scenario.
         robust: RobustConfig,
     },
-    /// The speculative step ([`crate::runner::run_speculative`]): a
-    /// predicted next-slot pre-solve staged between slots, repaired or
-    /// discarded at slot start.
+    /// The speculative step: a predicted next-slot pre-solve staged
+    /// between slots, repaired or discarded at slot start. Staged solves
+    /// are not journaled, so [`crate::run_durable`] refuses this mode.
     Speculative {
         /// Predictor, tolerance, and staging deadline.
         spec: SpeculativeConfig,

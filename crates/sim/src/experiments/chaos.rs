@@ -1,7 +1,7 @@
 //! Chaos harness: the robust slot engine under injected failures.
 //!
 //! Two arms run the *same* scenario through the robust pipeline
-//! ([`crate::runner::run_robust`]): the **baseline** arm sees an empty
+//! ([`DriverMode::Robust`] through [`crate::runner::run_mode`]): the **baseline** arm sees an empty
 //! [`FaultSchedule`], the **faulted** arm replays a scripted trace with
 //! server crashes, a base-station outage, a fronthaul link flap, and a
 //! corrupt-state burst. Because both arms use the same solver path, the
@@ -19,7 +19,8 @@ use eotora_core::fault::FaultSchedule;
 use eotora_obs::TelemetrySession;
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{robust_config, run_robust_traced, SimulationResult};
+use crate::engine::DriverMode;
+use crate::runner::{robust_config, run_mode, SimulationResult};
 use crate::scenario::Scenario;
 
 /// One arm (baseline or faulted) of the chaos comparison.
@@ -80,7 +81,8 @@ fn arm(label: &str, result: &SimulationResult, health: String) -> ChaosArm {
 fn run_arm(scenario: &Scenario, faults: &FaultSchedule) -> (SimulationResult, String) {
     let robust = robust_config(scenario, None);
     let telemetry = TelemetrySession::in_memory(scenario.dpp.v, scenario.system.budget_per_slot);
-    let result = run_robust_traced(scenario, faults, &robust, &telemetry);
+    let mode = DriverMode::Robust { faults: faults.clone(), robust };
+    let result = run_mode(scenario, mode, Some(&telemetry));
     let worst = telemetry.health_summary().worst.as_str().to_owned();
     (result, worst)
 }

@@ -3,7 +3,7 @@
 //!
 //! Two arms run the *same* scenario — same system, same state stream,
 //! same controller config — one through [`run`], one through
-//! [`run_speculative`]. Because a staged solve is adopted only on an
+//! [`run_mode`] in [`DriverMode::Speculative`]. Because a staged solve is adopted only on an
 //! exact state match (at tolerance 0) and discarded otherwise, the
 //! speculative arm must reproduce the plain arm's series bit for bit
 //! regardless of hit rate; what changes is *when* the solve work happens.
@@ -15,7 +15,8 @@
 use eotora_core::speculate::SpeculativeConfig;
 use serde::{Deserialize, Serialize};
 
-use crate::runner::{run, run_speculative, SimulationResult};
+use crate::engine::DriverMode;
+use crate::runner::{run, run_mode, SimulationResult};
 use crate::scenario::Scenario;
 
 /// One arm of the speculation A/B.
@@ -76,7 +77,7 @@ fn arm(label: &str, result: &SimulationResult) -> SpeculationArm {
 /// `spec.*` counter readouts, and the relative gaps.
 pub fn speculation_ab(scenario: &Scenario, spec: &SpeculativeConfig) -> SpeculationAbResult {
     let plain = run(scenario);
-    let speculative = run_speculative(scenario, spec);
+    let speculative = run_mode(scenario, DriverMode::Speculative { spec: *spec }, None);
     let ctr = |name: &str| speculative.counters.get(name).copied().unwrap_or(0);
     let hits = ctr("spec.hits");
     let rel = |s: f64, p: f64| if p == 0.0 { 0.0 } else { (s - p).abs() / p };

@@ -41,7 +41,7 @@ use eotora_states::StateProvider;
 use eotora_topology::{region_devices, RandomTopologyConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::durable::{open_session, DurabilityConfig, RunManifest, MANIFEST_VERSION};
+use crate::durable::{open_session, DurabilityConfig, RunManifest};
 use crate::engine::{DriverMode, DriverTuning, StepDriver};
 use crate::runner::SimulationResult;
 use crate::scenario::Scenario;
@@ -323,15 +323,7 @@ pub fn run_federation(
                     max_segment_bytes: d.max_segment_bytes,
                     kill_at_slot: d.kill_at_slot,
                 };
-                let manifest = RunManifest {
-                    version: MANIFEST_VERSION,
-                    mode: "plain".to_owned(),
-                    scenario: scenario.clone(),
-                    faults: None,
-                    deadline_ms: None,
-                    checkpoint_every: region_cfg.checkpoint_every,
-                    fsync: region_cfg.fsync.to_string(),
-                };
+                let manifest = RunManifest::new(&scenario, &DriverMode::Plain, &region_cfg)?;
                 Some(open_session(&region_cfg, &manifest)?)
             }
             None => None,

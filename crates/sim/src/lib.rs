@@ -6,8 +6,10 @@
 //!   states, controller, horizon, seeds).
 //! * [`runner`] — executes a scenario slot by slot, collecting per-slot
 //!   series (latency, energy cost, queue backlog, wall-clock solve time) and
-//!   summarizing them; [`runner::run_many`] fans independent scenarios out
-//!   over OS threads.
+//!   summarizing them. [`runner::run_mode`] runs any [`DriverMode`] with an
+//!   optional trace sink ([`runner::run`] is its plain shorthand), and
+//!   [`runner::run_many`] fans independent scenarios out over the bounded
+//!   worker pool.
 //! * [`experiments`] — one module per figure of the paper's evaluation
 //!   (§VI): each returns plain data structs that the `figures` binary and
 //!   the Criterion benches render. EXPERIMENTS.md records paper-vs-measured
@@ -18,7 +20,8 @@
 //!   decision streams bit-identical.
 //! * [`durable`] — crash-safe runs: checkpointed controller snapshots plus
 //!   a checksummed write-ahead slot journal, with deterministic
-//!   kill–resume ([`durable::run_durable`] / [`durable::resume_durable`]).
+//!   kill–resume ([`durable::run_durable`] in any journalable
+//!   [`DriverMode`] / [`durable::resume_durable`]).
 //! * [`federation`] — federated multi-region control: N per-region
 //!   drivers sharing one fleet budget over an unreliable, checkpointable
 //!   peer link ([`federation::run_federation`]).
@@ -48,13 +51,13 @@ pub mod scenario;
 pub mod svg;
 
 pub use durable::{
-    open_session, resume_durable, run_durable, run_durable_robust, DurabilityConfig, DurableRun,
-    DurableSession, RunManifest, MANIFEST_VERSION,
+    open_session, resume_durable, run_durable, DurabilityConfig, DurableRun, DurableSession,
+    RunManifest, MANIFEST_VERSION,
 };
 pub use engine::{DriverMode, DriverTuning, StepDriver, StepReport};
 pub use federation::{
     read_federation_manifest, region_scenario, run_federation, run_standalone, FederationConfig,
     FederationManifest, FederationReport, FederationRun, FED_MANIFEST_VERSION,
 };
-pub use runner::{robust_config, run, run_many, run_robust, run_robust_traced, SimulationResult};
+pub use runner::{robust_config, run, run_many, run_mode, SimulationResult};
 pub use scenario::Scenario;

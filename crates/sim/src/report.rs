@@ -171,7 +171,8 @@ mod tests {
 
     #[test]
     fn slot_csv_exports_event_counters() {
-        use crate::runner::{robust_config, run_robust};
+        use crate::engine::DriverMode;
+        use crate::runner::{robust_config, run_mode};
         use crate::scenario::Scenario;
         let s = Scenario::paper(6, 12).with_horizon(4).with_bdma_rounds(1);
         let faults = eotora_core::fault::FaultSchedule {
@@ -180,7 +181,7 @@ mod tests {
                 action: eotora_core::fault::FaultAction::CorruptState { slots: 2 },
             }],
         };
-        let r = run_robust(&s, &faults, &robust_config(&s, None));
+        let r = run_mode(&s, DriverMode::Robust { faults, robust: robust_config(&s, None) }, None);
         let subs = r.counters["fault.state_substitutions"];
         assert!(subs > 0);
         let text = slot_csv(&r);

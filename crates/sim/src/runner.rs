@@ -2,24 +2,25 @@
 //!
 //! Every run is instrumented: an in-memory
 //! [`MetricsRecorder`](eotora_obs::MetricsRecorder) aggregates the
-//! pipeline's spans into [`SimulationResult::per_stage_solve_time`], and
-//! [`run_traced`] additionally tees the event stream into any external
-//! [`Recorder`] (e.g. a JSONL sink for `eotora run --trace`).
+//! pipeline's spans into [`SimulationResult::per_stage_solve_time`].
+//! [`run_mode`] is the one batch entry point: its [`DriverMode`] selects
+//! the plain, robust, or speculative pipeline, and its optional
+//! [`Recorder`] sink additionally receives the event stream (e.g. a JSONL
+//! sink for `eotora run --trace`). [`run`] is the plain shorthand;
+//! checkpointed runs go through [`crate::durable::run_durable`].
 
 use std::collections::BTreeMap;
 
 use eotora_core::dpp::SolverKind;
-use eotora_core::fault::FaultSchedule;
 use eotora_core::robust::RobustConfig;
-use eotora_core::speculate::SpeculativeConfig;
 use eotora_core::system::MecSystem;
 use eotora_durability::DurabilityError;
 use eotora_obs::Recorder;
-use eotora_states::{StateProvider, SystemState};
+use eotora_states::StateProvider;
 use eotora_util::series::TimeSeries;
 use serde::{Deserialize, Serialize};
 
-use crate::durable::DurableSession;
+use crate::durable::{DurableRun, DurableSession};
 use crate::engine::{DriverMode, DriverTuning, StepDriver};
 use crate::scenario::Scenario;
 
@@ -95,66 +96,43 @@ impl SimulationResult {
     }
 }
 
-/// Runs one scenario to completion.
+/// Runs one scenario to completion on the plain pipeline — the paper's
+/// controller exactly as specified.
 pub fn run(scenario: &Scenario) -> SimulationResult {
-    let system = MecSystem::random(&scenario.system, scenario.seed);
-    let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    run_with(scenario, system, &mut |slot, topo| states.observe(slot, topo))
+    run_mode(scenario, DriverMode::Plain, None)
 }
 
-/// Runs one scenario while streaming every trace event into `sink` (in
-/// addition to the in-memory metrics every run collects). This is the entry
-/// point behind `eotora run --trace`: pass a
-/// [`JsonlRecorder`](eotora_obs::JsonlRecorder) to capture the run as JSONL.
-pub fn run_traced(scenario: &Scenario, sink: &dyn Recorder) -> SimulationResult {
-    let system = MecSystem::random(&scenario.system, scenario.seed);
-    let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    run_impl(scenario, system, &mut |slot, topo| states.observe(slot, topo), Some(sink))
-}
-
-/// Runs a scenario against a caller-supplied system and state source —
-/// the hook used by the mobility example and the dynamic-fronthaul tests.
-pub fn run_with(
+/// Runs one scenario to completion through the pipeline `mode` selects,
+/// streaming every trace event into `sink` when one is given (in addition
+/// to the in-memory metrics every run collects). A sink never perturbs the
+/// run: traced and untraced runs of one mode produce identical series.
+///
+/// [`DriverMode::Robust`] with an empty schedule and no deadline is the
+/// robust path's fault-free baseline (deterministic, but *not*
+/// bit-identical to [`run`] — the robust solve seeds deterministically
+/// instead of sampling random initial profiles). [`DriverMode::Speculative`]
+/// at tolerance 0 is decision-identical to [`run`] whatever its hit rate.
+pub fn run_mode(
     scenario: &Scenario,
-    system: MecSystem,
-    observe: &mut dyn FnMut(u64, &eotora_topology::Topology) -> SystemState,
-) -> SimulationResult {
-    run_impl(scenario, system, observe, None)
-}
-
-fn run_impl(
-    scenario: &Scenario,
-    system: MecSystem,
-    observe: &mut dyn FnMut(u64, &eotora_topology::Topology) -> SystemState,
+    mode: DriverMode,
     sink: Option<&dyn Recorder>,
 ) -> SimulationResult {
-    match run_engine(scenario, system, observe, sink, DriverMode::Plain, None) {
-        Ok(EngineOutcome::Completed(result)) => *result,
+    match run_engine(scenario, mode, sink, None) {
+        Ok(DurableRun::Completed(result)) => *result,
         // Without a durable session the engine performs no I/O and has no
         // kill hook, so it can neither fail nor interrupt.
-        Ok(EngineOutcome::Interrupted { .. }) | Err(_) => {
+        Ok(DurableRun::Interrupted { .. }) | Err(_) => {
             unreachable!("non-durable run cannot fail or interrupt")
         }
     }
-}
-
-/// How an engine run ended.
-pub(crate) enum EngineOutcome {
-    /// Reached the horizon.
-    Completed(Box<SimulationResult>),
-    /// A durable session's kill hook fired after `slot` completed.
-    Interrupted {
-        /// Last completed slot.
-        slot: u64,
-    },
 }
 
 /// The one simulation loop behind every batch entry point: plain,
 /// robust, and speculative pipelines, optional trace sink, optional
 /// durability. All per-slot mechanics live in
 /// [`StepDriver`](crate::engine::StepDriver) — this function only owns
-/// the horizon loop and the state source, which is exactly the part the
-/// `eotora-server` daemon replaces with a network stream.
+/// the horizon loop and the scenario's state source, which is exactly the
+/// part the `eotora-server` daemon replaces with a network stream.
 ///
 /// With a [`DurableSession`], each completed slot appends a slot record
 /// to the write-ahead journal and snapshots the full controller state on
@@ -167,30 +145,30 @@ pub(crate) enum EngineOutcome {
 /// stopped — producing bit-identical decisions and series.
 pub(crate) fn run_engine(
     scenario: &Scenario,
-    system: MecSystem,
-    observe: &mut dyn FnMut(u64, &eotora_topology::Topology) -> SystemState,
-    sink: Option<&dyn Recorder>,
     mode: DriverMode,
+    sink: Option<&dyn Recorder>,
     durable: Option<DurableSession>,
-) -> Result<EngineOutcome, DurabilityError> {
+) -> Result<DurableRun, DurabilityError> {
+    let system = MecSystem::random(&scenario.system, scenario.seed);
+    let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
     let mut driver =
         StepDriver::new(scenario, system, mode, durable, sink, DriverTuning::default());
     // Fast-forward the state source past any resume-replayed slots so the
     // cursor slot observes exactly what the uninterrupted run would, then
     // reproduce the speculative stage the interrupted run had in flight.
     for slot in 0..driver.cursor() {
-        let replayed = observe(slot, driver.topology());
+        let replayed = states.observe(slot, driver.topology());
         driver.replay_observe(&replayed);
     }
     driver.restage();
     while driver.cursor() < driver.horizon() {
-        let beta = observe(driver.cursor(), driver.topology());
+        let beta = states.observe(driver.cursor(), driver.topology());
         let report = driver.step(beta)?;
         if report.interrupted {
-            return Ok(EngineOutcome::Interrupted { slot: report.slot });
+            return Ok(DurableRun::Interrupted { slot: report.slot });
         }
     }
-    Ok(EngineOutcome::Completed(Box::new(driver.finish())))
+    Ok(DurableRun::Completed(Box::new(driver.finish())))
 }
 
 /// The robust-solve configuration a scenario implies: the scenario's BDMA
@@ -211,122 +189,26 @@ pub fn robust_config(scenario: &Scenario, deadline: Option<std::time::Duration>)
     }
 }
 
-/// Runs one scenario through the fault-tolerant pipeline: per-slot
-/// availability masks from `faults`, corrupt-state bursts injected and then
-/// screened by a [`StateSanitizer`](eotora_core::StateSanitizer), and the
-/// anytime deadline of `robust`
-/// bounding each slot's solve. With an empty schedule and no deadline this
-/// is the robust path's fault-free baseline (deterministic, but *not*
-/// bit-identical to [`run`] — the robust solve seeds deterministically
-/// instead of sampling random initial profiles).
-pub fn run_robust(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    robust: &RobustConfig,
-) -> SimulationResult {
-    run_robust_impl(scenario, faults, robust, None)
-}
-
-/// [`run_robust`] with every trace event additionally streamed into `sink`
-/// (the entry point behind `eotora run --fault-trace ... --trace ...`).
-pub fn run_robust_traced(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    robust: &RobustConfig,
-    sink: &dyn Recorder,
-) -> SimulationResult {
-    run_robust_impl(scenario, faults, robust, Some(sink))
-}
-
-fn run_robust_impl(
-    scenario: &Scenario,
-    faults: &FaultSchedule,
-    robust: &RobustConfig,
-    sink: Option<&dyn Recorder>,
-) -> SimulationResult {
-    let system = MecSystem::random(&scenario.system, scenario.seed);
-    let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    match run_engine(
-        scenario,
-        system,
-        &mut |slot, topo| states.observe(slot, topo),
-        sink,
-        DriverMode::Robust { faults: faults.clone(), robust: *robust },
-        None,
-    ) {
-        Ok(EngineOutcome::Completed(result)) => *result,
-        Ok(EngineOutcome::Interrupted { .. }) | Err(_) => {
-            unreachable!("non-durable run cannot fail or interrupt")
-        }
-    }
-}
-
-/// Runs one scenario through the speculative pipeline (see
-/// [`eotora_core::speculate`]): a predicted next-slot solve is staged in
-/// the inter-slot gap and adopted, repaired, or discarded when the real
-/// state arrives. With a zero-hit predictor this is decision-identical to
-/// [`run`] — speculation never touches committed state until adopted.
-pub fn run_speculative(scenario: &Scenario, spec: &SpeculativeConfig) -> SimulationResult {
-    run_speculative_impl(scenario, spec, None)
-}
-
-/// [`run_speculative`] with every trace event additionally streamed into
-/// `sink` (the entry point behind `eotora run --speculate --trace ...`).
-pub fn run_speculative_traced(
-    scenario: &Scenario,
-    spec: &SpeculativeConfig,
-    sink: &dyn Recorder,
-) -> SimulationResult {
-    run_speculative_impl(scenario, spec, Some(sink))
-}
-
-fn run_speculative_impl(
-    scenario: &Scenario,
-    spec: &SpeculativeConfig,
-    sink: Option<&dyn Recorder>,
-) -> SimulationResult {
-    let system = MecSystem::random(&scenario.system, scenario.seed);
-    let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    match run_engine(
-        scenario,
-        system,
-        &mut |slot, topo| states.observe(slot, topo),
-        sink,
-        DriverMode::Speculative { spec: *spec },
-        None,
-    ) {
-        Ok(EngineOutcome::Completed(result)) => *result,
-        Ok(EngineOutcome::Interrupted { .. }) | Err(_) => {
-            unreachable!("non-durable run cannot fail or interrupt")
-        }
-    }
-}
-
 /// Runs independent scenarios in parallel on the process-default worker
-/// pool (scenarios are independent by construction; results come back in
-/// scenario order). Equivalent to `run_many_jobs(scenarios, None)`.
+/// pool (see [`eotora_util::pool::default_workers`]). Concurrency is capped
+/// at the worker count regardless of how many scenarios are queued, and
+/// results come back in scenario order, so the output is identical to
+/// running each scenario serially with [`run`].
 pub fn run_many(scenarios: &[Scenario]) -> Vec<SimulationResult> {
-    run_many_jobs(scenarios, None)
-}
-
-/// Runs independent scenarios on a bounded worker pool of `jobs` threads
-/// (`None` → the process default, see
-/// [`eotora_util::pool::default_workers`]). Concurrency is capped at the
-/// worker count regardless of how many scenarios are queued, and results
-/// are returned in scenario order, so the output is identical to running
-/// each scenario serially with [`run`].
-pub fn run_many_jobs(scenarios: &[Scenario], jobs: Option<usize>) -> Vec<SimulationResult> {
-    let pool = match jobs {
-        Some(n) => eotora_util::pool::WorkerPool::new(n),
-        None => eotora_util::pool::WorkerPool::with_default(),
-    };
-    pool.map(scenarios, run)
+    eotora_util::pool::WorkerPool::with_default().map(scenarios, run)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eotora_core::dpp::SolverKind;
+    use eotora_core::fault::FaultSchedule;
+    use eotora_core::speculate::SpeculativeConfig;
+    use eotora_util::pool::WorkerPool;
+
+    fn robust_mode(faults: &FaultSchedule, robust: RobustConfig) -> DriverMode {
+        DriverMode::Robust { faults: faults.clone(), robust }
+    }
 
     #[test]
     fn run_collects_all_series() {
@@ -375,8 +257,8 @@ mod tests {
         let scenarios: Vec<Scenario> = (0..5)
             .map(|i| Scenario::paper(6, 20 + i).with_horizon(3).with_bdma_rounds(1))
             .collect();
-        let serial = run_many_jobs(&scenarios, Some(1));
-        let bounded = run_many_jobs(&scenarios, Some(2));
+        let serial = WorkerPool::new(1).map(&scenarios, run);
+        let bounded = WorkerPool::new(2).map(&scenarios, run);
         assert_eq!(serial.len(), 5);
         for (a, b) in serial.iter().zip(&bounded) {
             assert_eq!(a.latency, b.latency);
@@ -414,23 +296,32 @@ mod tests {
     #[test]
     fn run_traced_streams_valid_jsonl() {
         let scenario = Scenario::paper(8, 9).with_horizon(4).with_bdma_rounds(2);
-        let sink = eotora_obs::JsonlRecorder::new(Vec::new());
-        let result = run_traced(&scenario, &sink);
-        let bytes = sink.finish().expect("in-memory sink cannot fail");
-        let analysis = eotora_obs::TraceAnalysis::from_reader(bytes.as_slice()).unwrap();
-        assert!(analysis.malformed.is_empty());
-        assert_eq!(analysis.slots, 4);
-        for name in ["p2a", "p2b", "queue_update", "slot_solve"] {
-            assert!(analysis.spans.contains_key(name), "missing span {name}");
+        let modes = [
+            DriverMode::Plain,
+            robust_mode(&FaultSchedule::default(), robust_config(&scenario, None)),
+            DriverMode::Speculative {
+                spec: SpeculativeConfig { tolerance: 0.0, ..Default::default() },
+            },
+        ];
+        for mode in modes {
+            let sink = eotora_obs::JsonlRecorder::new(Vec::new());
+            let result = run_mode(&scenario, mode.clone(), Some(&sink));
+            let bytes = sink.finish().expect("in-memory sink cannot fail");
+            let analysis = eotora_obs::TraceAnalysis::from_reader(bytes.as_slice()).unwrap();
+            assert!(analysis.malformed.is_empty(), "{mode:?}");
+            assert_eq!(analysis.slots, 4, "{mode:?}");
+            for name in ["p2a", "p2b", "queue_update", "slot_solve"] {
+                assert!(analysis.spans.contains_key(name), "{mode:?}: missing span {name}");
+            }
+            assert!(analysis.bdma_rounds_per_slot.count() > 0, "{mode:?}");
+            // The trace's queue trajectory matches the in-memory series.
+            let traced: Vec<f64> = analysis.queue_by_slot.iter().map(|&(_, q)| q).collect();
+            assert_eq!(traced, result.queue.values(), "{mode:?}");
+            // Tracing must not perturb the run itself, whatever the mode.
+            let untraced = run_mode(&scenario, mode, None);
+            assert_eq!(untraced.latency, result.latency);
+            assert_eq!(untraced.queue, result.queue);
         }
-        assert!(analysis.bdma_rounds_per_slot.count() > 0);
-        // The trace's queue trajectory matches the in-memory series.
-        let traced: Vec<f64> = analysis.queue_by_slot.iter().map(|&(_, q)| q).collect();
-        assert_eq!(traced, result.queue.values());
-        // Tracing must not perturb the run itself.
-        let untraced = run(&scenario);
-        assert_eq!(untraced.latency, result.latency);
-        assert_eq!(untraced.queue, result.queue);
     }
 
     #[test]
@@ -463,8 +354,8 @@ mod tests {
         let s = Scenario::paper(8, 13).with_horizon(6).with_bdma_rounds(1);
         let faults = eotora_core::fault::FaultSchedule::chaos_default(6, 16, 6);
         let robust = robust_config(&s, None);
-        let a = run_robust(&s, &faults, &robust);
-        let b = run_robust(&s, &faults, &robust);
+        let a = run_mode(&s, robust_mode(&faults, robust), None);
+        let b = run_mode(&s, robust_mode(&faults, robust), None);
         assert_eq!(a.latency, b.latency);
         assert_eq!(a.queue, b.queue);
         assert_eq!(a.counters, b.counters);
@@ -481,7 +372,7 @@ mod tests {
                 action: eotora_core::fault::FaultAction::CorruptState { slots: 3 },
             }],
         };
-        let r = run_robust(&s, &faults, &robust_config(&s, None));
+        let r = run_mode(&s, robust_mode(&faults, robust_config(&s, None)), None);
         let subs = r.counters.get("fault.state_substitutions").copied().unwrap_or(0);
         assert!(subs >= 3, "expected at least one substitution per burst slot, got {subs}");
         assert!(r.latency.values().iter().all(|&l| l.is_finite() && l > 0.0));
@@ -492,7 +383,7 @@ mod tests {
         let s = Scenario::paper(8, 15).with_horizon(5).with_bdma_rounds(2);
         let faults = eotora_core::fault::FaultSchedule::default();
         let robust = robust_config(&s, Some(std::time::Duration::ZERO));
-        let r = run_robust(&s, &faults, &robust);
+        let r = run_mode(&s, robust_mode(&faults, robust), None);
         assert_eq!(r.counters.get("deadline.expirations").copied().unwrap_or(0), 5);
         assert!(r.latency.values().iter().all(|&l| l.is_finite() && l > 0.0));
     }
@@ -507,7 +398,7 @@ mod tests {
             stage_when_busy: true,
             ..Default::default()
         };
-        let speculative = run_speculative(&s, &spec);
+        let speculative = run_mode(&s, DriverMode::Speculative { spec }, None);
         let plain = run(&s);
         assert_eq!(speculative.latency, plain.latency);
         assert_eq!(speculative.cost, plain.cost);
@@ -530,7 +421,7 @@ mod tests {
             stage_when_busy: true,
             ..Default::default()
         };
-        let speculative = run_speculative(&s, &spec);
+        let speculative = run_mode(&s, DriverMode::Speculative { spec }, None);
         let plain = run(&s);
         assert_eq!(speculative.latency, plain.latency);
         assert_eq!(speculative.queue, plain.queue);

@@ -12,13 +12,13 @@ use std::fs;
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use eotora_core::fault::FaultSchedule;
+use eotora_core::speculate::SpeculativeConfig;
 use eotora_durability::DurabilityError;
-use eotora_sim::durable::{
-    resume_durable, run_durable, run_durable_robust, DurabilityConfig, DurableRun,
-};
-use eotora_sim::{robust_config, run, run_robust, Scenario, SimulationResult};
+use eotora_sim::durable::{resume_durable, run_durable, DurabilityConfig, DurableRun};
+use eotora_sim::{robust_config, run, run_mode, DriverMode, Scenario, SimulationResult};
 use eotora_util::rng::Pcg32;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -86,7 +86,7 @@ fn assert_same(a: &SimulationResult, b: &SimulationResult) {
 fn durable_run_without_kill_matches_plain_run() {
     let s = scenario(31);
     let cfg = DurabilityConfig::new(temp_dir("nokill"));
-    let durable = completed(run_durable(&s, &cfg).unwrap());
+    let durable = completed(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap());
     let reference = run(&s);
     assert_same(&durable, &reference);
     assert_eq!(durable.counters["durability.frames_journaled"], 24);
@@ -105,9 +105,9 @@ fn kill_resume_is_bit_identical_at_randomized_slots() {
         let mut cfg = DurabilityConfig::new(temp_dir("chaos"));
         cfg.checkpoint_every = 7;
         cfg.kill_at_slot = Some(kill);
-        assert_eq!(interrupted(run_durable(&s, &cfg).unwrap()), kill);
+        assert_eq!(interrupted(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap()), kill);
         cfg.kill_at_slot = None;
-        let resumed = completed(resume_durable(&cfg).unwrap());
+        let resumed = completed(resume_durable(&cfg, None).unwrap());
         assert_same(&resumed, &reference);
         // The resume restored the slots of the last snapshot before the
         // kill (0 — and no counter — if it fired before the first one).
@@ -125,9 +125,9 @@ fn kill_resume_is_bit_identical_under_warm_starts() {
     // Kill right on a checkpoint boundary: the resumed controller continues
     // purely from the serialized warm-start workspace.
     cfg.kill_at_slot = Some(11);
-    assert_eq!(interrupted(run_durable(&s, &cfg).unwrap()), 11);
+    assert_eq!(interrupted(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap()), 11);
     cfg.kill_at_slot = None;
-    let resumed = completed(resume_durable(&cfg).unwrap());
+    let resumed = completed(resume_durable(&cfg, None).unwrap());
     assert_same(&resumed, &reference);
 }
 
@@ -135,13 +135,14 @@ fn kill_resume_is_bit_identical_under_warm_starts() {
 fn kill_resume_is_bit_identical_under_faults() {
     let s = scenario(34);
     let faults = FaultSchedule::chaos_default(24, 16, 34);
-    let reference = run_robust(&s, &faults, &robust_config(&s, None));
+    let robust = DriverMode::Robust { faults, robust: robust_config(&s, None) };
+    let reference = run_mode(&s, robust.clone(), None);
     let mut cfg = DurabilityConfig::new(temp_dir("robust"));
     cfg.checkpoint_every = 5;
     cfg.kill_at_slot = Some(13);
-    assert_eq!(interrupted(run_durable_robust(&s, &faults, None, &cfg).unwrap()), 13);
+    assert_eq!(interrupted(run_durable(&s, robust, &cfg, None).unwrap()), 13);
     cfg.kill_at_slot = None;
-    let resumed = completed(resume_durable(&cfg).unwrap());
+    let resumed = completed(resume_durable(&cfg, None).unwrap());
     assert_same(&resumed, &reference);
 }
 
@@ -152,11 +153,11 @@ fn resumed_run_survives_a_second_kill() {
     let mut cfg = DurabilityConfig::new(temp_dir("double"));
     cfg.checkpoint_every = 4;
     cfg.kill_at_slot = Some(5);
-    assert_eq!(interrupted(run_durable(&s, &cfg).unwrap()), 5);
+    assert_eq!(interrupted(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap()), 5);
     cfg.kill_at_slot = Some(15);
-    assert_eq!(interrupted(resume_durable(&cfg).unwrap()), 15);
+    assert_eq!(interrupted(resume_durable(&cfg, None).unwrap()), 15);
     cfg.kill_at_slot = None;
-    let resumed = completed(resume_durable(&cfg).unwrap());
+    let resumed = completed(resume_durable(&cfg, None).unwrap());
     assert_same(&resumed, &reference);
 }
 
@@ -174,7 +175,7 @@ fn torn_journal_tail_is_dropped_and_the_run_still_resumes() {
     let mut cfg = DurabilityConfig::new(temp_dir("torn"));
     cfg.checkpoint_every = 5;
     cfg.kill_at_slot = Some(17);
-    assert_eq!(interrupted(run_durable(&s, &cfg).unwrap()), 17);
+    assert_eq!(interrupted(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap()), 17);
     // Tear the final frame, as a crash mid-append would: 18 frames on disk,
     // snapshot at 15 → recovery drops the torn frame 18, discards intact
     // frames 16–17 past the snapshot, and re-executes from slot 15.
@@ -182,7 +183,7 @@ fn torn_journal_tail_is_dropped_and_the_run_still_resumes() {
     let len = fs::metadata(&segment).unwrap().len();
     fs::OpenOptions::new().write(true).open(&segment).unwrap().set_len(len - 3).unwrap();
     cfg.kill_at_slot = None;
-    let resumed = completed(resume_durable(&cfg).unwrap());
+    let resumed = completed(resume_durable(&cfg, None).unwrap());
     assert_same(&resumed, &reference);
     assert_eq!(resumed.counters["durability.torn_frames_dropped"], 1);
     assert_eq!(resumed.counters["durability.frames_discarded"], 2);
@@ -194,7 +195,7 @@ fn mid_journal_corruption_is_a_typed_error() {
     let s = scenario(37);
     let mut cfg = DurabilityConfig::new(temp_dir("midlog"));
     cfg.kill_at_slot = Some(14);
-    assert_eq!(interrupted(run_durable(&s, &cfg).unwrap()), 14);
+    assert_eq!(interrupted(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap()), 14);
     // Flip a payload byte of the first frame — bytes follow, so this can
     // never be mistaken for a torn tail.
     let segment = last_segment(&cfg.dir);
@@ -207,7 +208,7 @@ fn mid_journal_corruption_is_a_typed_error() {
     file.write_all(&byte).unwrap();
     drop(file);
     cfg.kill_at_slot = None;
-    match resume_durable(&cfg) {
+    match resume_durable(&cfg, None) {
         Err(DurabilityError::CorruptFrame { frame, .. }) => assert_eq!(frame, 0),
         other => panic!("expected CorruptFrame, got {other:?}"),
     }
@@ -218,14 +219,14 @@ fn corrupt_snapshot_is_a_typed_error() {
     let s = scenario(38);
     let mut cfg = DurabilityConfig::new(temp_dir("snapcorrupt"));
     cfg.kill_at_slot = Some(12);
-    assert_eq!(interrupted(run_durable(&s, &cfg).unwrap()), 12);
+    assert_eq!(interrupted(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap()), 12);
     let snap = cfg.dir.join("snapshot.bin");
     let mut bytes = fs::read(&snap).unwrap();
     let last = bytes.len() - 1;
     bytes[last] ^= 0x01;
     fs::write(&snap, &bytes).unwrap();
     cfg.kill_at_slot = None;
-    match resume_durable(&cfg) {
+    match resume_durable(&cfg, None) {
         Err(DurabilityError::CorruptSnapshot { .. }) => {}
         other => panic!("expected CorruptSnapshot, got {other:?}"),
     }
@@ -235,11 +236,40 @@ fn corrupt_snapshot_is_a_typed_error() {
 fn a_directory_already_holding_a_run_is_rejected() {
     let s = scenario(39).with_horizon(4);
     let cfg = DurabilityConfig::new(temp_dir("reuse"));
-    completed(run_durable(&s, &cfg).unwrap());
-    match run_durable(&s, &cfg) {
+    completed(run_durable(&s, DriverMode::Plain, &cfg, None).unwrap());
+    match run_durable(&s, DriverMode::Plain, &cfg, None) {
         Err(DurabilityError::InvalidConfig { reason }) => {
             assert!(reason.contains("already holds a run"), "{reason}");
         }
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
+}
+
+#[test]
+fn modes_the_manifest_cannot_reproduce_are_refused() {
+    let s = scenario(40).with_horizon(4);
+    // Staged solves are not journaled, and `deadline_ms` would resume a
+    // 500 µs deadline as zero — an every-slot-expires run.
+    let speculative = DriverMode::Speculative { spec: SpeculativeConfig::default() };
+    let sub_millisecond = DriverMode::Robust {
+        faults: FaultSchedule::default(),
+        robust: robust_config(&s, Some(Duration::from_micros(500))),
+    };
+    for mode in [speculative, sub_millisecond] {
+        let cfg = DurabilityConfig::new(temp_dir("refused"));
+        match run_durable(&s, mode.clone(), &cfg, None) {
+            Err(DurabilityError::InvalidConfig { .. }) => {}
+            other => panic!("expected InvalidConfig for {mode:?}, got {other:?}"),
+        }
+        assert!(!cfg.dir.exists(), "a refused run must not touch its checkpoint directory");
+    }
+    // A whole-millisecond deadline survives the manifest round trip.
+    let whole = DriverMode::Robust {
+        faults: FaultSchedule::default(),
+        robust: robust_config(&s, Some(Duration::from_secs(60))),
+    };
+    let cfg = DurabilityConfig::new(temp_dir("whole-ms"));
+    completed(run_durable(&s, whole.clone(), &cfg, None).unwrap());
+    let manifest = eotora_sim::durable::read_manifest_in(&cfg.dir).unwrap();
+    assert_eq!(manifest.driver_mode().unwrap(), whole);
 }

@@ -8,8 +8,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use eotora_core::fault::{FaultAction, FaultEvent, FaultSchedule};
 use eotora_obs::{TelemetryConfig, TelemetrySession};
-use eotora_sim::runner::{robust_config, run_robust_traced};
+use eotora_sim::runner::{robust_config, run_mode};
 use eotora_sim::scenario::Scenario;
+use eotora_sim::DriverMode;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -39,7 +40,7 @@ fn induced_solve_failure_produces_valid_postmortem() {
         postmortem_dir: Some(dir.clone()),
         ..TelemetryConfig::default()
     });
-    let result = run_robust_traced(&scenario, &faults, &robust, &telemetry);
+    let result = run_mode(&scenario, DriverMode::Robust { faults, robust }, Some(&telemetry));
     assert_eq!(result.queue.len(), 40);
 
     // The ladder actually escalated (the whole point of --no-sanitize).
@@ -109,7 +110,7 @@ fn sanitized_run_produces_no_postmortem() {
         postmortem_dir: Some(dir.clone()),
         ..TelemetryConfig::default()
     });
-    let result = run_robust_traced(&scenario, &faults, &robust, &telemetry);
+    let result = run_mode(&scenario, DriverMode::Robust { faults, robust }, Some(&telemetry));
     assert!(result.counters.get("fault.state_substitutions").copied().unwrap_or(0) > 0);
     assert_eq!(result.counters.get("robust.solve_errors").copied().unwrap_or(0), 0);
     assert_eq!(telemetry.postmortems(), 0, "sanitized run should not dump postmortems");
