@@ -41,17 +41,6 @@
 //! sequential p50 over the sharded p50, and each row records the worker
 //! count so the CI guard can skip the speedup requirement on small boxes.
 //!
-//! A **speculation** section runs the deterministic periodic-price
-//! scenario through the warm engine and through the speculative pipeline
-//! (periodic-price predictor at tolerance 0). The per-slot solve span of
-//! the speculative run covers only the arrival-time repair pass — the
-//! staged solve happens in the inter-slot gap — so its p50
-//! (`critical_path_p50_s`) against the warm engine's full-solve p50 is
-//! the latency the pre-solve takes off the critical path.
-//! `spec_hit_rate` records the fraction of slots that adopted a staged
-//! solve; the runs must stay decision-identical (asserted). ci.sh's
-//! quick-mode gate requires hit rate ≥ 0.5 and speedup ≥ 1.3x.
-//!
 //! p50/p95 per-slot solve times and the speedups land in
 //! `BENCH_slot_solve.json` at the repo root (or
 //! `target/BENCH_slot_solve.quick.json` under `EOTORA_QUICK`, with
@@ -451,48 +440,6 @@ fn bench_shard_scale(devices: usize, islands: usize, horizon: u64) -> ShardScale
     }
 }
 
-struct SpeculationScaleResult {
-    devices: usize,
-    horizon: u64,
-    warm_p50_s: f64,
-    critical_path_p50_s: f64,
-    spec_hit_rate: f64,
-    critical_path_speedup: f64,
-}
-
-/// Warm engine vs speculative pipeline on the periodic-price scenario
-/// (see [`eotora_sim::experiments::speculation`]): the A/B harness runs
-/// both arms on identical state streams, asserts the series stayed
-/// bit-identical, and reports how much of the per-slot solve the staged
-/// pre-solve moved off the critical path.
-fn bench_speculation_scale(devices: usize, horizon: u64) -> SpeculationScaleResult {
-    use eotora_core::speculate::{PredictorKind, SpeculativeConfig};
-    use eotora_sim::experiments::speculation::speculation_ab;
-    let scenario = eotora_sim::scenario::Scenario::periodic_price(devices, SEED)
-        .with_horizon(horizon)
-        .with_bdma_rounds(BDMA_ROUNDS)
-        .with_start_policy(StartPolicy::Warm);
-    let spec = SpeculativeConfig {
-        predictor: PredictorKind::PeriodicPrice { period: 24 },
-        tolerance: 0.0,
-        stage_when_busy: true,
-        ..Default::default()
-    };
-    let ab = speculation_ab(&scenario, &spec);
-    assert!(
-        ab.series_identical,
-        "speculation must not perturb the decision sequence at I={devices}"
-    );
-    SpeculationScaleResult {
-        devices,
-        horizon,
-        warm_p50_s: ab.plain.critical_path_p50_s,
-        critical_path_p50_s: ab.speculative.critical_path_p50_s,
-        spec_hit_rate: ab.hit_rate,
-        critical_path_speedup: ab.critical_path_speedup,
-    }
-}
-
 fn main() {
     let quick = eotora_bench::quick_mode();
     // Quick mode keeps the two-scale shape at smoke-test sizes; the
@@ -554,23 +501,6 @@ fn main() {
             r.largest_shard,
         );
         shard_results.push(r);
-    }
-
-    // Speculation scale: periodic-price states where the predictor is
-    // exact after one period; the row ci.sh's hit-rate/speedup gate reads.
-    let spec_scales: &[(usize, u64)] = if quick { &[(10, 200)] } else { &[(30, 200)] };
-    let mut spec_results = Vec::new();
-    for &(devices, horizon) in spec_scales {
-        eprintln!("slot_solve speculation: I={devices}, {horizon} slots, z={BDMA_ROUNDS} warm …");
-        let r = bench_speculation_scale(devices, horizon);
-        eprintln!(
-            "  warm p50 {:.3} ms | repair-only p50 {:.3} ms | hit rate {:.2} | critical-path speedup {:.2}x",
-            r.warm_p50_s * 1e3,
-            r.critical_path_p50_s * 1e3,
-            r.spec_hit_rate,
-            r.critical_path_speedup,
-        );
-        spec_results.push(r);
     }
 
     let entries: Vec<String> = results
@@ -649,36 +579,12 @@ fn main() {
             )
         })
         .collect();
-    let spec_entries: Vec<String> = spec_results
-        .iter()
-        .map(|r| {
-            format!(
-                concat!(
-                    "    {{\n",
-                    "      \"devices\": {},\n",
-                    "      \"horizon_slots\": {},\n",
-                    "      \"warm_p50_s\": {:e},\n",
-                    "      \"critical_path_p50_s\": {:e},\n",
-                    "      \"spec_hit_rate\": {:.3},\n",
-                    "      \"critical_path_speedup\": {:.3}\n",
-                    "    }}"
-                ),
-                r.devices,
-                r.horizon,
-                r.warm_p50_s,
-                r.critical_path_p50_s,
-                r.spec_hit_rate,
-                r.critical_path_speedup,
-            )
-        })
-        .collect();
     let json = format!(
-        "{{\n  \"bench\": \"slot_solve\",\n  \"quick\": {},\n  \"seed\": {},\n  \"scales\": [\n{}\n  ],\n  \"shard_scales\": [\n{}\n  ],\n  \"speculation\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"slot_solve\",\n  \"quick\": {},\n  \"seed\": {},\n  \"scales\": [\n{}\n  ],\n  \"shard_scales\": [\n{}\n  ]\n}}\n",
         quick,
         SEED,
         entries.join(",\n"),
-        shard_entries.join(",\n"),
-        spec_entries.join(",\n")
+        shard_entries.join(",\n")
     );
 
     // Bench CWD is the package dir; the full-scale run records its numbers

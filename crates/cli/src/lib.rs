@@ -52,6 +52,46 @@ pub fn require_flag_values(args: &[String], flags: &[&str]) -> Result<(), String
     Ok(())
 }
 
+/// Checks a command's flags against its allow-list: every flag in
+/// `value_flags` must carry a value (see [`require_flag_values`]), and
+/// every other `--flag` must be one of the presence-only `switches`. A
+/// misspelled or retired flag is an error naming it, rather than being
+/// ignored while the command runs without it.
+///
+/// # Errors
+///
+/// Returns a message naming the first dangling or unknown flag.
+///
+/// # Examples
+///
+/// ```
+/// use eotora_cli::require_known_flags;
+///
+/// let ok = vec!["run.json".to_string(), "--csv".to_string(), "out".to_string()];
+/// assert!(require_known_flags(&ok, "eotora run", &["--csv"], &["--cold-start"]).is_ok());
+/// let typo = vec!["run.json".to_string(), "--cold-strat".to_string()];
+/// let err = require_known_flags(&typo, "eotora run", &["--csv"], &["--cold-start"]);
+/// assert_eq!(err, Err("unknown flag `--cold-strat` for `eotora run`".to_string()));
+/// ```
+pub fn require_known_flags(
+    args: &[String],
+    command: &str,
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<(), String> {
+    require_flag_values(args, value_flags)?;
+    // Past `require_flag_values`, no flag value starts with `--`, so every
+    // such argument is a flag.
+    match args.iter().find(|arg| {
+        arg.starts_with("--")
+            && !value_flags.contains(&arg.as_str())
+            && !switches.contains(&arg.as_str())
+    }) {
+        Some(flag) => Err(format!("unknown flag `{flag}` for `{command}`")),
+        None => Ok(()),
+    }
+}
+
 /// Parses `--flag value` into `T`, falling back to `default` when absent.
 ///
 /// # Errors

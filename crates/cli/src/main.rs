@@ -19,9 +19,8 @@ use std::process::ExitCode;
 
 use eotora_cli::{
     ascii_bar, ascii_plot, flag_value, format_seconds, parse_flag, parse_float_list,
-    require_flag_values,
+    require_flag_values, require_known_flags,
 };
-use eotora_core::speculate::{PredictorKind, SpeculativeConfig};
 use eotora_core::system::MecSystem;
 use eotora_federation::{LinkFaultConfig, RebalancePolicy};
 use eotora_obs::{
@@ -70,7 +69,6 @@ USAGE:
              [--trace trace.jsonl] [--jobs N] [--cold-start] [--bdma-eps X]
              [--shards auto|N]
              [--fault-trace faults.json] [--slot-deadline-ms MS] [--no-sanitize]
-             [--speculate] [--spec-tolerance T] [--spec-predictor NAME] [--spec-period K]
              [--metrics-out m.jsonl|m.prom] [--metrics-every K]
              [--checkpoint-dir D] [--checkpoint-every K] [--fsync every-slot|every-K|os]
   eotora run --resume <checkpoint-dir> [--out ...] [--csv ...] [--svg ...]
@@ -170,28 +168,6 @@ fn run_summary(result: &SimulationResult) -> String {
     line
 }
 
-/// Reconciles `--speculate` with `--checkpoint-dir`. Staged solves are not
-/// journaled, so a durable run cannot replay them deterministically; rather
-/// than reject the combination outright, the durable path wins and
-/// speculation is dropped. Returns the (possibly cleared) speculative
-/// config plus the warning to print when it was cleared.
-fn reconcile_speculation(
-    spec: Option<SpeculativeConfig>,
-    durable: bool,
-) -> (Option<SpeculativeConfig>, Option<&'static str>) {
-    if durable && spec.is_some() {
-        (
-            None,
-            Some(
-                "warning: --speculate is ignored with --checkpoint-dir (staged solves are not \
-                 journaled); running without speculation",
-            ),
-        )
-    } else {
-        (spec, None)
-    }
-}
-
 /// Loads a JSON [`FaultSchedule`](eotora_core::fault::FaultSchedule) file
 /// (the serde form: `{"events": [{"slot": 10, "action": {...}}, ...]}`).
 fn load_fault_trace(path: &str) -> Result<eotora_core::fault::FaultSchedule, String> {
@@ -278,32 +254,51 @@ fn finish_telemetry(telemetry: TelemetrySession) -> Result<(), String> {
     Ok(())
 }
 
+/// Value-taking flags of a fresh `eotora run`.
+const RUN_VALUE_FLAGS: &[&str] = &[
+    "--out",
+    "--csv",
+    "--svg",
+    "--trace",
+    "--jobs",
+    "--bdma-eps",
+    "--shards",
+    "--fault-trace",
+    "--slot-deadline-ms",
+    "--checkpoint-dir",
+    "--checkpoint-every",
+    "--fsync",
+    "--kill-at-slot",
+    "--metrics-out",
+    "--metrics-every",
+];
+/// Presence-only flags of a fresh `eotora run`.
+const RUN_SWITCHES: &[&str] = &["--cold-start", "--no-sanitize"];
+/// Value-taking flags of `eotora run --resume`. `--trace` and
+/// `--no-sanitize` are known so that they are refused with their reason.
+const RESUME_VALUE_FLAGS: &[&str] = &[
+    "--resume",
+    "--out",
+    "--csv",
+    "--svg",
+    "--trace",
+    "--checkpoint-every",
+    "--fsync",
+    "--kill-at-slot",
+    "--metrics-out",
+    "--metrics-every",
+];
+/// Presence-only flags of `eotora run --resume`.
+const RESUME_SWITCHES: &[&str] = &["--no-sanitize"];
+
 /// `eotora run --resume <dir>`: picks a checkpointed run back up. The
 /// manifest in the directory supplies the scenario and mode, so no scenario
 /// file is given; output flags work as on a fresh `run`.
 fn cmd_run_resume(args: &[String]) -> Result<(), String> {
-    require_flag_values(
-        args,
-        &[
-            "--resume",
-            "--out",
-            "--csv",
-            "--svg",
-            "--checkpoint-every",
-            "--fsync",
-            "--kill-at-slot",
-            "--metrics-out",
-            "--metrics-every",
-        ],
-    )?;
+    require_known_flags(args, "eotora run --resume", RESUME_VALUE_FLAGS, RESUME_SWITCHES)?;
     let dir = flag_value(args, "--resume").ok_or("--resume requires a checkpoint directory")?;
     if flag_value(args, "--trace").is_some() {
         return Err("--trace cannot be combined with checkpointed runs".into());
-    }
-    if args.iter().any(|a| a == "--speculate") {
-        return Err(
-            "--speculate cannot be combined with --resume (the manifest fixes the mode)".into()
-        );
     }
     let metrics = MetricsFlags::parse(args)?;
     if metrics.no_sanitize {
@@ -354,12 +349,8 @@ fn report_outcome(
 /// `--fault-trace` and/or `--slot-deadline-ms` select the robust engine:
 /// failures are masked per slot, corrupt state is sanitized (unless
 /// `no_sanitize`), and each slot's solve honours the wall-clock deadline by
-/// returning its best checkpointed incumbent. `--speculate` selects the
-/// speculative pipeline instead: a predicted next-slot solve is staged in
-/// the inter-slot gap and adopted (or repaired, or discarded) when the real
-/// state arrives, with `--slot-deadline-ms` as the staged solve's budget.
-/// Speculation dropped for `--checkpoint-dir` (see
-/// [`reconcile_speculation`]) leaves the plain engine, as its warning says.
+/// returning its best checkpointed incumbent. Without either flag the plain
+/// engine runs.
 fn run_driver_mode(
     args: &[String],
     scenario: &Scenario,
@@ -375,54 +366,17 @@ fn run_driver_mode(
         }
         None => None,
     };
-    let speculate = args.iter().any(|a| a == "--speculate");
-    let spec = if speculate {
-        if fault_trace.is_some() {
-            return Err("--speculate cannot be combined with --fault-trace".into());
+    if fault_trace.is_none() && deadline.is_none() {
+        if no_sanitize {
+            return Err(
+                "--no-sanitize requires robust mode (--fault-trace or --slot-deadline-ms)".into()
+            );
         }
-        let name = flag_value(args, "--spec-predictor").unwrap_or("last-value");
-        let period: usize = parse_flag(args, "--spec-period", 24)?;
-        let predictor = PredictorKind::parse(name, period).ok_or_else(|| {
-            format!(
-                "--spec-predictor expects last-value|periodic-price|markov-ewma|adversarial, \
-                 got `{name}`"
-            )
-        })?;
-        let tolerance: f64 = parse_flag(args, "--spec-tolerance", 0.0)?;
-        if tolerance.is_nan() || tolerance < 0.0 {
-            return Err("--spec-tolerance must be a number ≥ 0".into());
-        }
-        Some(SpeculativeConfig { predictor, tolerance, deadline, ..Default::default() })
-    } else {
-        for flag in ["--spec-tolerance", "--spec-predictor", "--spec-period"] {
-            if flag_value(args, flag).is_some() {
-                return Err(format!("{flag} requires --speculate"));
-            }
-        }
-        None
-    };
-    let (spec, spec_warning) =
-        reconcile_speculation(spec, flag_value(args, "--checkpoint-dir").is_some());
-    if let Some(warning) = spec_warning {
-        eprintln!("{warning}");
+        return Ok(DriverMode::Plain);
     }
-    // Decided from the flag, not from the reconciled `spec`: a deadline
-    // given with `--speculate` budgets the staged solve, never the slot.
-    let robust_mode = fault_trace.is_some() || (deadline.is_some() && !speculate);
-    if no_sanitize && !robust_mode {
-        return Err(
-            "--no-sanitize requires robust mode (--fault-trace or --slot-deadline-ms)".into()
-        );
-    }
-    Ok(match spec {
-        Some(spec) => DriverMode::Speculative { spec },
-        None if robust_mode => {
-            let mut robust = robust_config(scenario, deadline);
-            robust.sanitize = !no_sanitize;
-            DriverMode::Robust { faults: fault_trace.unwrap_or_default(), robust }
-        }
-        None => DriverMode::Plain,
-    })
+    let mut robust = robust_config(scenario, deadline);
+    robust.sanitize = !no_sanitize;
+    Ok(DriverMode::Robust { faults: fault_trace.unwrap_or_default(), robust })
 }
 
 fn cmd_run(args: &[String]) -> Result<(), String> {
@@ -430,34 +384,12 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         return cmd_run_resume(args);
     }
     let path = args.first().ok_or("run requires a scenario file")?;
-    require_flag_values(
-        args,
-        &[
-            "--out",
-            "--csv",
-            "--trace",
-            "--jobs",
-            "--bdma-eps",
-            "--shards",
-            "--fault-trace",
-            "--slot-deadline-ms",
-            "--spec-tolerance",
-            "--spec-predictor",
-            "--spec-period",
-            "--checkpoint-dir",
-            "--checkpoint-every",
-            "--fsync",
-            "--kill-at-slot",
-            "--metrics-out",
-            "--metrics-every",
-        ],
-    )?;
+    require_known_flags(args, "eotora run", RUN_VALUE_FLAGS, RUN_SWITCHES)?;
     apply_jobs_flag(args)?;
     let mut scenario = load_scenario(path)?;
     // `--cold-start` pins the paper-faithful solver regardless of what the
-    // scenario file's `start` field says (it is a presence flag — no value —
-    // so it must stay out of `require_flag_values`); `--bdma-eps` overrides
-    // the warm-mode early-termination threshold.
+    // scenario file's `start` field says; `--bdma-eps` overrides the
+    // warm-mode early-termination threshold.
     if args.iter().any(|a| a == "--cold-start") {
         scenario.dpp.start = eotora_core::bdma::StartPolicy::Cold;
     }
@@ -486,12 +418,6 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             faults.events.len(),
             robust.deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
             if robust.sanitize { "" } else { ", sanitizer OFF (diagnostic)" },
-        ),
-        DriverMode::Speculative { spec } => eprintln!(
-            "speculative mode: predictor {:?}, tolerance {}, staged-solve deadline {}",
-            spec.predictor,
-            spec.tolerance,
-            spec.deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
         ),
     }
     // `--checkpoint-dir` makes the run durable: a write-ahead slot journal
@@ -1331,37 +1257,40 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn speculation_survives_without_checkpoint_dir() {
-        let spec = Some(SpeculativeConfig::default());
-        let (kept, warning) = reconcile_speculation(spec, false);
-        assert!(kept.is_some());
-        assert!(warning.is_none());
+    fn owned(args: &[&str]) -> Vec<String> {
+        args.iter().map(|&a| a.to_owned()).collect()
     }
 
     #[test]
-    fn checkpoint_dir_downgrades_speculation_to_a_warning() {
-        let spec = Some(SpeculativeConfig::default());
-        let (kept, warning) = reconcile_speculation(spec, true);
-        assert!(kept.is_none(), "speculation must be disabled for durable runs");
-        let warning = warning.expect("dropping speculation must warn");
-        assert!(warning.contains("--speculate"), "{warning}");
-        assert!(warning.contains("--checkpoint-dir"), "{warning}");
-        // The dropped speculation leaves the plain engine, as the warning
-        // says: its staged-solve deadline must not make the run robust.
-        let args: Vec<String> = ["--speculate", "--slot-deadline-ms", "5", "--checkpoint-dir", "D"]
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let mode = run_driver_mode(&args, &Scenario::paper(4, 1), false).unwrap();
-        assert_eq!(mode, DriverMode::Plain);
-    }
-
-    #[test]
-    fn durable_run_without_speculation_is_untouched() {
-        let (kept, warning) = reconcile_speculation(None, true);
-        assert!(kept.is_none());
-        assert!(warning.is_none());
+    fn run_refuses_unknown_flags_by_name() {
+        // (arguments after `eotora run`, the flag the error must name)
+        let rows: [(&[&str], &str); 4] = [
+            (&["s.json", "--speculate"], "--speculate"),
+            (&["s.json", "--spec-tolerance", "0"], "--spec-tolerance"),
+            (&["s.json", "--slot-deadlin-ms", "5"], "--slot-deadlin-ms"),
+            (&["--resume", "ckpt", "--speculate"], "--speculate"),
+        ];
+        for (args, flag) in rows {
+            let err = cmd_run(&owned(args)).expect_err("an unknown flag must be refused");
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{args:?}: {err}");
+        }
+        // A valid flag set passes the check and selects the same engine as
+        // before the allow-list existed.
+        let args = owned(&[
+            "s.json",
+            "--slot-deadline-ms",
+            "5",
+            "--no-sanitize",
+            "--cold-start",
+            "--metrics-out",
+            "m.prom",
+        ]);
+        require_known_flags(&args, "eotora run", RUN_VALUE_FLAGS, RUN_SWITCHES).unwrap();
+        let scenario = Scenario::paper(4, 1);
+        let mut robust = robust_config(&scenario, Some(std::time::Duration::from_millis(5)));
+        robust.sanitize = false;
+        let expected = DriverMode::Robust { faults: Default::default(), robust };
+        assert_eq!(run_driver_mode(&args, &scenario, true).unwrap(), expected);
     }
 
     fn fed_args(extra: &[&str]) -> Vec<String> {

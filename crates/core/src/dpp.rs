@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::allocation::{optimal_allocation, try_optimal_allocation};
 use crate::baselines::{ExactSolver, GreedySolver, McbaConfig, McbaSolver, RoptSolver};
-use crate::bdma::{solve_p2_in, BdmaConfig, CgbaSolver, P2Solution, P2aSolver, StartPolicy};
+use crate::bdma::{solve_p2_in, BdmaConfig, CgbaSolver, P2aSolver, StartPolicy};
 use crate::decision::SlotDecision;
 use crate::fault::AvailabilityMask;
 use crate::robust::{equal_share_decision, solve_p2_robust, RobustConfig, RobustReport};
@@ -296,9 +296,8 @@ impl EotoraDpp {
     }
 
     /// The common tail of every slot step: virtual-queue update (eq. 21),
-    /// running averages, slot counter. Shared verbatim between the normal
-    /// solve path and the speculative adopt path so the two stay
-    /// bit-identical by construction.
+    /// running averages, slot counter. Shared by the plain and the robust
+    /// step so the two cannot drift apart.
     fn finish_slot(
         &mut self,
         slot: u64,
@@ -321,105 +320,6 @@ impl EotoraDpp {
         self.excess_avg.push(outcome.constraint_excess);
         self.slots += 1;
         DppStep { slot, queue_before, queue_after, outcome }
-    }
-
-    /// Runs the P2 solve for a *predicted* next-slot state on cloned solver
-    /// state (RNG + workspace), leaving the controller untouched: no queue
-    /// update, no averages, no slot advance. The clones absorb exactly the
-    /// mutations a plain [`EotoraDpp::step_with`] on `predicted` would have
-    /// made, so if the prediction turns out exact,
-    /// [`EotoraDpp::adopt_staged`] can install them and the trajectory is
-    /// bit-identical to never having speculated.
-    ///
-    /// Must be called *between* slots (after the previous step, before the
-    /// next observation): the queue backlog and slot counter it reads are
-    /// then the ones the next solve would see.
-    pub(crate) fn stage_speculative(
-        &mut self,
-        predicted: &SystemState,
-    ) -> (P2Solution, Pcg32, SlotWorkspace) {
-        let mut rng = self.solver.rng.clone();
-        let mut workspace = self.solver.workspace.clone();
-        // NoopRecorder: the staged solve's spans/counters would otherwise
-        // land in the *next* slot's metrics bucket under the caller's
-        // recorder; the speculation layer times the whole stage instead.
-        let sol = solve_p2_in(
-            &self.solver.system,
-            predicted,
-            self.config.v,
-            self.queue.backlog(),
-            &self.solver.bdma,
-            self.solver.p2a.as_mut(),
-            &mut rng,
-            self.slots,
-            &NoopRecorder,
-            &mut workspace,
-        );
-        (sol, rng, workspace)
-    }
-
-    /// Adopts a staged speculative solve whose predicted state matched the
-    /// observed `state` exactly: installs the staged RNG/workspace clones,
-    /// recovers the Lemma 1 allocation against the observed state, and
-    /// runs the standard slot tail. Equivalent, bit for bit, to having
-    /// called [`EotoraDpp::step_with`] on `state` — the solve just ran
-    /// earlier, off the critical path.
-    pub(crate) fn adopt_staged(
-        &mut self,
-        state: &SystemState,
-        staged: &P2Solution,
-        rng: Pcg32,
-        workspace: SlotWorkspace,
-        recorder: &dyn Recorder,
-    ) -> DppStep<SlotDecision> {
-        let slot = self.slots;
-        let queue_before = self.queue.backlog();
-        self.solver.rng = rng;
-        self.solver.workspace.adopt_from(workspace);
-        let decision =
-            optimal_allocation(&self.solver.system, state, &staged.assignments, &staged.freqs_hz);
-        debug_assert!(decision.validate(&self.solver.system).is_ok());
-        let outcome = SlotOutcome {
-            decision,
-            objective: staged.latency,
-            constraint_excess: staged.energy_cost - self.solver.system.budget_per_slot(),
-        };
-        self.finish_slot(slot, queue_before, outcome, recorder)
-    }
-
-    /// Runs a normal slot solve warm-seeded from a near-miss staged
-    /// profile: the staged assignments are translated back to strategy
-    /// choices against the cached game, retained as the warm incumbent,
-    /// and the solve runs under [`StartPolicy::Warm`] (temporarily forced
-    /// if the configured policy is `Cold`). Returns the step plus how many
-    /// assignments the repair moved off the speculated profile, or `None`
-    /// if the staged profile cannot seed this game (no cached problem yet,
-    /// or an assignment is infeasible under it) — the caller falls back to
-    /// the plain path.
-    pub(crate) fn step_warm_seeded(
-        &mut self,
-        state: &SystemState,
-        staged: &P2Solution,
-        recorder: &dyn Recorder,
-    ) -> Option<(DppStep<SlotDecision>, u64)> {
-        let choices =
-            self.solver.workspace.problem()?.choices_from_assignments(&staged.assignments)?;
-        self.solver.workspace.retain_solution(&choices, &staged.freqs_hz);
-        let saved = self.solver.bdma.start;
-        if saved == StartPolicy::Cold {
-            self.solver.bdma.start = StartPolicy::Warm;
-        }
-        let step = self.step_with(state, recorder);
-        self.solver.bdma.start = saved;
-        let moves = step
-            .outcome
-            .decision
-            .assignments
-            .iter()
-            .zip(&staged.assignments)
-            .filter(|(a, b)| a != b)
-            .count() as u64;
-        Some((step, moves))
     }
 
     /// Executes one slot through the fault-tolerant path (see
@@ -483,23 +383,9 @@ impl EotoraDpp {
         });
         debug_assert!(decision.validate(system).is_ok());
         let excess = report.solution.energy_cost - system.budget_per_slot();
-        let update_span = SpanGuard::new(recorder, eotora_obs::SPAN_QUEUE_UPDATE);
-        let queue_after = self.queue.update(excess);
-        update_span.finish();
-        if recorder.is_enabled() {
-            recorder.record(&TraceEvent::QueueUpdate {
-                slot,
-                before: queue_before,
-                after: queue_after,
-                excess,
-            });
-        }
-        self.objective_avg.push(report.solution.latency);
-        self.excess_avg.push(excess);
-        self.slots += 1;
         let outcome =
             SlotOutcome { decision, objective: report.solution.latency, constraint_excess: excess };
-        (DppStep { slot, queue_before, queue_after, outcome }, report)
+        (self.finish_slot(slot, queue_before, outcome, recorder), report)
     }
 
     /// Current virtual-queue backlog `Q(t)`.

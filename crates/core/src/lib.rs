@@ -28,7 +28,6 @@
 //! | [`fault`] | — | [`fault::AvailabilityMask`] + [`fault::FaultSchedule`]: failure model and scripted traces |
 //! | [`robust`] | — | [`robust::solve_p2_robust`]: fault-masked anytime solve with checkpointed incumbents |
 //! | [`sharded`] | — | [`sharded::ShardedCgbaSolver`]: per-cluster CGBA subgames solved in parallel and merged deterministically |
-//! | [`speculate`] | — | [`speculate::SpeculativeController`]: predicted next-slot pre-solve staged off the critical path, adopted/repaired/discarded at slot start |
 //! | [`sanitize`] | — | [`sanitize::StateSanitizer`]: `β_t` validation with last-known-good substitution |
 //! | [`checkpoint`] | — | [`checkpoint::ControllerState`]: full serializable resume state (queue + workspace + sanitizer) |
 //! | [`error`] | — | [`error::SolveError`]: typed recoverable failures for the degradation ladder |
@@ -68,7 +67,6 @@ pub mod per_slot;
 pub mod robust;
 pub mod sanitize;
 pub mod sharded;
-pub mod speculate;
 pub mod system;
 pub mod workspace;
 
@@ -82,9 +80,5 @@ pub use per_slot::PerSlotController;
 pub use robust::{solve_p2_robust, RobustConfig, RobustReport};
 pub use sanitize::{SanitizeDefaults, SanitizeLimits, StateSanitizer};
 pub use sharded::ShardedCgbaSolver;
-pub use speculate::{
-    PredictorKind, SpecOutcome, SpeculativeConfig, SpeculativeController, Speculator,
-    StatePredictor,
-};
 pub use system::{MecSystem, SystemConfig};
 pub use workspace::SlotWorkspace;

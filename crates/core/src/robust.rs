@@ -64,10 +64,7 @@ pub struct RobustConfig {
     /// Wall-clock budget for one slot's solve; `None` disables the
     /// anytime cutoff. Polled between BDMA rounds and inside every CGBA
     /// iteration, so expiry latency is one best-response scan, not one
-    /// round. The speculative pre-solve reuses the same budget semantics
-    /// for its staged solve ([`crate::speculate::SpeculativeConfig::deadline`]),
-    /// enforced post hoc there because adoption needs the full bit-exact
-    /// result.
+    /// round.
     pub deadline: Option<Duration>,
     /// BDMA alternation rounds `z` (upper bound; the deadline may stop
     /// earlier).

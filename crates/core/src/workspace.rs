@@ -133,15 +133,6 @@ impl SlotWorkspace {
         self.probe_hot = hot;
     }
 
-    /// Replaces this workspace wholesale with a staged clone that ran the
-    /// speculative pre-solve (see [`crate::speculate`]). Only valid when
-    /// the predicted state the clone solved equals the observed state —
-    /// then the clone's problem cache, retained incumbent, and probe heat
-    /// are exactly what a plain in-place solve would have left behind.
-    pub fn adopt_from(&mut self, staged: SlotWorkspace) {
-        *self = staged;
-    }
-
     /// Drops any retained warm-start state (the next warm slot falls back
     /// to a cold start). Used when the controlled system changes shape.
     pub fn clear_retained(&mut self) {

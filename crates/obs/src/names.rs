@@ -29,9 +29,6 @@ pub const SPAN_JOURNAL_APPEND: &str = "journal.append";
 pub const SPAN_JOURNAL_FSYNC: &str = "journal.fsync";
 /// Span name for writing one atomic checkpoint snapshot.
 pub const SPAN_SNAPSHOT_WRITE: &str = "journal.snapshot_write";
-/// Span name for one speculative next-slot pre-solve (staged off the
-/// critical path; compare against `slot_solve` to see the overlap win).
-pub const SPAN_SPEC_STAGE: &str = "spec.staged_solve";
 
 /// Counter name for BDMA alternation rounds executed.
 pub const COUNTER_BDMA_ROUNDS: &str = "bdma_rounds";
@@ -117,22 +114,6 @@ pub const COUNTER_SHARD_RECONCILE_MOVES: &str = "shard.reconcile_moves";
 /// Counter name for shards that missed the anytime deadline and merged
 /// their best-so-far profile (the shard-local degradation path).
 pub const COUNTER_SHARD_DEADLINE_DEGRADED: &str = "shard.deadline_degraded";
-
-/// Counter name for staged speculative solves adopted verbatim because
-/// the predicted state matched the observed state exactly.
-pub const COUNTER_SPEC_HITS: &str = "spec.hits";
-/// Counter name for staged solves close enough (per-state relative
-/// deltas under the tolerance) to warm-seed a repair solve.
-pub const COUNTER_SPEC_NEAR_HITS: &str = "spec.near_hits";
-/// Counter name for slots whose prediction missed and fell back to the
-/// normal solve path.
-pub const COUNTER_SPEC_MISSES: &str = "spec.misses";
-/// Counter name for assignments the near-miss repair pass moved away
-/// from the speculated profile.
-pub const COUNTER_SPEC_REPAIR_MOVES: &str = "spec.repair_moves";
-/// Counter name for staged solves discarded before comparison (staging
-/// deadline overrun, or superseded by a resume).
-pub const COUNTER_SPEC_STAGED_DISCARDS: &str = "spec.staged_discards";
 
 /// Counter name for state frames accepted into the admission queue.
 pub const COUNTER_SERVER_ADMITTED: &str = "server.admitted";
@@ -223,7 +204,7 @@ pub const GAUGE_CONFIG_BUDGET: &str = "config_budget_usd";
 /// it). Core solver counters (`bdma_rounds`, `cgba_*`, …) stay internal
 /// — they are solver mechanics, not run outcomes.
 pub const EXPORTED_COUNTER_FAMILIES: &[&str] =
-    &["fault.", "deadline.", "durability.", "shard.", "spec.", "server.", "fed."];
+    &["fault.", "deadline.", "durability.", "shard.", "server.", "fed."];
 
 /// Whether a counter belongs to an exported family (see
 /// [`EXPORTED_COUNTER_FAMILIES`]).
@@ -272,11 +253,6 @@ pub const ALL: &[MetricDef] = &[
         SPAN_SNAPSHOT_WRITE,
         MetricKind::Histogram,
         "wall time of one checkpoint snapshot write (ns)",
-    ),
-    def(
-        SPAN_SPEC_STAGE,
-        MetricKind::Histogram,
-        "wall time of one speculative next-slot pre-solve (ns)",
     ),
     def(COUNTER_SLOTS, MetricKind::Counter, "slots solved"),
     def(COUNTER_BDMA_ROUNDS, MetricKind::Counter, "BDMA alternation rounds executed"),
@@ -371,23 +347,6 @@ pub const ALL: &[MetricDef] = &[
         COUNTER_SHARD_DEADLINE_DEGRADED,
         MetricKind::Counter,
         "shards that missed the anytime deadline and merged best-so-far",
-    ),
-    def(COUNTER_SPEC_HITS, MetricKind::Counter, "staged speculative solves adopted on exact match"),
-    def(
-        COUNTER_SPEC_NEAR_HITS,
-        MetricKind::Counter,
-        "staged solves warm-seeding a near-miss repair",
-    ),
-    def(COUNTER_SPEC_MISSES, MetricKind::Counter, "predictions that missed; normal solve path ran"),
-    def(
-        COUNTER_SPEC_REPAIR_MOVES,
-        MetricKind::Counter,
-        "assignments moved off the speculated profile by repairs",
-    ),
-    def(
-        COUNTER_SPEC_STAGED_DISCARDS,
-        MetricKind::Counter,
-        "staged solves discarded before comparison",
     ),
     def(COUNTER_SERVER_ADMITTED, MetricKind::Counter, "state frames accepted into the queue"),
     def(

@@ -140,8 +140,7 @@ impl RunManifest {
     /// [`RunManifest::driver_mode`] on resume.
     ///
     /// Refuses, with [`DurabilityError::InvalidConfig`], any mode the
-    /// manifest cannot reproduce: [`DriverMode::Speculative`] (staged
-    /// solves are not journaled) and a [`DriverMode::Robust`] config other
+    /// manifest cannot reproduce: a [`DriverMode::Robust`] config other
     /// than [`robust_config`] of `scenario` at the deadline's
     /// whole-millisecond value (`deadline_ms` is the only robust knob on
     /// disk, so a sub-millisecond deadline would resume as another run).
@@ -164,13 +163,6 @@ impl RunManifest {
                     });
                 }
                 ("robust", Some(faults.clone()), deadline_ms)
-            }
-            DriverMode::Speculative { .. } => {
-                return Err(DurabilityError::InvalidConfig {
-                    reason: "a speculative run cannot be checkpointed (staged solves are not \
-                             journaled)"
-                        .to_owned(),
-                })
             }
         };
         Ok(RunManifest {

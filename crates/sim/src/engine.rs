@@ -1,22 +1,21 @@
 //! The reusable per-slot step driver shared by every engine front-end.
 //!
 //! [`StepDriver`] owns one controller's complete solving state — the DPP
-//! controller, sanitizer, corruption RNG, optional speculator, metrics
-//! recorder, and optional durable session — and exposes a single
-//! [`StepDriver::step`]: feed it the observed `β_t`, get back the slot's
-//! decision summary. The batch `run_engine` loop drives it for
-//! `scenario.horizon` slots from a `StateProvider`; the `eotora-server`
-//! daemon drives the *same* driver from a JSONL stream with no horizon
-//! (`DriverTuning::horizon = u64::MAX`), which is what makes the server's
-//! decision stream bit-identical to the batch CSV by construction.
+//! controller, sanitizer, corruption RNG, metrics recorder, and optional
+//! durable session — and exposes a single [`StepDriver::step`]: feed it
+//! the observed `β_t`, get back the slot's decision summary. The batch
+//! `run_engine` loop drives it for `scenario.horizon` slots from a
+//! `StateProvider`; the `eotora-server` daemon drives the *same* driver
+//! from a JSONL stream with no horizon (`DriverTuning::horizon =
+//! u64::MAX`), which is what makes the server's decision stream
+//! bit-identical to the batch CSV by construction.
 //!
 //! The per-slot sequencing inside [`StepDriver::step`] — mode dispatch,
 //! counter/event emission, series pushes, journal append, snapshot
-//! cadence, kill hook, speculative staging — is the exact order the
-//! pre-extraction `run_engine` used; the kill–resume chaos tests pin that
-//! order (a snapshot is counted *before* its counters are captured, the
-//! journal is synced *before* the snapshot lands, staging happens only
-//! after the slot is fully committed).
+//! cadence, kill hook — is the exact order the pre-extraction `run_engine`
+//! used; the kill–resume chaos tests pin that order (a snapshot is counted
+//! *before* its counters are captured, the journal is synced *before* the
+//! snapshot lands).
 
 use std::collections::BTreeMap;
 
@@ -25,7 +24,6 @@ use eotora_core::fault::FaultSchedule;
 use eotora_core::latency::latency_under;
 use eotora_core::robust::RobustConfig;
 use eotora_core::sanitize::StateSanitizer;
-use eotora_core::speculate::{SpeculativeConfig, Speculator};
 use eotora_core::system::MecSystem;
 use eotora_durability::{DurabilityError, SlotRecord};
 use eotora_obs::{MetricsRecorder, Recorder, SpanGuard, TeeRecorder, TraceEvent};
@@ -53,13 +51,6 @@ pub enum DriverMode {
         /// Robust-solve configuration (deadline, rounds, λ); usually
         /// [`crate::robust_config`] of the scenario.
         robust: RobustConfig,
-    },
-    /// The speculative step: a predicted next-slot pre-solve staged
-    /// between slots, repaired or discarded at slot start. Staged solves
-    /// are not journaled, so [`crate::run_durable`] refuses this mode.
-    Speculative {
-        /// Predictor, tolerance, and staging deadline.
-        spec: SpeculativeConfig,
     },
 }
 
@@ -121,7 +112,6 @@ pub struct StepDriver<'s> {
     sink: Option<&'s dyn Recorder>,
     dpp: EotoraDpp,
     sanitizer: StateSanitizer,
-    speculator: Option<Speculator>,
     mode: DriverMode,
     corrupt_rng: Pcg32,
     session: Option<DurableSession>,
@@ -148,10 +138,8 @@ impl<'s> StepDriver<'s> {
     /// RNG restore from the snapshot, the journal head replays into the
     /// series, and [`StepDriver::cursor`] starts past the restored slots.
     /// The caller owns fast-forwarding its state *source* to the cursor
-    /// (batch re-observes the replayed slots and feeds
-    /// [`StepDriver::replay_observe`], then calls
-    /// [`StepDriver::restage`]; the server's clients resend from the
-    /// cursor).
+    /// (batch re-observes the replayed slots; the server's clients resend
+    /// from the cursor).
     pub fn new(
         scenario: &Scenario,
         system: MecSystem,
@@ -174,10 +162,6 @@ impl<'s> StepDriver<'s> {
             None => EotoraDpp::new(system, scenario.dpp),
         };
         let mut sanitizer = StateSanitizer::new();
-        let speculator = match &mode {
-            DriverMode::Speculative { spec } => Some(Speculator::new(*spec, scenario.dpp.seed)),
-            _ => None,
-        };
         let mut corrupt_rng = Pcg32::seed_stream(scenario.seed, 0xFA117);
         let mut cursor = 0u64;
         let mut journal_frames = 0u64;
@@ -251,7 +235,6 @@ impl<'s> StepDriver<'s> {
             sink,
             dpp,
             sanitizer,
-            speculator,
             mode,
             corrupt_rng,
             session,
@@ -335,35 +318,6 @@ impl<'s> StepDriver<'s> {
         counters
     }
 
-    /// Feeds one replayed historical state to the predictor during the
-    /// post-resume fast-forward (no-op outside speculative mode).
-    pub fn replay_observe(&mut self, state: &SystemState) {
-        if let Some(spec) = self.speculator.as_mut() {
-            spec.observe(state);
-        }
-    }
-
-    /// Re-stages the speculative pre-solve a resumed run had in flight
-    /// (staging is a pure function of the restored controller state and
-    /// the replayed history). No-op outside speculative mode or when
-    /// nothing was replayed.
-    pub fn restage(&mut self) {
-        if self.cursor == 0 || self.cursor >= self.horizon {
-            return;
-        }
-        let tee;
-        let recorder: &dyn Recorder = match self.sink {
-            Some(sink) => {
-                tee = TeeRecorder::new(&self.metrics, sink);
-                &tee
-            }
-            None => &self.metrics,
-        };
-        if let Some(spec) = self.speculator.as_mut() {
-            spec.stage_next(&mut self.dpp, recorder);
-        }
-    }
-
     /// Advances the cursor past unsolved slots — the server's overload
     /// escape hatch: when admission shedding dropped the states for slots
     /// `cursor..slot`, those slots are simply never solved, journaled, or
@@ -394,9 +348,9 @@ impl<'s> StepDriver<'s> {
     }
 
     /// Solves one slot: the full committed pipeline — mode dispatch,
-    /// metrics, series, journal append, due snapshot, kill hook,
-    /// speculative staging. `input.slot` is trusted to equal
-    /// [`StepDriver::cursor`] (the front-ends normalize or reject).
+    /// metrics, series, journal append, due snapshot, kill hook.
+    /// `input.slot` is trusted to equal [`StepDriver::cursor`] (the
+    /// front-ends normalize or reject).
     pub fn step(&mut self, input: SystemState) -> Result<StepReport, DurabilityError> {
         let slot = self.cursor;
         let tee;
@@ -439,17 +393,6 @@ impl<'s> StepDriver<'s> {
                 let slot_span = SpanGuard::new(recorder, eotora_obs::SPAN_SLOT_SOLVE);
                 let (robust_step, _report) = self.dpp.step_robust(&beta, &mask, robust, recorder);
                 dpp_step = robust_step;
-                slot_nanos = slot_span.finish().unwrap_or(0);
-            }
-            DriverMode::Speculative { .. } => {
-                beta = input;
-                let spec = self.speculator.as_mut().expect("speculative mode built a speculator");
-                spec.observe(&beta);
-                // The critical path is only the repair pass: a hit adopts
-                // the staged solve, a miss falls back to the plain solve.
-                let slot_span = SpanGuard::new(recorder, eotora_obs::SPAN_SLOT_SOLVE);
-                let (spec_step, _outcome) = spec.repair_and_step(&mut self.dpp, &beta, recorder);
-                dpp_step = spec_step;
                 slot_nanos = slot_span.finish().unwrap_or(0);
             }
         }
@@ -560,15 +503,6 @@ impl<'s> StepDriver<'s> {
                 self.cursor = slot + 1;
                 report.interrupted = true;
                 return Ok(report);
-            }
-        }
-        // Stage the next slot's pre-solve in the inter-slot gap, after the
-        // slot is fully committed (journal included): the staged clone then
-        // sees exactly the queue/RNG/workspace the next solve would, and a
-        // crash between slots loses only speculation, never state.
-        if slot + 1 < self.horizon {
-            if let Some(spec) = self.speculator.as_mut() {
-                spec.stage_next(&mut self.dpp, recorder);
             }
         }
         self.previous_stations = Some(stations);

@@ -19,7 +19,6 @@
 //! | [`fairness`] | (extensions) | per-device Jain fairness of equilibria vs random placement |
 //! | [`beta_only_gap`] | (theory check) | DPP vs the hindsight β-only policy of Lemma 2; O(1/V) gap |
 //! | [`warm_ab`] | (extensions) | warm-started solves match cold control quality within 1% |
-//! | [`speculation`] | (extensions) | speculative pre-solves are series-identical to plain runs; periodic states hit after one period |
 //! | [`chaos`] | (robustness) | injected failures: bounded degradation, zero panics, feasible slots |
 //! | [`federation`] | (robustness) | shared budget over an unreliable peer link: budget held on clean/lossy/partitioned links, degradation ladder fires and heals |
 
@@ -33,7 +32,6 @@ pub mod federation;
 pub mod lambda_sweep;
 pub mod p2a_comparison;
 pub mod queue_trace;
-pub mod speculation;
 pub mod traces;
 pub mod v_sweep;
 pub mod warm_ab;

@@ -356,12 +356,10 @@ pub fn run_federation(
             });
         }
     }
-    for (driver, provider) in drivers.iter_mut().zip(&mut providers) {
+    for (driver, provider) in drivers.iter().zip(&mut providers) {
         for slot in 0..cursor {
-            let replayed = provider.observe(slot, driver.topology());
-            driver.replay_observe(&replayed);
+            provider.observe(slot, driver.topology());
         }
-        driver.restage();
     }
 
     // Federation protocol state: fresh, or restored from `federation.bin`.

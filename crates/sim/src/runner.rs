@@ -4,7 +4,7 @@
 //! [`MetricsRecorder`](eotora_obs::MetricsRecorder) aggregates the
 //! pipeline's spans into [`SimulationResult::per_stage_solve_time`].
 //! [`run_mode`] is the one batch entry point: its [`DriverMode`] selects
-//! the plain, robust, or speculative pipeline, and its optional
+//! the plain or the robust pipeline, and its optional
 //! [`Recorder`] sink additionally receives the event stream (e.g. a JSONL
 //! sink for `eotora run --trace`). [`run`] is the plain shorthand;
 //! checkpointed runs go through [`crate::durable::run_durable`].
@@ -59,7 +59,7 @@ pub struct SimulationResult {
     pub mean_bdma_rounds: f64,
     /// Final values of every monotonic counter the run incremented
     /// (`bdma_rounds`, `slots`, on fault-injected runs the `fault.*` /
-    /// `deadline.*` family, and on speculative runs the `spec.*` family).
+    /// `deadline.*` family).
     pub counters: BTreeMap<String, u64>,
     /// The budget `C̄` in force.
     pub budget: f64,
@@ -110,8 +110,7 @@ pub fn run(scenario: &Scenario) -> SimulationResult {
 /// [`DriverMode::Robust`] with an empty schedule and no deadline is the
 /// robust path's fault-free baseline (deterministic, but *not*
 /// bit-identical to [`run`] — the robust solve seeds deterministically
-/// instead of sampling random initial profiles). [`DriverMode::Speculative`]
-/// at tolerance 0 is decision-identical to [`run`] whatever its hit rate.
+/// instead of sampling random initial profiles).
 pub fn run_mode(
     scenario: &Scenario,
     mode: DriverMode,
@@ -127,8 +126,8 @@ pub fn run_mode(
     }
 }
 
-/// The one simulation loop behind every batch entry point: plain,
-/// robust, and speculative pipelines, optional trace sink, optional
+/// The one simulation loop behind every batch entry point: plain and
+/// robust pipelines, optional trace sink, optional
 /// durability. All per-slot mechanics live in
 /// [`StepDriver`](crate::engine::StepDriver) — this function only owns
 /// the horizon loop and the scenario's state source, which is exactly the
@@ -154,13 +153,10 @@ pub(crate) fn run_engine(
     let mut driver =
         StepDriver::new(scenario, system, mode, durable, sink, DriverTuning::default());
     // Fast-forward the state source past any resume-replayed slots so the
-    // cursor slot observes exactly what the uninterrupted run would, then
-    // reproduce the speculative stage the interrupted run had in flight.
+    // cursor slot observes exactly what the uninterrupted run would.
     for slot in 0..driver.cursor() {
-        let replayed = states.observe(slot, driver.topology());
-        driver.replay_observe(&replayed);
+        states.observe(slot, driver.topology());
     }
-    driver.restage();
     while driver.cursor() < driver.horizon() {
         let beta = states.observe(driver.cursor(), driver.topology());
         let report = driver.step(beta)?;
@@ -203,7 +199,6 @@ mod tests {
     use super::*;
     use eotora_core::dpp::SolverKind;
     use eotora_core::fault::FaultSchedule;
-    use eotora_core::speculate::SpeculativeConfig;
     use eotora_util::pool::WorkerPool;
 
     fn robust_mode(faults: &FaultSchedule, robust: RobustConfig) -> DriverMode {
@@ -299,9 +294,6 @@ mod tests {
         let modes = [
             DriverMode::Plain,
             robust_mode(&FaultSchedule::default(), robust_config(&scenario, None)),
-            DriverMode::Speculative {
-                spec: SpeculativeConfig { tolerance: 0.0, ..Default::default() },
-            },
         ];
         for mode in modes {
             let sink = eotora_obs::JsonlRecorder::new(Vec::new());
@@ -386,49 +378,6 @@ mod tests {
         let r = run_mode(&s, robust_mode(&faults, robust), None);
         assert_eq!(r.counters.get("deadline.expirations").copied().unwrap_or(0), 5);
         assert!(r.latency.values().iter().all(|&l| l.is_finite() && l > 0.0));
-    }
-
-    #[test]
-    fn speculative_zero_hit_run_matches_plain() {
-        use eotora_core::speculate::PredictorKind;
-        let s = Scenario::paper(8, 33).with_horizon(8).with_bdma_rounds(1);
-        let spec = SpeculativeConfig {
-            predictor: PredictorKind::Adversarial,
-            tolerance: 0.0,
-            stage_when_busy: true,
-            ..Default::default()
-        };
-        let speculative = run_mode(&s, DriverMode::Speculative { spec }, None);
-        let plain = run(&s);
-        assert_eq!(speculative.latency, plain.latency);
-        assert_eq!(speculative.cost, plain.cost);
-        assert_eq!(speculative.queue, plain.queue);
-        assert_eq!(speculative.handover_rate, plain.handover_rate);
-        assert_eq!(speculative.average_latency, plain.average_latency);
-        assert_eq!(speculative.counters.get("spec.hits").copied().unwrap_or(0), 0);
-        // Slot 0 has no history to stage from; slots 1..7 all miss.
-        assert_eq!(speculative.counters.get("spec.misses").copied().unwrap_or(0), 8);
-        assert!(!plain.counters.contains_key("spec.misses"));
-    }
-
-    #[test]
-    fn speculative_periodic_run_hits_and_matches_plain() {
-        use eotora_core::speculate::PredictorKind;
-        let s = Scenario::periodic_price(8, 34).with_horizon(40).with_bdma_rounds(1);
-        let spec = SpeculativeConfig {
-            predictor: PredictorKind::PeriodicPrice { period: 24 },
-            tolerance: 0.0,
-            stage_when_busy: true,
-            ..Default::default()
-        };
-        let speculative = run_mode(&s, DriverMode::Speculative { spec }, None);
-        let plain = run(&s);
-        assert_eq!(speculative.latency, plain.latency);
-        assert_eq!(speculative.queue, plain.queue);
-        assert_eq!(speculative.counters.get("spec.hits").copied().unwrap_or(0), 16);
-        // The staged-solve span shows up as a per-stage series; the
-        // critical-path slot_solve series stays separate.
-        assert!(speculative.per_stage_solve_time.contains_key("spec.staged_solve"));
     }
 
     #[test]

@@ -57,23 +57,6 @@ impl Scenario {
         }
     }
 
-    /// The paper's system with fully deterministic states where only the
-    /// noiseless periodic price trend varies (see
-    /// [`PaperStateConfig::periodic_price`]). After one full price period a
-    /// periodic-price predictor forecasts every slot exactly, so this is
-    /// the best case for the speculative pre-solve — the speculation bench
-    /// and CI smoke run on it.
-    pub fn periodic_price(num_devices: usize, seed: u64) -> Self {
-        Self {
-            label: format!("periodic-I{num_devices}"),
-            system: SystemConfig::paper_defaults(num_devices),
-            states: PaperStateConfig::periodic_price(),
-            dpp: DppConfig { seed, ..Default::default() },
-            horizon: 240,
-            seed,
-        }
-    }
-
     /// Switches the P2-A solver to the sharded CGBA engine, keeping the
     /// current solver's λ. `shards == 0` means one shard per connected
     /// component (auto); on topologies the partition pass refuses to cut,

@@ -15,7 +15,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use eotora_core::fault::FaultSchedule;
-use eotora_core::speculate::SpeculativeConfig;
 use eotora_durability::DurabilityError;
 use eotora_sim::durable::{resume_durable, run_durable, DurabilityConfig, DurableRun};
 use eotora_sim::{robust_config, run, run_mode, DriverMode, Scenario, SimulationResult};
@@ -248,21 +247,18 @@ fn a_directory_already_holding_a_run_is_rejected() {
 #[test]
 fn modes_the_manifest_cannot_reproduce_are_refused() {
     let s = scenario(40).with_horizon(4);
-    // Staged solves are not journaled, and `deadline_ms` would resume a
-    // 500 µs deadline as zero — an every-slot-expires run.
-    let speculative = DriverMode::Speculative { spec: SpeculativeConfig::default() };
+    // `deadline_ms` would resume a 500 µs deadline as zero — an
+    // every-slot-expires run.
     let sub_millisecond = DriverMode::Robust {
         faults: FaultSchedule::default(),
         robust: robust_config(&s, Some(Duration::from_micros(500))),
     };
-    for mode in [speculative, sub_millisecond] {
-        let cfg = DurabilityConfig::new(temp_dir("refused"));
-        match run_durable(&s, mode.clone(), &cfg, None) {
-            Err(DurabilityError::InvalidConfig { .. }) => {}
-            other => panic!("expected InvalidConfig for {mode:?}, got {other:?}"),
-        }
-        assert!(!cfg.dir.exists(), "a refused run must not touch its checkpoint directory");
+    let cfg = DurabilityConfig::new(temp_dir("refused"));
+    match run_durable(&s, sub_millisecond.clone(), &cfg, None) {
+        Err(DurabilityError::InvalidConfig { .. }) => {}
+        other => panic!("expected InvalidConfig for {sub_millisecond:?}, got {other:?}"),
     }
+    assert!(!cfg.dir.exists(), "a refused run must not touch its checkpoint directory");
     // A whole-millisecond deadline survives the manifest round trip.
     let whole = DriverMode::Robust {
         faults: FaultSchedule::default(),

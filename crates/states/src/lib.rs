@@ -71,49 +71,6 @@ pub struct SystemState {
     pub price_per_kwh: f64,
 }
 
-impl SystemState {
-    /// Largest relative deviation between `self` and `other` across every
-    /// scalar in `β_t` (`|a − b| / max(|a|, |b|, ε)`), the distance the
-    /// speculative repair pass compares against its tolerance. A slot or
-    /// shape mismatch is an unconditional miss (`∞`); identical states
-    /// return `0.0`.
-    pub fn max_relative_delta(&self, other: &SystemState) -> f64 {
-        if self.slot != other.slot
-            || self.task_cycles.len() != other.task_cycles.len()
-            || self.data_bits.len() != other.data_bits.len()
-            || self.spectral_efficiency.len() != other.spectral_efficiency.len()
-            || self.fronthaul_efficiency.len() != other.fronthaul_efficiency.len()
-            || self
-                .spectral_efficiency
-                .iter()
-                .zip(&other.spectral_efficiency)
-                .any(|(a, b)| a.len() != b.len())
-        {
-            return f64::INFINITY;
-        }
-        fn rel(a: f64, b: f64) -> f64 {
-            (a - b).abs() / a.abs().max(b.abs()).max(1e-30)
-        }
-        let mut worst: f64 = 0.0;
-        let pairs = self
-            .task_cycles
-            .iter()
-            .zip(&other.task_cycles)
-            .chain(self.data_bits.iter().zip(&other.data_bits))
-            .chain(self.fronthaul_efficiency.iter().zip(&other.fronthaul_efficiency))
-            .chain(
-                self.spectral_efficiency
-                    .iter()
-                    .zip(&other.spectral_efficiency)
-                    .flat_map(|(a, b)| a.iter().zip(b)),
-            );
-        for (&a, &b) in pairs {
-            worst = worst.max(rel(a, b));
-        }
-        worst.max(rel(self.price_per_kwh, other.price_per_kwh))
-    }
-}
-
 /// Configuration of the paper's state generators.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PaperStateConfig {
@@ -138,24 +95,6 @@ impl Default for PaperStateConfig {
             data_bits_range: (3e6, 10e6),
             spectral_efficiency_range: (15.0, 50.0),
             price_noise_rel: 0.10,
-            period: 24,
-        }
-    }
-}
-
-impl PaperStateConfig {
-    /// A fully deterministic variant where only the periodic price trend
-    /// varies: workloads and channels are pinned to single values (ranges
-    /// with `min == max` sample exactly that value) and the price noise is
-    /// zero, leaving the noiseless NYISO-shaped daily trend. After one full
-    /// period a periodic-price predictor forecasts every state exactly —
-    /// the speculation benchmarks and CI smoke run on this.
-    pub fn periodic_price() -> Self {
-        Self {
-            task_cycles_range: (125e6, 125e6),
-            data_bits_range: (6.5e6, 6.5e6),
-            spectral_efficiency_range: (32.0, 32.0),
-            price_noise_rel: 0.0,
             period: 24,
         }
     }
@@ -309,42 +248,5 @@ mod tests {
         for slot in 0..10 {
             assert_eq!(a.observe(slot, &t), b.observe(slot, &t));
         }
-    }
-
-    #[test]
-    fn periodic_price_config_is_period_exact() {
-        let t = topo();
-        let mut p = StateProvider::paper(&t, &PaperStateConfig::periodic_price(), 4);
-        let first: Vec<SystemState> = (0..24).map(|s| p.observe(s, &t)).collect();
-        for slot in 24..48 {
-            let s = p.observe(slot, &t);
-            let prev = &first[(slot - 24) as usize];
-            // Everything but the slot index repeats with period D = 24.
-            assert_eq!(s.task_cycles, prev.task_cycles);
-            assert_eq!(s.data_bits, prev.data_bits);
-            assert_eq!(s.spectral_efficiency, prev.spectral_efficiency);
-            assert_eq!(s.price_per_kwh, prev.price_per_kwh, "slot {slot}");
-        }
-    }
-
-    #[test]
-    fn max_relative_delta_basics() {
-        let t = topo();
-        let mut p = StateProvider::paper(&t, &PaperStateConfig::default(), 5);
-        let a = p.observe(0, &t);
-        assert_eq!(a.max_relative_delta(&a), 0.0);
-
-        let mut near = a.clone();
-        near.price_per_kwh *= 1.01;
-        let d = a.max_relative_delta(&near);
-        assert!(d > 0.0 && d < 0.011, "delta {d}");
-
-        let mut shifted = a.clone();
-        shifted.slot = 1;
-        assert_eq!(a.max_relative_delta(&shifted), f64::INFINITY);
-
-        let mut short = a.clone();
-        short.task_cycles.pop();
-        assert_eq!(a.max_relative_delta(&short), f64::INFINITY);
     }
 }

@@ -29,28 +29,6 @@ use std::sync::Mutex;
 /// parallelism).
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Worker threads currently executing a parallel batch, process-wide.
-/// Feeds [`WorkerPool::idle_workers`] so opportunistic work (the
-/// speculative pre-solve) can yield to batches already in flight.
-static ACTIVE_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// RAII bump of [`ACTIVE_WORKERS`] for one batch, released even if a job
-/// panics out of the scope.
-struct ActiveBatch(usize);
-
-impl ActiveBatch {
-    fn enter(workers: usize) -> Self {
-        ACTIVE_WORKERS.fetch_add(workers, Ordering::Relaxed);
-        Self(workers)
-    }
-}
-
-impl Drop for ActiveBatch {
-    fn drop(&mut self) {
-        ACTIVE_WORKERS.fetch_sub(self.0, Ordering::Relaxed);
-    }
-}
-
 /// Sets the process-wide default worker count used by
 /// [`WorkerPool::with_default`]. Passing 0 restores auto-detection.
 pub fn set_default_workers(n: usize) {
@@ -96,16 +74,6 @@ impl WorkerPool {
         self.workers
     }
 
-    /// How many of this pool's workers are free right now: the bound minus
-    /// the worker threads any pool in the process currently has running
-    /// (batches don't reserve capacity per instance — `WorkerPool` is a
-    /// width, not a thread set). Advisory by nature: a batch may start
-    /// between the read and any action taken on it. The speculative
-    /// controller polls this to stage pre-solves only into idle capacity.
-    pub fn idle_workers(&self) -> usize {
-        self.workers.saturating_sub(ACTIVE_WORKERS.load(Ordering::Relaxed))
-    }
-
     /// Applies `f` to every item, returning results in item order.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
@@ -149,14 +117,12 @@ impl WorkerPool {
         if workers <= 1 {
             work();
         } else {
-            let active = ActiveBatch::enter(workers);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
                 for handle in handles {
                     handle.join().expect("worker thread panicked");
                 }
             });
-            drop(active);
         }
         slots
             .into_iter()
@@ -237,25 +203,6 @@ mod tests {
         });
         assert!(out.is_empty());
         assert_eq!(calls.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn idle_workers_tracks_running_batches() {
-        let pool = WorkerPool::new(3);
-        assert!(pool.idle_workers() <= 3);
-        // While a wide batch runs, a probe from inside a job must see the
-        // batch's workers accounted as busy. Other tests may run batches
-        // concurrently, so only assert the direction of the change.
-        let observed_idle = std::sync::Mutex::new(usize::MAX);
-        pool.map_indexed(3, |_| {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            let idle = pool.idle_workers();
-            let mut min = observed_idle.lock().unwrap();
-            *min = (*min).min(idle);
-        });
-        assert_eq!(observed_idle.into_inner().unwrap(), 0);
-        // After the join, this batch's claim is released.
-        assert!(pool.idle_workers() <= 3);
     }
 
     #[test]
