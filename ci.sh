@@ -432,6 +432,24 @@ EOF
 # An unknown flag must fail the run and be named, not silently ignored.
 if ./target/release/eotora run "$TEE_DIR/scenario.json" --speculate > /dev/null 2> "$TEE_DIR/unknown.err" \
   || ! grep -q -- "--speculate" "$TEE_DIR/unknown.err"; then echo "FAIL: --speculate was not refused by name"; exit 1; fi
+# So must a misspelled flag of any other subcommand, and robust mode on a
+# baseline solver, which cannot mask faults: its error names the solver.
+if ./target/release/eotora template --devcies 5 > /dev/null 2> "$TEE_DIR/unknown.err" \
+  || ! grep -q -- "--devcies" "$TEE_DIR/unknown.err"; then echo "FAIL: --devcies was not refused by name"; exit 1; fi
+if ./target/release/eotora federate --regoins 3 > /dev/null 2> "$TEE_DIR/unknown.err" \
+  || ! grep -q -- "--regoins" "$TEE_DIR/unknown.err"; then echo "FAIL: --regoins was not refused by name"; exit 1; fi
+python3 -c 'import json, sys; s = json.load(open(sys.argv[1])); s["dpp"]["solver"] = "Ropt"; json.dump(s, open(sys.argv[2], "w"))' \
+  "$TEE_DIR/scenario.json" "$TEE_DIR/ropt.json"
+if ./target/release/eotora run "$TEE_DIR/ropt.json" --slot-deadline-ms 5 > /dev/null 2> "$TEE_DIR/unknown.err" \
+  || ! grep -q "ROPT" "$TEE_DIR/unknown.err"; then echo "FAIL: robust mode accepted a ROPT scenario"; exit 1; fi
+# A reader that closes stdout early ends the command quietly: exit 0, no stderr.
+set +e
+./target/release/eotora template --devices 3 2> "$TEE_DIR/pipe.err" | head -1 > /dev/null
+pipe_status=${PIPESTATUS[0]}
+set -e
+if [ "$pipe_status" -ne 0 ] || [ -s "$TEE_DIR/pipe.err" ]; then
+  cat "$TEE_DIR/pipe.err"; echo "FAIL: template | head -1 exited $pipe_status"; exit 1
+fi
 ./target/release/eotora trace "$TEE_DIR/run.jsonl" > "$TEE_DIR/trace.txt" 2> "$TEE_DIR/trace.err"
 grep -q "run.jsonl: [0-9]* events over 60 slots" "$TEE_DIR/trace.txt"
 if [ -s "$TEE_DIR/trace.err" ]; then cat "$TEE_DIR/trace.err"; exit 1; fi

@@ -6,10 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eotora_core::baselines::GreedySolver;
-use eotora_core::bdma::{solve_p2, BdmaConfig, CgbaSolver, P2aSolver};
+use eotora_core::bdma::{solve_p2, BdmaConfig, P2aSolver};
 use eotora_core::p2a::P2aProblem;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::{CgbaSolver, SlotWorkspace};
 use eotora_game::{CgbaConfig, SchedulingRule};
+use eotora_obs::NoopRecorder;
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
 
@@ -34,7 +36,11 @@ fn bench(c: &mut Criterion) {
                     20.0,
                     &BdmaConfig { rounds: z, ..Default::default() },
                     &mut solver,
+                    &mut SlotWorkspace::new(),
                     &mut rng,
+                    0,
+                    &NoopRecorder,
+                    None,
                 ))
             });
         });
@@ -62,7 +68,7 @@ fn bench(c: &mut Criterion) {
     // Keep the solver trait import exercised (greedy through the trait).
     let mut g = GreedySolver;
     let mut rng = Pcg32::seed(1);
-    std::hint::black_box(g.solve(&p2a, &mut rng));
+    std::hint::black_box(g.solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder).unwrap());
 }
 
 criterion_group!(benches, bench);

@@ -5,9 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eotora_core::baselines::{McbaSolver, RoptSolver};
-use eotora_core::bdma::{CgbaSolver, P2aSolver};
+use eotora_core::bdma::P2aSolver;
 use eotora_core::p2a::P2aProblem;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::CgbaSolver;
+use eotora_obs::NoopRecorder;
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
 
@@ -29,7 +31,14 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(name, devices), &devices, |b, _| {
             b.iter(|| {
                 let mut rng = Pcg32::seed(7);
-                std::hint::black_box(solver.solve(&p2a, &mut rng))
+                std::hint::black_box(solver.solve(
+                    &p2a,
+                    None,
+                    None,
+                    &|| false,
+                    &mut rng,
+                    &NoopRecorder,
+                ))
             });
         });
     };

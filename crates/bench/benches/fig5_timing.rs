@@ -5,9 +5,11 @@
 //! `cargo run -p eotora-bench --release --bin figures -- --fig5`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use eotora_core::bdma::{CgbaSolver, P2aSolver};
+use eotora_core::bdma::P2aSolver;
 use eotora_core::p2a::P2aProblem;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::CgbaSolver;
+use eotora_obs::NoopRecorder;
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
 
@@ -25,7 +27,14 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut rng = Pcg32::seed(5);
                 let mut solver = CgbaSolver::default();
-                std::hint::black_box(solver.solve(&p2a, &mut rng))
+                std::hint::black_box(solver.solve(
+                    &p2a,
+                    None,
+                    None,
+                    &|| false,
+                    &mut rng,
+                    &NoopRecorder,
+                ))
             });
         });
     }

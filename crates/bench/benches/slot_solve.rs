@@ -34,8 +34,8 @@
 //! exceeds 2% at the 30-device scale.
 //!
 //! A separate **shard** section replays the loop on the scale-out island
-//! topology ([`Scenario::scale_up`]) twice — sequential [`CgbaSolver`]
-//! versus [`ShardedCgbaSolver`] on the process worker pool — at 10k and
+//! topology ([`Scenario::scale_up`]) twice — [`CgbaSolver`] at shard cap 1
+//! versus the automatic cap on the process worker pool — at 10k and
 //! 100k devices. The island resource graph is separable, so the two runs
 //! must be decision-identical (asserted); `shard_speedup` is the
 //! sequential p50 over the sharded p50, and each row records the worker
@@ -52,10 +52,10 @@
 
 use std::time::Instant;
 
-use eotora_core::bdma::{solve_p2_in, solve_p2_reference, BdmaConfig, CgbaSolver, StartPolicy};
-use eotora_core::sharded::ShardedCgbaSolver;
+use eotora_core::bdma::{solve_p2, solve_p2_reference, BdmaConfig, P2Solution, StartPolicy};
 use eotora_core::system::{MecSystem, SystemConfig};
 use eotora_core::workspace::SlotWorkspace;
+use eotora_core::CgbaSolver;
 use eotora_durability::{FsyncPolicy, JournalWriter, SlotRecord};
 use eotora_game::CgbaConfig;
 use eotora_obs::{Recorder, TelemetrySession, TraceEvent};
@@ -104,13 +104,7 @@ fn record_states(system: &MecSystem, horizon: u64) -> Vec<SystemState> {
 fn run_loop(
     system: &MecSystem,
     states: &[SystemState],
-    mut solve: impl FnMut(
-        &MecSystem,
-        &SystemState,
-        f64,
-        u64,
-        &mut Pcg32,
-    ) -> eotora_core::bdma::P2Solution,
+    mut solve: impl FnMut(&MecSystem, &SystemState, f64, u64, &mut Pcg32) -> P2Solution,
 ) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
     let mut rng = Pcg32::seed_stream(SEED, 0xD99);
     let budget = system.budget_per_slot();
@@ -132,28 +126,45 @@ fn run_loop(
     (latencies, times, rounds)
 }
 
+/// One arm's plain (hook-free) engine: its BDMA configuration, CGBA solver
+/// and workspace, carried across the slots of a loop.
+struct Engine {
+    bdma: BdmaConfig,
+    solver: CgbaSolver,
+    workspace: SlotWorkspace,
+}
+
+impl Engine {
+    fn new(bdma: BdmaConfig, solver: CgbaSolver) -> Self {
+        Self { bdma, solver, workspace: SlotWorkspace::new() }
+    }
+
+    fn solve(
+        &mut self,
+        sys: &MecSystem,
+        state: &SystemState,
+        queue: f64,
+        slot: u64,
+        rng: &mut Pcg32,
+        rec: &dyn Recorder,
+    ) -> P2Solution {
+        let Self { bdma, solver, workspace } = self;
+        solve_p2(sys, state, V, queue, bdma, solver, workspace, rng, slot, rec, None)
+            .expect("an unmasked solve cannot fail")
+            .solution
+    }
+}
+
 fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     let system = MecSystem::random(&SystemConfig::paper_defaults(devices), SEED);
     let states = record_states(&system, horizon);
     let bdma = BdmaConfig { rounds: BDMA_ROUNDS, ..Default::default() };
     let cgba = CgbaConfig::default();
 
-    let mut workspace = SlotWorkspace::new();
-    let mut solver = CgbaSolver::default();
+    let mut engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let (engine_lat, mut engine_times, _) =
         run_loop(&system, &states, |sys, state, queue, slot, rng| {
-            solve_p2_in(
-                sys,
-                state,
-                V,
-                queue,
-                &bdma,
-                &mut solver,
-                rng,
-                slot,
-                &eotora_obs::NoopRecorder,
-                &mut workspace,
-            )
+            engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
         });
 
     let (ref_lat, mut ref_times, _) =
@@ -169,22 +180,10 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     // Warm arm: fresh workspace and solver (nothing carried over from the
     // cold loops), the paper's z with ε-termination deciding the rest.
     let warm_bdma = BdmaConfig { rounds: WARM_ROUNDS, epsilon: 1e-9, start: StartPolicy::Warm };
-    let mut warm_workspace = SlotWorkspace::new();
-    let mut warm_solver = CgbaSolver::default();
+    let mut warm_engine = Engine::new(warm_bdma, CgbaSolver::default());
     let (_, mut warm_times, warm_rounds) =
         run_loop(&system, &states, |sys, state, queue, slot, rng| {
-            solve_p2_in(
-                sys,
-                state,
-                V,
-                queue,
-                &warm_bdma,
-                &mut warm_solver,
-                rng,
-                slot,
-                &eotora_obs::NoopRecorder,
-                &mut warm_workspace,
-            )
+            warm_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
         });
 
     // Journal arm: the engine path plus the per-slot durability frame
@@ -198,22 +197,10 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
         .unwrap_or_else(|e| {
             panic!("cannot create bench journal in {}: {e}", journal_dir.display())
         });
-    let mut journal_workspace = SlotWorkspace::new();
-    let mut journal_solver = CgbaSolver::default();
+    let mut journal_engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let mut journal_work: Vec<f64> = Vec::new();
     let (journal_lat, _, _) = run_loop(&system, &states, |sys, state, queue, slot, rng| {
-        let sol = solve_p2_in(
-            sys,
-            state,
-            V,
-            queue,
-            &bdma,
-            &mut journal_solver,
-            rng,
-            slot,
-            &eotora_obs::NoopRecorder,
-            &mut journal_workspace,
-        );
+        let sol = journal_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder);
         let journal_start = Instant::now();
         {
             let record = SlotRecord {
@@ -263,22 +250,10 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     // the decisions.
     let budget = system.budget_per_slot();
     let live = TelemetrySession::in_memory(V, budget);
-    let mut live_workspace = SlotWorkspace::new();
-    let mut live_solver = CgbaSolver::default();
+    let mut live_engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let mut live_work: Vec<f64> = Vec::new();
     let (live_lat, _, _) = run_loop(&system, &states, |sys, state, queue, slot, rng| {
-        let sol = solve_p2_in(
-            sys,
-            state,
-            V,
-            queue,
-            &bdma,
-            &mut live_solver,
-            rng,
-            slot,
-            &live,
-            &mut live_workspace,
-        );
+        let sol = live_engine.solve(sys, state, queue, slot, rng, &live);
         let excess = sol.energy_cost - budget;
         let obs_start = Instant::now();
         for round in 1..=BDMA_ROUNDS as u64 {
@@ -381,46 +356,22 @@ fn bench_shard_scale(devices: usize, islands: usize, horizon: u64) -> ShardScale
     let states = record_states(&system, horizon);
     let bdma = BdmaConfig { rounds: 1, ..Default::default() };
 
-    let mut seq_workspace = SlotWorkspace::new();
-    let mut seq_solver = CgbaSolver::default();
+    let mut seq_engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let (seq_lat, mut seq_times, _) = run_loop(&system, &states, |sys, state, queue, slot, rng| {
-        solve_p2_in(
-            sys,
-            state,
-            V,
-            queue,
-            &bdma,
-            &mut seq_solver,
-            rng,
-            slot,
-            &eotora_obs::NoopRecorder,
-            &mut seq_workspace,
-        )
+        seq_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
     });
 
-    let mut sharded_workspace = SlotWorkspace::new();
-    let mut sharded_solver = ShardedCgbaSolver::default();
+    let mut sharded_engine = Engine::new(bdma.clone(), CgbaSolver::new(0.0, 0));
     let (sharded_lat, mut sharded_times, _) =
         run_loop(&system, &states, |sys, state, queue, slot, rng| {
-            solve_p2_in(
-                sys,
-                state,
-                V,
-                queue,
-                &bdma,
-                &mut sharded_solver,
-                rng,
-                slot,
-                &eotora_obs::NoopRecorder,
-                &mut sharded_workspace,
-            )
+            sharded_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
         });
 
     assert_eq!(
         seq_lat, sharded_lat,
         "sharded and sequential latency series must be bit-identical at I={devices}"
     );
-    let plan = sharded_solver.plan().expect("sharded solver ran, so a plan exists");
+    let plan = sharded_engine.solver.plan().expect("sharded solver ran, so a plan exists");
     assert!(!plan.is_trivial(), "island topology must produce a non-trivial plan at I={devices}");
 
     seq_times.sort_by(f64::total_cmp);

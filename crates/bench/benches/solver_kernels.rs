@@ -4,10 +4,12 @@
 //! fleet solve.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use eotora_core::bdma::{CgbaSolver, P2aSolver};
+use eotora_core::bdma::P2aSolver;
 use eotora_core::p2a::P2aProblem;
 use eotora_core::p2b::solve_p2b;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::CgbaSolver;
+use eotora_obs::NoopRecorder;
 use eotora_optim::cubic::root_in_interval;
 use eotora_optim::scalar::{minimize_bisection, minimize_brent, minimize_golden};
 use eotora_states::{PaperStateConfig, StateProvider};
@@ -53,7 +55,9 @@ fn bench(c: &mut Criterion) {
     let state = states.observe(0, system.topology());
     let p2a = P2aProblem::build(&system, &state, &system.min_frequencies());
     let mut rng = Pcg32::seed(4);
-    let choices = CgbaSolver::default().solve(&p2a, &mut rng);
+    let choices = CgbaSolver::default()
+        .solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder)
+        .expect("an unmasked solve cannot fail");
     let assignments = p2a.assignments_from_choices(&choices);
 
     c.bench_function("p2b_full_fleet", |b| {

@@ -19,7 +19,7 @@ use std::process::ExitCode;
 
 use eotora_cli::{
     ascii_bar, ascii_plot, flag_value, format_seconds, parse_flag, parse_float_list,
-    require_flag_values, require_known_flags,
+    require_known_flags,
 };
 use eotora_core::system::MecSystem;
 use eotora_federation::{LinkFaultConfig, RebalancePolicy};
@@ -95,8 +95,37 @@ USAGE:
   eotora federate --resume <checkpoint-root> [--csv-dir D] [--out report.json]
 ";
 
+/// Writes `text` and a newline to stdout — the one path every command's
+/// stdout output takes. A reader that has gone away (`eotora … | head`)
+/// ends the command quietly with exit status 0, as standard Unix tools do;
+/// any other write failure is an error.
+fn stdout_line(text: impl std::fmt::Display) -> Result<(), String> {
+    use std::io::Write as _;
+    writeln!(std::io::stdout().lock(), "{text}").map_err(stdout_failed)
+}
+
+/// The error of a failed stdout write, or a quiet exit when stdout is
+/// closed (see [`stdout_line`]).
+fn stdout_failed(e: std::io::Error) -> String {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    format!("cannot write to stdout: {e}")
+}
+
+/// `println!` for command output: formats like it, writes through
+/// [`stdout_line`], and returns its result.
+macro_rules! outln {
+    () => {
+        stdout_line("")
+    };
+    ($($arg:tt)*) => {
+        stdout_line(format_args!($($arg)*))
+    };
+}
+
 fn cmd_template(args: &[String]) -> Result<(), String> {
-    require_flag_values(args, &["--devices", "--seed", "--islands"])?;
+    require_known_flags(args, "eotora template", &["--devices", "--seed", "--islands"], &[])?;
     let devices: usize = parse_flag(args, "--devices", 100)?;
     let seed: u64 = parse_flag(args, "--seed", 0)?;
     // `--islands K` (K ≥ 1) switches to the scale-out island topology whose
@@ -109,7 +138,7 @@ fn cmd_template(args: &[String]) -> Result<(), String> {
         Scenario::paper(devices, seed)
     };
     let json = serde_json::to_string_pretty(&scenario).map_err(|e| e.to_string())?;
-    println!("{json}");
+    outln!("{json}")?;
     Ok(())
 }
 
@@ -247,7 +276,7 @@ fn finish_telemetry(telemetry: TelemetrySession) -> Result<(), String> {
     if postmortems > 0 {
         line.push_str(&format!(" | postmortems {postmortems}"));
     }
-    println!("{line}");
+    outln!("{line}")?;
     if let Some(path) = out {
         eprintln!("wrote {}", path.display());
     }
@@ -334,7 +363,7 @@ fn report_outcome(
     match outcome {
         DurableRun::Interrupted { slot } => {
             let dir = dir.unwrap_or_default();
-            println!("interrupted after slot {slot}; resume with `eotora run --resume {dir}`");
+            outln!("interrupted after slot {slot}; resume with `eotora run --resume {dir}`")?;
             Ok(())
         }
         DurableRun::Completed(result) => {
@@ -349,8 +378,9 @@ fn report_outcome(
 /// `--fault-trace` and/or `--slot-deadline-ms` select the robust engine:
 /// failures are masked per slot, corrupt state is sanitized (unless
 /// `no_sanitize`), and each slot's solve honours the wall-clock deadline by
-/// returning its best checkpointed incumbent. Without either flag the plain
-/// engine runs.
+/// returning its best checkpointed incumbent. The robust engine masks
+/// faults through the CGBA solver, so a scenario with a baseline solver is
+/// refused. Without either flag the plain engine runs.
 fn run_driver_mode(
     args: &[String],
     scenario: &Scenario,
@@ -373,6 +403,14 @@ fn run_driver_mode(
             );
         }
         return Ok(DriverMode::Plain);
+    }
+    if !scenario.dpp.solver.supports_masks() {
+        let flag = if fault_trace.is_some() { "--fault-trace" } else { "--slot-deadline-ms" };
+        return Err(format!(
+            "{flag} selects the robust engine, which needs a CGBA solver; the scenario's \
+             solver (dpp.solver) is {}",
+            scenario.dpp.solver.name()
+        ));
     }
     let mut robust = robust_config(scenario, deadline);
     robust.sanitize = !no_sanitize;
@@ -479,7 +517,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
 /// snapshot written), SIGHUP re-reads `--config`, and a restart against the
 /// same checkpoint directory resumes where the last run stopped.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    require_flag_values(args, &["--config", "--input", "--socket"])?;
+    require_known_flags(args, "eotora serve", &["--config", "--input", "--socket"], &[])?;
     let config_path =
         flag_value(args, "--config").ok_or("serve requires --config <server.toml|json>")?;
     let config_path = PathBuf::from(config_path);
@@ -534,8 +572,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 /// which is how a client replays its tail after a server restart.
 fn cmd_states(args: &[String]) -> Result<(), String> {
     use std::io::Write as _;
+    require_known_flags(args, "eotora states", &["--slots", "--from"], &[])?;
     let path = args.first().ok_or("states requires a scenario file")?;
-    require_flag_values(args, &["--slots", "--from"])?;
     let scenario = load_scenario(path)?;
     let slots: u64 = parse_flag(args, "--slots", scenario.horizon)?;
     let from: u64 = parse_flag(args, "--from", 0)?;
@@ -543,14 +581,13 @@ fn cmd_states(args: &[String]) -> Result<(), String> {
     let mut provider =
         eotora_states::StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
     let stdout = std::io::stdout();
-    let mut out = std::io::BufWriter::new(stdout.lock());
+    let mut writer = std::io::BufWriter::new(stdout.lock());
     for slot in from..slots {
         let state = provider.observe(slot, system.topology());
         let line = serde_json::to_string(&state).map_err(|e| e.to_string())?;
-        writeln!(out, "{line}").map_err(|e| format!("cannot write states: {e}"))?;
+        writeln!(writer, "{line}").map_err(stdout_failed)?;
     }
-    out.flush().map_err(|e| format!("cannot write states: {e}"))?;
-    Ok(())
+    writer.flush().map_err(stdout_failed)
 }
 
 /// Prints the end-of-run table and summary line, then writes whichever of
@@ -570,8 +607,8 @@ fn report_run(args: &[String], result: &SimulationResult) -> Result<(), String> 
         vec!["mean solve time (s)".into(), num(result.solve_time.time_average())],
         vec!["mean BDMA rounds used".into(), num(result.rounds_used.time_average())],
     ];
-    println!("{}", ascii_table(&["metric", "value"], &rows));
-    println!("{}", run_summary(result));
+    outln!("{}", ascii_table(&["metric", "value"], &rows))?;
+    outln!("{}", run_summary(result))?;
 
     if let Some(out) = flag_value(args, "--out") {
         let json = serde_json::to_string_pretty(&result).map_err(|e| e.to_string())?;
@@ -615,8 +652,9 @@ fn report_run(args: &[String], result: &SimulationResult) -> Result<(), String> 
 /// `--checkpoint-dir` the whole federation is durable; `--resume` picks
 /// a killed federation back up from its checkpoint root.
 fn cmd_federate(args: &[String]) -> Result<(), String> {
-    require_flag_values(
+    require_known_flags(
         args,
+        "eotora federate",
         &[
             "--regions",
             "--devices",
@@ -635,6 +673,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
             "--csv-dir",
             "--out",
         ],
+        &["--standalone"],
     )?;
     let standalone = args.iter().any(|a| a == "--standalone");
     if standalone {
@@ -702,16 +741,16 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     if standalone {
         let results = eotora_sim::run_standalone(&cfg);
         let shares = vec![cfg.equal_share(); results.len()];
-        print_federation_table(&results, &shares);
+        print_federation_table(&results, &shares)?;
         let fleet_cost: f64 = results.iter().map(|r| r.cost.time_average()).sum();
-        println!(
+        outln!(
             "standalone: {} independent region(s) at fixed share {} | fleet avg cost {} vs \
              budget {}",
             cfg.regions,
             num(cfg.equal_share()),
             num(fleet_cost),
             num(cfg.total_budget),
-        );
+        )?;
         if let Some(out) = flag_value(args, "--out") {
             let json = serde_json::to_string_pretty(&results).map_err(|e| e.to_string())?;
             std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -742,7 +781,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     match outcome {
         FederationRun::Interrupted { slot } => {
             let dir = root.as_deref().unwrap_or(".");
-            println!("interrupted after slot {slot}; resume with `eotora federate --resume {dir}`");
+            outln!("interrupted after slot {slot}; resume with `eotora federate --resume {dir}`")?;
             Ok(())
         }
         FederationRun::Completed(report) => report_federation(args, &report),
@@ -784,7 +823,7 @@ fn load_link_faults(path: &str) -> Result<LinkFaultConfig, String> {
     serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
-fn print_federation_table(regions: &[SimulationResult], shares: &[f64]) {
+fn print_federation_table(regions: &[SimulationResult], shares: &[f64]) -> Result<(), String> {
     let rows: Vec<Vec<String>> = regions
         .iter()
         .zip(shares)
@@ -799,18 +838,18 @@ fn print_federation_table(regions: &[SimulationResult], shares: &[f64]) {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
-        ascii_table(&["region", "slots", "avg latency (s)", "avg cost ($)", "final share"], &rows)
-    );
+        ascii_table(&["region", "slots", "avg latency (s)", "avg cost ($)", "final share"], &rows,)
+    )
 }
 
 /// Prints the fleet table/summary for a completed federated run and
 /// writes `--out` / `--csv-dir` outputs.
 fn report_federation(args: &[String], report: &FederationReport) -> Result<(), String> {
-    print_federation_table(&report.regions, &report.final_shares);
+    print_federation_table(&report.regions, &report.final_shares)?;
     let tolerance = 0.05 * report.config.total_budget;
-    println!(
+    outln!(
         "fleet: avg cost {} vs budget {} — {}",
         num(report.fleet_average_cost),
         num(report.config.total_budget),
@@ -819,14 +858,14 @@ fn report_federation(args: &[String], report: &FederationReport) -> Result<(), S
         } else {
             "over budget (check horizon/V)"
         },
-    );
+    )?;
     let mut line = "federation:".to_owned();
     for (name, value) in &report.counters {
         if name.starts_with("fed.") {
             line.push_str(&format!(" {name} {value}"));
         }
     }
-    println!("{line}");
+    outln!("{line}")?;
     if let Some(out) = flag_value(args, "--out") {
         let json = serde_json::to_string_pretty(report).map_err(|e| e.to_string())?;
         std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -851,6 +890,7 @@ fn write_region_csvs(args: &[String], regions: &[SimulationResult]) -> Result<()
 }
 
 fn cmd_trace(args: &[String]) -> Result<(), String> {
+    require_known_flags(args, "eotora trace", &[], &[])?;
     let path = args.first().ok_or("trace requires a JSONL trace file")?;
     let file = std::fs::File::open(path).map_err(|e| format!("cannot open {path}: {e}"))?;
     let analysis = eotora_obs::TraceAnalysis::from_reader(std::io::BufReader::new(file))
@@ -863,7 +903,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             analysis.malformed[0].1
         );
     }
-    println!("{path}: {} events over {} slots", analysis.records, analysis.slots);
+    outln!("{path}: {} events over {} slots", analysis.records, analysis.slots)?;
 
     let span_rows: Vec<Vec<String>> = analysis
         .spans
@@ -880,34 +920,34 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
             ]
         })
         .collect();
-    println!("{}", ascii_table(&["span", "count", "p50", "p95", "p99", "total"], &span_rows));
+    outln!("{}", ascii_table(&["span", "count", "p50", "p95", "p99", "total"], &span_rows))?;
 
     if !analysis.counters.is_empty() {
         let rows: Vec<Vec<String>> =
             analysis.counters.iter().map(|(k, v)| vec![k.clone(), v.to_string()]).collect();
-        println!("{}", ascii_table(&["counter", "total"], &rows));
+        outln!("{}", ascii_table(&["counter", "total"], &rows))?;
     }
 
     let rounds = &analysis.bdma_rounds_per_slot;
     if rounds.count() > 0 {
         let saved =
             analysis.counters.get(eotora_obs::COUNTER_BDMA_ROUNDS_SAVED).copied().unwrap_or(0);
-        println!(
+        outln!(
             "BDMA rounds_used per slot (mean {:.2}, max {}, {saved} saved by ε-termination):",
             rounds.mean().unwrap_or(0.0),
             rounds.max().unwrap_or(0)
-        );
+        )?;
         let peak = rounds.nonzero_buckets().map(|(_, n)| n).max().unwrap_or(1) as f64;
         for (value, n) in rounds.nonzero_buckets() {
-            println!("  {value:>4} | {:<40} {n}", ascii_bar(n as f64, peak, 40));
+            outln!("  {value:>4} | {:<40} {n}", ascii_bar(n as f64, peak, 40))?;
         }
-        println!();
+        outln!()?;
     }
 
     if !analysis.queue_by_slot.is_empty() {
         let queue: Vec<f64> = analysis.queue_by_slot.iter().map(|&(_, q)| q).collect();
-        println!("virtual-queue backlog Q(t), {} slots:", queue.len());
-        print!("{}", ascii_plot(&queue, 72, 12));
+        outln!("virtual-queue backlog Q(t), {} slots:", queue.len())?;
+        outln!("{}", ascii_plot(&queue, 72, 12).trim_end_matches('\n'))?;
     }
     Ok(())
 }
@@ -926,8 +966,8 @@ fn field<'v>(value: &'v serde_json::Value, key: &str) -> Option<&'v serde_json::
 /// (`--trace t.jsonl`). V and budget default to the run's own `config_*`
 /// gauges where the artifact carries them, else to `--v` / `--budget`.
 fn cmd_health(args: &[String]) -> Result<(), String> {
+    require_known_flags(args, "eotora health", &["--v", "--budget"], &[])?;
     let path = args.first().ok_or("health requires a metrics (.jsonl/.prom) or trace file")?;
-    require_flag_values(args, &["--v", "--budget"])?;
     let v: f64 = parse_flag(args, "--v", 100.0)?;
     let budget: f64 = parse_flag(args, "--budget", 1.0)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -950,11 +990,13 @@ fn cmd_health(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|r| vec![r.name.to_string(), r.status.to_string(), r.worst.to_string(), num(r.value)])
         .collect();
-    println!("{}", ascii_table(&["rule", "status", "worst", "value"], &rows));
-    println!(
+    outln!("{}", ascii_table(&["rule", "status", "worst", "value"], &rows))?;
+    outln!(
         "{path}: overall {} (worst {}, {} transition(s))",
-        summary.final_status, summary.worst, summary.transitions
-    );
+        summary.final_status,
+        summary.worst,
+        summary.transitions
+    )?;
     Ok(())
 }
 
@@ -1158,6 +1200,7 @@ fn health_from_trace(text: &str, v: f64, budget: f64) -> Result<HealthSummary, S
 }
 
 fn cmd_topology(args: &[String]) -> Result<(), String> {
+    require_known_flags(args, "eotora topology", &["--devices", "--seed"], &[])?;
     let devices: usize = parse_flag(args, "--devices", 100)?;
     let seed: u64 = parse_flag(args, "--seed", 0)?;
     let scenario = Scenario::paper(devices, seed);
@@ -1174,11 +1217,11 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
             topo.servers_reachable_from(k).len().to_string(),
         ]);
     }
-    println!(
+    outln!(
         "{}",
-        ascii_table(&["BS", "access BW", "fronthaul BW", "rooms", "reachable servers"], &rows)
-    );
-    println!(
+        ascii_table(&["BS", "access BW", "fronthaul BW", "rooms", "reachable servers"], &rows,)
+    )?;
+    outln!(
         "{} rooms, {} servers ({} devices); fleet power {:.1}-{:.1} kW; budget ${:.2}/slot",
         topo.num_clusters(),
         topo.num_servers(),
@@ -1186,11 +1229,12 @@ fn cmd_topology(args: &[String]) -> Result<(), String> {
         system.fleet_power_watts(&system.min_frequencies()) / 1000.0,
         system.fleet_power_watts(&system.max_frequencies()) / 1000.0,
         system.budget_per_slot(),
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
+    require_known_flags(args, "eotora compare", &["--devices", "--seed"], &[])?;
     use eotora_sim::experiments::p2a_comparison::{p2a_comparison, P2aComparisonConfig};
     let devices: usize = parse_flag(args, "--devices", 60)?;
     let seed: u64 = parse_flag(args, "--seed", 0)?;
@@ -1209,16 +1253,17 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
         vec!["ROPT".to_string(), num(r.ropt.objective), num(r.ropt.time_s)],
         vec!["OPT (B&B)".to_string(), num(r.exact.objective), num(r.exact.time_s)],
     ];
-    println!("{}", ascii_table(&["algorithm", "latency (s)", "time (s)"], &table));
-    println!(
+    outln!("{}", ascii_table(&["algorithm", "latency (s)", "time (s)"], &table))?;
+    outln!(
         "certified lower bound {} ({}% of trials proven optimal)",
         num(r.exact_lower_bound),
         (r.proven_fraction * 100.0) as u32
-    );
+    )?;
     Ok(())
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    require_known_flags(args, "eotora sweep", &["--budgets", "--jobs"], &[])?;
     let path = args.first().ok_or("sweep requires a scenario file")?;
     apply_jobs_flag(args)?;
     let base = load_scenario(path)?;
@@ -1246,10 +1291,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
             ]
         })
         .collect();
-    println!(
+    outln!(
         "{}",
-        ascii_table(&["budget $", "tail latency (s)", "converged cost ($)", "queue"], &rows)
-    );
+        ascii_table(&["budget $", "tail latency (s)", "converged cost ($)", "queue"], &rows,)
+    )?;
     Ok(())
 }
 
@@ -1291,6 +1336,65 @@ mod tests {
         robust.sanitize = false;
         let expected = DriverMode::Robust { faults: Default::default(), robust };
         assert_eq!(run_driver_mode(&args, &scenario, true).unwrap(), expected);
+    }
+
+    #[test]
+    fn robust_flags_refuse_a_baseline_solver_by_name() {
+        use eotora_core::dpp::SolverKind;
+        // (the scenario's solver, the name a refusal must carry — `None`
+        // when robust mode accepts the solver)
+        let rows = [
+            (SolverKind::Ropt, Some("ROPT")),
+            (SolverKind::Mcba { iterations: 100 }, Some("MCBA")),
+            (SolverKind::Cgba { lambda: 0.0 }, None),
+        ];
+        let args = owned(&["s.json", "--slot-deadline-ms", "1000"]);
+        for (solver, refused) in rows {
+            let scenario = Scenario::paper(4, 1).with_solver(solver);
+            match (run_driver_mode(&args, &scenario, false), refused) {
+                (Err(err), Some(name)) => {
+                    assert!(err.contains(name), "{err}");
+                    assert!(err.contains("--slot-deadline-ms"), "{err}");
+                }
+                (Ok(DriverMode::Robust { .. }), None) => {}
+                (other, _) => panic!("{solver:?}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_subcommand_refuses_unknown_flags_by_name() {
+        type Command = fn(&[String]) -> Result<(), String>;
+        // (entry point, a misspelled invocation whose first flag the error
+        // must name, an invocation with the flags ci.sh and the docs pass —
+        // it may fail later, on a missing file, but not on a flag)
+        let rows: [(Command, &str, &str); 9] = [
+            (cmd_template, "--devcies 5", "--devices 3 --seed 3 --islands 1"),
+            (cmd_serve, "--confg s.toml", "--config s.toml --input - --socket s.sock"),
+            (cmd_states, "s.json --slot 3", "s.json --slots 200 --from 5"),
+            (cmd_trace, "t.jsonl --slots 3", "t.jsonl"),
+            (cmd_health, "m.jsonl --budgte 1", "m.jsonl --v 100 --budget 1.0"),
+            (cmd_topology, "--device 5", "--devices 5 --seed 1"),
+            (cmd_sweep, "s.json --budget 0.7", "s.json --budgets 0.7,1.0 --jobs 2"),
+            (cmd_compare, "--seeds 1", "--devices 3 --seed 1"),
+            (
+                cmd_federate,
+                "--regoins 3",
+                "--regions 3 --devices 24 --horizon 200 --seed 1 --sync-every 2 --budget 1.0 \
+                 --policy fixed --floor 0.1 --link-faults f.json --checkpoint-dir d \
+                 --checkpoint-every 5 --fsync os --kill-at-slot 9 --resume d --csv-dir c \
+                 --out o.json --standalone",
+            ),
+        ];
+        let split = |text: &str| text.split_whitespace().map(str::to_owned).collect::<Vec<_>>();
+        for (command, typo, valid) in rows {
+            let flag = typo.split_whitespace().find(|a| a.starts_with("--")).unwrap();
+            let err = command(&split(typo)).expect_err("an unknown flag must be refused");
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{typo}: {err}");
+            if let Err(err) = command(&split(valid)) {
+                assert!(!err.contains("unknown flag"), "{valid}: {err}");
+            }
+        }
     }
 
     fn fed_args(extra: &[&str]) -> Vec<String> {

@@ -16,11 +16,13 @@
 //! latency. DPP, which needs no hindsight, should land close — asserted in
 //! the tests and measured in the `beta_only_gap` experiment.
 
+use eotora_obs::NoopRecorder;
 use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
 
-use crate::bdma::{CgbaSolver, P2aSolver};
+use crate::bdma::P2aSolver;
 use crate::p2b::solve_p2b;
+use crate::sharded::CgbaSolver;
 use crate::system::MecSystem;
 use crate::workspace::SlotWorkspace;
 
@@ -64,7 +66,9 @@ impl BetaOnlyPolicy {
             // P2-A at minimum frequencies (as in BDMA round 1), then the
             // Lagrangian frequency step min T + μ·C == solve_p2b(v=1, q=μ).
             let p2a = workspace.prepare(&self.system, state, &self.system.min_frequencies());
-            let choices = solver.solve(p2a, &mut rng);
+            let choices = solver
+                .solve(p2a, None, None, &|| false, &mut rng, &NoopRecorder)
+                .expect("an unfiltered CGBA solve cannot fail");
             let assignments = p2a.assignments_from_choices(&choices);
             let sol = solve_p2b(&self.system, state, &assignments, 1.0, self.multiplier);
             latency_sum +=

@@ -12,11 +12,15 @@
 //! certified global lower bound (the min frontier bound), which the Fig. 4
 //! harness reports alongside CGBA's ratio.
 
+use eotora_game::StrategyFilter;
+use eotora_obs::{NoopRecorder, Recorder};
 use eotora_optim::branch_bound::{BnbOutcome, BranchAndBound, SequentialProblem};
 use eotora_util::rng::Pcg32;
 
-use crate::bdma::{CgbaSolver, P2aSolver};
+use crate::bdma::P2aSolver;
+use crate::error::SolveError;
 use crate::p2a::P2aProblem;
+use crate::sharded::CgbaSolver;
 
 /// Branch-and-bound state: per-resource loads plus accumulated cost.
 #[derive(Debug, Clone)]
@@ -110,12 +114,11 @@ impl Default for ExactSolver {
 impl ExactSolver {
     /// Runs the search and returns the full report with bounds.
     pub fn solve_with_report(&self, problem: &P2aProblem, rng: &mut Pcg32) -> ExactReport {
-        let incumbent = if self.warm_start {
+        let incumbent = self.warm_start.then(|| {
             let mut cgba = CgbaSolver::default();
-            Some(cgba.solve(problem, rng))
-        } else {
-            None
-        };
+            cgba.solve(problem, None, None, &|| false, rng, &NoopRecorder)
+                .expect("an unfiltered CGBA solve cannot fail")
+        });
         self.solve_with_report_from(problem, incumbent.as_deref())
     }
 
@@ -147,16 +150,16 @@ impl P2aSolver for ExactSolver {
         "OPT"
     }
 
-    fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
-        self.solve_with_report(problem, rng).choices
-    }
-
-    fn solve_with(
+    fn solve(
         &mut self,
         problem: &P2aProblem,
+        _seed: Option<&[usize]>,
+        filter: Option<&StrategyFilter>,
+        _should_stop: &(dyn Fn() -> bool + Sync),
         rng: &mut Pcg32,
-        recorder: &dyn eotora_obs::Recorder,
-    ) -> Vec<usize> {
+        recorder: &dyn Recorder,
+    ) -> Result<Vec<usize>, SolveError> {
+        super::refuse_filter(self.name(), filter)?;
         let report = self.solve_with_report(problem, rng);
         if recorder.is_enabled() {
             recorder.add(eotora_obs::COUNTER_BNB_NODES, report.nodes_expanded as u64);
@@ -164,7 +167,7 @@ impl P2aSolver for ExactSolver {
                 recorder.add(eotora_obs::COUNTER_BNB_PROVEN_OPTIMAL, 1);
             }
         }
-        report.choices
+        Ok(report.choices)
     }
 }
 
@@ -218,7 +221,8 @@ mod tests {
         let p2a = setup(8, 80);
         let mut rng = Pcg32::seed(5);
         let mut cgba = CgbaSolver::default();
-        let cgba_latency = p2a.total_latency(&cgba.solve(&p2a, &mut rng));
+        let choices = cgba.solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder).unwrap();
+        let cgba_latency = p2a.total_latency(&choices);
         let mut rng = Pcg32::seed(5);
         let report = ExactSolver::default().solve_with_report(&p2a, &mut rng);
         assert!(report.latency <= cgba_latency + 1e-9);
@@ -234,7 +238,8 @@ mod tests {
             assert!(report.proven_optimal);
             let mut rng = Pcg32::seed(seed + 1);
             let mut cgba = CgbaSolver::default();
-            let cgba_latency = p2a.total_latency(&cgba.solve(&p2a, &mut rng));
+            let choices = cgba.solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder).unwrap();
+            let cgba_latency = p2a.total_latency(&choices);
             let ratio = cgba_latency / report.latency;
             assert!(ratio <= 2.62 + 1e-9, "ratio {ratio}");
         }

@@ -7,9 +7,12 @@
 //! committed so far. One pass, no iteration — `O(I log I + I·S)` — so it is
 //! also a useful warm start for CGBA and branch-and-bound.
 
+use eotora_game::StrategyFilter;
+use eotora_obs::Recorder;
 use eotora_util::rng::Pcg32;
 
 use crate::bdma::P2aSolver;
+use crate::error::SolveError;
 use crate::p2a::P2aProblem;
 
 /// The greedy marginal-cost P2-A solver.
@@ -61,8 +64,17 @@ impl P2aSolver for GreedySolver {
         "GREEDY"
     }
 
-    fn solve(&mut self, problem: &P2aProblem, _rng: &mut Pcg32) -> Vec<usize> {
-        Self::assign(problem)
+    fn solve(
+        &mut self,
+        problem: &P2aProblem,
+        _seed: Option<&[usize]>,
+        filter: Option<&StrategyFilter>,
+        _should_stop: &(dyn Fn() -> bool + Sync),
+        _rng: &mut Pcg32,
+        _recorder: &dyn Recorder,
+    ) -> Result<Vec<usize>, SolveError> {
+        super::refuse_filter(self.name(), filter)?;
+        Ok(Self::assign(problem))
     }
 }
 
@@ -70,8 +82,8 @@ impl P2aSolver for GreedySolver {
 mod tests {
     use super::*;
     use crate::baselines::RoptSolver;
-    use crate::bdma::CgbaSolver;
     use crate::system::{MecSystem, SystemConfig};
+    use eotora_obs::NoopRecorder;
     use eotora_states::{PaperStateConfig, StateProvider};
 
     fn p2a(devices: usize, seed: u64) -> P2aProblem {
@@ -96,7 +108,8 @@ mod tests {
             greedy_sum += p.total_latency(&GreedySolver::assign(&p));
             let mut rng = Pcg32::seed(seed);
             let mut ropt = RoptSolver;
-            ropt_sum += p.total_latency(&ropt.solve(&p, &mut rng));
+            let choices = ropt.solve(&p, None, None, &|| false, &mut rng, &NoopRecorder).unwrap();
+            ropt_sum += p.total_latency(&choices);
         }
         assert!(greedy_sum < ropt_sum, "greedy {greedy_sum} vs ropt {ropt_sum}");
     }
@@ -105,16 +118,17 @@ mod tests {
     fn cgba_from_greedy_start_not_worse() {
         // CGBA run from the greedy profile: best-response moves only reduce
         // cost, so the outcome must be ≤ the greedy cost.
-        use eotora_game::{cgba_from, CgbaConfig, Profile};
+        use eotora_game::{cgba_from, CgbaConfig, CgbaScratch, Profile};
         let p = p2a(25, 80);
         let greedy = GreedySolver::assign(&p);
         let greedy_cost = p.total_latency(&greedy);
         let profile = Profile::from_choices(p.game(), greedy.clone());
-        let report = cgba_from(p.game(), profile, &CgbaConfig::default());
+        let config = CgbaConfig::default();
+        let mut scratch = CgbaScratch::default();
+        let report = cgba_from(p.game(), profile, &config, None, || false, false, &mut scratch);
         assert!(report.converged);
         assert!(report.total_cost <= greedy_cost + 1e-9);
         // And is an equilibrium, like any CGBA output.
         assert!(report.profile.is_lambda_equilibrium(p.game(), 0.0, 1e-9));
-        let _ = CgbaSolver::default();
     }
 }

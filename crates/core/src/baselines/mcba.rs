@@ -10,11 +10,12 @@
 //! optimum in distribution but needs many more iterations than CGBA
 //! (the paper's Fig. 4–5 comparison, reproduced in the benches).
 
-use eotora_game::Profile;
+use eotora_game::{Profile, StrategyFilter};
 use eotora_obs::Recorder;
 use eotora_util::rng::Pcg32;
 
 use crate::bdma::P2aSolver;
+use crate::error::SolveError;
 use crate::p2a::P2aProblem;
 
 /// Parameters of the MCMC sampler.
@@ -54,16 +55,16 @@ impl P2aSolver for McbaSolver {
         "MCBA"
     }
 
-    fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
-        self.solve_with(problem, rng, &eotora_obs::NoopRecorder)
-    }
-
-    fn solve_with(
+    fn solve(
         &mut self,
         problem: &P2aProblem,
+        _seed: Option<&[usize]>,
+        filter: Option<&StrategyFilter>,
+        _should_stop: &(dyn Fn() -> bool + Sync),
         rng: &mut Pcg32,
         recorder: &dyn Recorder,
-    ) -> Vec<usize> {
+    ) -> Result<Vec<usize>, SolveError> {
+        super::refuse_filter(self.name(), filter)?;
         let game = problem.game();
         let n = game.num_players();
         let mut profile = Profile::random(game, rng);
@@ -104,7 +105,7 @@ impl P2aSolver for McbaSolver {
             recorder.add(eotora_obs::COUNTER_MCBA_PROPOSALS, self.config.iterations as u64);
             recorder.add(eotora_obs::COUNTER_MCBA_ACCEPTED, accepted);
         }
-        best_choices
+        Ok(best_choices)
     }
 }
 
@@ -112,6 +113,11 @@ impl P2aSolver for McbaSolver {
 mod tests {
     use super::*;
     use crate::system::{MecSystem, SystemConfig};
+    use eotora_obs::NoopRecorder;
+
+    fn solve(solver: &mut dyn P2aSolver, p2a: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
+        solver.solve(p2a, None, None, &|| false, rng, &NoopRecorder).unwrap()
+    }
     use eotora_states::{PaperStateConfig, StateProvider};
 
     fn setup(devices: usize, seed: u64) -> (MecSystem, P2aProblem) {
@@ -129,7 +135,7 @@ mod tests {
         let random_cost = p2a
             .total_latency(&(0..20).map(|i| rng.below(p2a.num_strategies(i))).collect::<Vec<_>>());
         let mut solver = McbaSolver::default();
-        let choices = solver.solve(&p2a, &mut rng);
+        let choices = solve(&mut solver, &p2a, &mut rng);
         let mcba_cost = p2a.total_latency(&choices);
         assert!(mcba_cost < random_cost, "{mcba_cost} !< {random_cost}");
     }
@@ -140,7 +146,7 @@ mod tests {
         let cost = |iters: usize, seed: u64| {
             let mut rng = Pcg32::seed(seed);
             let mut solver = McbaSolver::with_iterations(iters);
-            p2a.total_latency(&solver.solve(&p2a, &mut rng))
+            p2a.total_latency(&solve(&mut solver, &p2a, &mut rng))
         };
         // Average over seeds; MCMC is noisy per-run.
         let short: f64 = (0..5).map(|s| cost(200, s)).sum::<f64>() / 5.0;
@@ -151,17 +157,17 @@ mod tests {
     #[test]
     fn worse_than_or_close_to_cgba_on_average() {
         // The paper's Fig. 4 ordering: CGBA ≤ MCBA.
-        use crate::bdma::{CgbaSolver, P2aSolver as _};
+        use crate::sharded::CgbaSolver;
         let (_, p2a) = setup(25, 63);
         let mut mcba_sum = 0.0;
         let mut cgba_sum = 0.0;
         for seed in 0..5u64 {
             let mut rng = Pcg32::seed(seed);
             let mut m = McbaSolver::default();
-            mcba_sum += p2a.total_latency(&m.solve(&p2a, &mut rng));
+            mcba_sum += p2a.total_latency(&solve(&mut m, &p2a, &mut rng));
             let mut rng = Pcg32::seed(seed);
             let mut c = CgbaSolver::default();
-            cgba_sum += p2a.total_latency(&c.solve(&p2a, &mut rng));
+            cgba_sum += p2a.total_latency(&solve(&mut c, &p2a, &mut rng));
         }
         assert!(cgba_sum <= mcba_sum * 1.01, "cgba {cgba_sum} vs mcba {mcba_sum}");
     }
@@ -176,7 +182,7 @@ mod tests {
         let p2a = P2aProblem::build(&system, &state, &system.min_frequencies());
         let mut rng = Pcg32::seed(2);
         let mut solver = McbaSolver::with_iterations(100);
-        let choices = solver.solve(&p2a, &mut rng);
+        let choices = solve(&mut solver, &p2a, &mut rng);
         assert_eq!(choices.len(), 3);
     }
 }

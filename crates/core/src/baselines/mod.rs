@@ -15,6 +15,10 @@
 //!   optionally warm-started by CGBA. Exact on small instances; on large
 //!   ones returns the incumbent plus a certified lower bound.
 
+use eotora_game::StrategyFilter;
+
+use crate::error::SolveError;
+
 mod beta_only;
 mod exact;
 mod greedy;
@@ -26,3 +30,12 @@ pub use exact::{ExactReport, ExactSolver};
 pub use greedy::GreedySolver;
 pub use mcba::{McbaConfig, McbaSolver};
 pub use ropt::RoptSolver;
+
+/// Refuses an availability mask: a baseline solves the unmasked game only,
+/// and must not silently ignore the mask.
+fn refuse_filter(solver: &'static str, filter: Option<&StrategyFilter>) -> Result<(), SolveError> {
+    match filter {
+        Some(_) => Err(SolveError::FilterUnsupported { solver }),
+        None => Ok(()),
+    }
+}

@@ -1,8 +1,11 @@
 //! ROPT: random selection with optimal resource allocation.
 
+use eotora_game::StrategyFilter;
+use eotora_obs::Recorder;
 use eotora_util::rng::Pcg32;
 
 use crate::bdma::P2aSolver;
+use crate::error::SolveError;
 use crate::p2a::P2aProblem;
 
 /// The ROPT baseline: every device draws a feasible strategy uniformly at
@@ -17,8 +20,19 @@ impl P2aSolver for RoptSolver {
         "ROPT"
     }
 
-    fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
-        (0..problem.game().num_players()).map(|i| rng.below(problem.num_strategies(i))).collect()
+    fn solve(
+        &mut self,
+        problem: &P2aProblem,
+        _seed: Option<&[usize]>,
+        filter: Option<&StrategyFilter>,
+        _should_stop: &(dyn Fn() -> bool + Sync),
+        rng: &mut Pcg32,
+        _recorder: &dyn Recorder,
+    ) -> Result<Vec<usize>, SolveError> {
+        super::refuse_filter(self.name(), filter)?;
+        Ok((0..problem.game().num_players())
+            .map(|i| rng.below(problem.num_strategies(i)))
+            .collect())
     }
 }
 
@@ -26,6 +40,7 @@ impl P2aSolver for RoptSolver {
 mod tests {
     use super::*;
     use crate::system::{MecSystem, SystemConfig};
+    use eotora_obs::NoopRecorder;
     use eotora_states::{PaperStateConfig, StateProvider};
 
     #[test]
@@ -36,7 +51,7 @@ mod tests {
         let p2a = P2aProblem::build(&system, &state, &system.min_frequencies());
         let mut rng = Pcg32::seed(1);
         let mut solver = RoptSolver;
-        let choices = solver.solve(&p2a, &mut rng);
+        let choices = solver.solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder).unwrap();
         assert_eq!(choices.len(), 12);
         for (i, &s) in choices.iter().enumerate() {
             assert!(s < p2a.num_strategies(i));
@@ -57,8 +72,8 @@ mod tests {
         let p2a = P2aProblem::build(&system, &state, &system.min_frequencies());
         let mut rng = Pcg32::seed(2);
         let mut solver = RoptSolver;
-        let a = solver.solve(&p2a, &mut rng);
-        let b = solver.solve(&p2a, &mut rng);
+        let a = solver.solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder).unwrap();
+        let b = solver.solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder).unwrap();
         assert_ne!(a, b);
     }
 }

@@ -4,8 +4,8 @@
 //! BDMA(z) alternates, for `z` rounds, between
 //!
 //! 1. **P2-A** — fix `Ω`, pick `(x, y)` (a congestion-game solver; the
-//!    paper's choice is CGBA, with ROPT/MCBA as baselines — see
-//!    [`crate::baselines`]), and
+//!    paper's choice is CGBA, see [`crate::sharded`], with ROPT/MCBA as
+//!    baselines — see [`crate::baselines`]), and
 //! 2. **P2-B** — fix `(x, y)`, optimize `Ω` exactly
 //!    ([`crate::p2b::solve_p2b`]),
 //!
@@ -13,21 +13,26 @@
 //! `f = V·T_t + Q(t)·Θ(Ω, p_t)`. Theorem 3 gives the per-slot guarantee
 //! `R = 2.62·R_F/(1−8λ)` already for `z = 1` starting from `Ω = Ω^L`;
 //! additional rounds only improve the incumbent (asserted in tests).
+//!
+//! [`solve_p2`] is the one loop. Its seed comes from the [`StartPolicy`]
+//! (the paper's `Cold` random profile, or `Warm`), and the optional
+//! [`RobustHooks`] — the slot's availability mask and deadline — turn on
+//! the fault-tolerant behaviour described in [`crate::robust`].
 
 use std::fmt;
+use std::time::Instant;
 
-use eotora_game::{
-    cgba_from_reference, cgba_from_with_scratch, cgba_warm_from_with_scratch, CgbaConfig,
-    CgbaReport, CgbaScratch, Profile,
-};
-use eotora_obs::{NoopRecorder, Recorder, SpanGuard, TraceEvent};
+use eotora_game::{cgba_from_reference, CgbaConfig, Profile, StrategyFilter};
+use eotora_obs::{Recorder, SpanGuard, TraceEvent};
 use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
 use serde::{Deserialize, Serialize};
 
 use crate::decision::Assignment;
+use crate::error::SolveError;
 use crate::p2a::P2aProblem;
 use crate::p2b::solve_p2b;
+use crate::robust::{check_state_well_formed, masked_seed, RobustHooks, RobustReport, RETRY_LIMIT};
 use crate::system::MecSystem;
 use crate::workspace::SlotWorkspace;
 
@@ -39,169 +44,26 @@ pub trait P2aSolver: fmt::Debug {
     /// Short name used in experiment reports ("CGBA", "ROPT", "MCBA", ...).
     fn name(&self) -> &'static str;
 
-    /// Produces one strategy choice per device.
-    fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize>;
-
-    /// Like [`P2aSolver::solve`], additionally reporting solver-specific
-    /// counters (CGBA best-response iterations, MCBA proposal acceptances,
-    /// branch-and-bound nodes, ...) into `recorder`. The default ignores
-    /// the recorder.
-    fn solve_with(
-        &mut self,
-        problem: &P2aProblem,
-        rng: &mut Pcg32,
-        recorder: &dyn Recorder,
-    ) -> Vec<usize> {
-        let _ = recorder;
-        self.solve(problem, rng)
-    }
-
-    /// Like [`P2aSolver::solve_with`], additionally offered `seed` — the
-    /// previous converged strategy choices (from the last slot, or the last
-    /// BDMA round) as a warm start. Solvers that cannot exploit a seed
-    /// (ROPT, MCBA, greedy, exact) ignore it and fall back to
-    /// [`P2aSolver::solve_with`]; `seed = None` must behave exactly like
-    /// [`P2aSolver::solve_with`], including RNG consumption.
-    fn solve_seeded(
+    /// Produces one strategy choice per device, reporting solver-specific
+    /// counters (CGBA iterations, MCBA acceptances, B&B nodes, ...) into
+    /// `recorder`. `seed` is the previous converged choices as a warm start
+    /// (ignored by solvers that cannot use one; without it CGBA draws a
+    /// random profile from `rng`), `filter` the strategies an availability
+    /// mask allows, and `should_stop` the anytime deadline.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::FilterUnsupported`] from a solver given a filter it
+    /// cannot honour — it must not silently ignore the mask.
+    fn solve(
         &mut self,
         problem: &P2aProblem,
         seed: Option<&[usize]>,
+        filter: Option<&StrategyFilter>,
+        should_stop: &(dyn Fn() -> bool + Sync),
         rng: &mut Pcg32,
         recorder: &dyn Recorder,
-    ) -> Vec<usize> {
-        let _ = seed;
-        self.solve_with(problem, rng, recorder)
-    }
-}
-
-/// The paper's P2-A solver: CGBA(λ) best-response dynamics. Owns a
-/// [`CgbaScratch`] so repeated solves (rounds × slots) are allocation-free,
-/// plus a second scratch dedicated to seeded (warm) solves: cold restarts
-/// between warm rounds would otherwise wipe the converged-profile snapshot
-/// the warm fast path re-scans against, turning every warm start back into
-/// a full scan.
-#[derive(Debug, Clone, Default)]
-pub struct CgbaSolver {
-    /// CGBA parameters (λ, iteration cap, scheduling rule).
-    pub config: CgbaConfig,
-    scratch: CgbaScratch,
-    warm_scratch: CgbaScratch,
-}
-
-impl CgbaSolver {
-    /// CGBA with the given λ and default scheduling.
-    pub fn with_lambda(lambda: f64) -> Self {
-        Self { config: CgbaConfig { lambda, ..Default::default() }, ..Default::default() }
-    }
-}
-
-impl P2aSolver for CgbaSolver {
-    fn name(&self) -> &'static str {
-        "CGBA"
-    }
-
-    fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
-        self.solve_with(problem, rng, &NoopRecorder)
-    }
-
-    fn solve_with(
-        &mut self,
-        problem: &P2aProblem,
-        rng: &mut Pcg32,
-        recorder: &dyn Recorder,
-    ) -> Vec<usize> {
-        let initial = Profile::random(problem.game(), rng);
-        let probes_before = self.scratch.probes();
-        let report =
-            cgba_from_with_scratch(problem.game(), initial, &self.config, &mut self.scratch);
-        CgbaTally::of(&report, self.scratch.probes() - probes_before, false).emit(recorder);
-        report.profile.choices().to_vec()
-    }
-
-    fn solve_seeded(
-        &mut self,
-        problem: &P2aProblem,
-        seed: Option<&[usize]>,
-        rng: &mut Pcg32,
-        recorder: &dyn Recorder,
-    ) -> Vec<usize> {
-        // A seed that no longer matches the game's player count cannot be
-        // repaired — fall back to the cold path (which must stay identical
-        // to `solve_with`, RNG draws included).
-        let warm_seed = seed.and_then(|c| Profile::from_retained_choices(problem.game(), c));
-        let Some(initial) = warm_seed else {
-            return self.solve_with(problem, rng, recorder);
-        };
-        let probes_before = self.warm_scratch.probes();
-        let report = cgba_warm_from_with_scratch(
-            problem.game(),
-            initial,
-            &self.config,
-            &mut self.warm_scratch,
-        );
-        CgbaTally::of(&report, self.warm_scratch.probes() - probes_before, true).emit(recorder);
-        report.profile.choices().to_vec()
-    }
-}
-
-/// One P2-A CGBA solve's work, emitted as the `cgba.*` counters (plus
-/// `shard.*` for a sharded solve). Every CGBA solve reports through
-/// [`CgbaTally::emit`]: sequential, sharded, plain and robust.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CgbaTally {
-    pub iterations: u64,
-    pub probes: u64,
-    pub converged: bool,
-    pub warm: bool,
-    /// `None` for a sequential solve.
-    pub shards: Option<ShardTally>,
-}
-
-/// The `shard.*` counts of a sharded solve: shards solved, shards the
-/// deadline cut short, cut players, and reconcile moves.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardTally {
-    pub solves: u64,
-    pub degraded: u64,
-    pub cut_players: u64,
-    pub reconcile_moves: u64,
-}
-
-impl CgbaTally {
-    /// The tally of one sequential run.
-    pub(crate) fn of(report: &CgbaReport, probes: u64, warm: bool) -> Self {
-        Self {
-            iterations: report.iterations as u64,
-            probes,
-            converged: report.converged,
-            warm,
-            shards: None,
-        }
-    }
-
-    /// Adds the counters to `recorder`.
-    pub(crate) fn emit(&self, recorder: &dyn Recorder) {
-        if !recorder.is_enabled() {
-            return;
-        }
-        recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, self.iterations);
-        recorder.add(eotora_obs::COUNTER_CGBA_PROBES, self.probes);
-        if self.warm {
-            recorder.add(eotora_obs::COUNTER_CGBA_WARM_MOVES, self.iterations);
-        }
-        if self.converged {
-            recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
-        }
-        let Some(shards) = self.shards else { return };
-        recorder.add(eotora_obs::COUNTER_SHARD_SOLVES, shards.solves);
-        if shards.degraded > 0 {
-            recorder.add(eotora_obs::COUNTER_SHARD_DEADLINE_DEGRADED, shards.degraded);
-        }
-        if shards.cut_players > 0 {
-            recorder.add(eotora_obs::COUNTER_SHARD_CUT_PLAYERS, shards.cut_players);
-            recorder.add(eotora_obs::COUNTER_SHARD_RECONCILE_MOVES, shards.reconcile_moves);
-        }
-    }
+    ) -> Result<Vec<usize>, SolveError>;
 }
 
 /// How each slot's BDMA solve is initialized.
@@ -209,7 +71,7 @@ impl CgbaTally {
 /// The paper's Algorithm 2 starts every slot cold: `Ω ← Ω^L` and a
 /// uniformly random CGBA profile. System states are temporally correlated,
 /// so the previous slot's converged `(profile, Ω̄)` is usually near the new
-/// slot's equilibrium — warm policies reuse it and converge in far fewer
+/// slot's equilibrium — `Warm` reuses it and converges in far fewer
 /// best-response moves (and, with ε termination, fewer BDMA rounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StartPolicy {
@@ -225,18 +87,8 @@ pub enum StartPolicy {
     /// ε-stalls, some slots spend one cold exploration probe (every third
     /// slot, or every slot while probes keep winning materially — see
     /// DESIGN.md §5c); a probe that beats the incumbent hands its basin to
-    /// the chain. Use [`StartPolicy::WarmWithRestart`] to force
-    /// unconditional round-0 restart races on drifting traces.
+    /// the chain.
     Warm,
-    /// [`StartPolicy::Warm`], but every `period`-th slot additionally races
-    /// one cold random restart and keeps the better P2-A profile — guards
-    /// against the warm seed pinning the dynamics in a sticky local
-    /// equilibrium on drifting traces.
-    WarmWithRestart {
-        /// Race a restart whenever `slot % period == 0` (`period = 1` races
-        /// every slot; `period = 0` never races, i.e. plain `Warm`).
-        period: u64,
-    },
 }
 
 /// Configuration for [`solve_p2`].
@@ -244,13 +96,13 @@ pub enum StartPolicy {
 pub struct BdmaConfig {
     /// Number of alternation rounds `z` (paper default in §VI-C: 5).
     pub rounds: usize,
-    /// Relative early-termination threshold: under a warm [`StartPolicy`],
+    /// Relative early-termination threshold: under [`StartPolicy::Warm`],
     /// stop alternating once a round improves the incumbent objective by
     /// less than `epsilon · |f|`, reporting `rounds_used ≤ z`. Ignored
     /// under [`StartPolicy::Cold`], which always runs all `z` rounds (the
-    /// bit-identity guarantee pins the RNG stream). Safe by the incumbent's
-    /// round monotonicity: the kept solution is never worse than any
-    /// earlier round's.
+    /// bit-identity guarantee pins the RNG stream), and by the robust
+    /// solve. Safe by the incumbent's round monotonicity: the kept
+    /// solution is never worse than any earlier round's.
     pub epsilon: f64,
     /// Cross-slot initialization policy.
     pub start: StartPolicy,
@@ -281,108 +133,142 @@ pub struct P2Solution {
     pub objective: f64,
     /// Latency `T_t` at the solution (under Lemma 1 allocation).
     pub latency: f64,
-    /// Energy cost `C_t` at the solution, in dollars.
+    /// Energy cost `C_t` at the solution, in dollars (down servers draw
+    /// nothing).
     pub energy_cost: f64,
-    /// BDMA rounds actually executed (`= z` cold; `≤ z` under a warm
-    /// [`StartPolicy`] with ε early termination).
+    /// BDMA rounds actually executed (`= z` cold; `≤ z` under
+    /// [`StartPolicy::Warm`] with ε early termination, or when the robust
+    /// deadline cuts the solve short).
     pub rounds_used: usize,
 }
 
-/// Runs BDMA(z) for one slot with the given P2-A solver (Alg. 2).
+/// Parks every down server at its minimum frequency `F^L`.
+fn park_down(freqs: &mut [f64], down: &[bool], min_freqs: &[f64]) {
+    for (n, _) in down.iter().enumerate().filter(|&(_, &d)| d) {
+        freqs[n] = min_freqs[n];
+    }
+}
+
+/// Runs BDMA(z) for one slot (Alg. 2) against a caller-owned
+/// [`SlotWorkspace`], which must always be passed the same `system`: the
+/// first call builds the P2-A game, every later round refreshes its
+/// weights in place. Each round emits a `p2a` and a `p2b` span and one
+/// `bdma_iteration` event (`slot` labels it and paces Warm's probes).
 ///
-/// Convenience wrapper over [`solve_p2_with`] that records nothing.
+/// **Without hooks** the seed comes from `config.start`: `Cold` draws a
+/// random profile every round from `Ω^L` and is bit-identical to
+/// [`solve_p2_reference`] for the same RNG stream; `Warm` seeds from the
+/// workspace's retained profile and frequencies (see [`StartPolicy::Warm`]).
+///
+/// **With hooks** (see [`crate::robust`]) nothing is drawn from `rng`: the
+/// seed is the retained profile repaired against the mask, or each
+/// device's cheapest allowed strategy, chained across rounds. The seed
+/// incumbent is checkpointed before round 1, down servers are held at
+/// `F^L` and charged no energy, a non-finite candidate is retried from the
+/// solo seed at most [`RETRY_LIMIT`] times, and the deadline is polled
+/// between rounds and inside the P2-A kernel.
+///
+/// # Errors
+///
+/// Only with hooks: [`SolveError::NonFinite`] for a malformed state or a
+/// non-finite seed incumbent, [`SolveError::NoAllowedStrategy`] if some
+/// device has no strategy at all, and [`SolveError::FilterUnsupported`]
+/// from a baseline P2-A solver.
 ///
 /// # Panics
 ///
 /// Panics if `config.rounds == 0` or `v` is not positive.
+#[allow(clippy::too_many_arguments)]
 pub fn solve_p2(
     system: &MecSystem,
     state: &SystemState,
     v: f64,
     queue: f64,
     config: &BdmaConfig,
-    p2a_solver: &mut dyn P2aSolver,
-    rng: &mut Pcg32,
-) -> P2Solution {
-    solve_p2_with(system, state, v, queue, config, p2a_solver, rng, 0, &NoopRecorder)
-}
-
-/// Runs BDMA(z) for one slot, reporting per-round instrumentation.
-///
-/// Each alternation round emits a `p2a` and a `p2b` span plus one
-/// `bdma_iteration` event carrying the candidate objective, whether it
-/// displaced the incumbent, and both phase durations; `bdma_rounds` /
-/// `bdma_accepted` counters track totals. `slot` only labels the emitted
-/// events — it does not affect the solve.
-///
-/// # Panics
-///
-/// Panics if `config.rounds == 0` or `v` is not positive.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_p2_with(
-    system: &MecSystem,
-    state: &SystemState,
-    v: f64,
-    queue: f64,
-    config: &BdmaConfig,
-    p2a_solver: &mut dyn P2aSolver,
-    rng: &mut Pcg32,
-    slot: u64,
-    recorder: &dyn Recorder,
-) -> P2Solution {
-    let mut workspace = SlotWorkspace::new();
-    solve_p2_in(system, state, v, queue, config, p2a_solver, rng, slot, recorder, &mut workspace)
-}
-
-/// Runs BDMA(z) for one slot against a caller-owned [`SlotWorkspace`] — the
-/// zero-rebuild entry point. The first call builds the P2-A game; every
-/// later call (and every round within a call) refreshes its weights in
-/// place. Results are bit-identical to [`solve_p2_with`] /
-/// [`solve_p2_reference`] for the same inputs and RNG stream.
-///
-/// The workspace must always be passed the same `system` (a changed
-/// topology shape falls back to a fresh build).
-///
-/// # Panics
-///
-/// Panics if `config.rounds == 0` or `v` is not positive.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_p2_in(
-    system: &MecSystem,
-    state: &SystemState,
-    v: f64,
-    queue: f64,
-    config: &BdmaConfig,
-    p2a_solver: &mut dyn P2aSolver,
-    rng: &mut Pcg32,
-    slot: u64,
-    recorder: &dyn Recorder,
+    p2a: &mut dyn P2aSolver,
     workspace: &mut SlotWorkspace,
-) -> P2Solution {
+    rng: &mut Pcg32,
+    slot: u64,
+    recorder: &dyn Recorder,
+    hooks: Option<RobustHooks<'_>>,
+) -> Result<RobustReport, SolveError> {
     assert!(config.rounds > 0, "BDMA needs at least one round");
     assert!(v > 0.0, "penalty weight must be positive");
+    let start = Instant::now();
+    let deadline = hooks.and_then(|h| h.deadline);
+    let expired = || deadline.is_some_and(|d| start.elapsed() >= d);
+    let robust = hooks.is_some();
+    if robust {
+        // Corrupt observations must surface as a catchable error before
+        // they reach game construction, whose invariants assume clean
+        // inputs.
+        check_state_well_formed(state)?;
+    }
+    let warm = !robust && config.start != StartPolicy::Cold;
+    let retained = robust || warm;
+    let min_freqs = system.min_frequencies();
+    let down = hooks.map_or_else(
+        || vec![false; min_freqs.len()],
+        |h| h.mask.down_server_flags(min_freqs.len()),
+    );
 
-    let warm = config.start != StartPolicy::Cold;
-    // Copy the retained seeds out before `prepare` takes the mutable borrow
-    // (steady-state cost: one small copy per slot, warm modes only).
-    let retained_choices: Option<Vec<usize>> =
-        if warm { workspace.retained_choices().map(<[usize]>::to_vec) } else { None };
-    let retained_freqs: Option<Vec<f64>> = if warm {
-        workspace
-            .retained_freqs()
-            .filter(|f| f.len() == system.min_frequencies().len())
-            .map(<[f64]>::to_vec)
-    } else {
-        None
+    // Line 1 of Alg. 2: Ω ← Ω^L — or, seeding from the previous slot, its
+    // Ω̄ (P2-B's alternation then continues where the last slot ended).
+    // Down servers are parked at their minimum either way.
+    let mut current: Option<Vec<usize>> =
+        if retained { workspace.retained_choices().map(<[usize]>::to_vec) } else { None };
+    let mut freqs = match workspace.retained_freqs() {
+        Some(f) if retained && f.len() == min_freqs.len() => f.to_vec(),
+        _ => min_freqs.clone(),
+    };
+    park_down(&mut freqs, &down, &min_freqs);
+
+    // The P2 objective, with the energy *actually spent* (no down server
+    // draws any; with none down this is the plain energy cost, term for
+    // term).
+    let evaluate = |assignments: &[Assignment], f: &[f64]| {
+        let latency = crate::latency::optimal_latency(system, state, assignments, f).total();
+        let energy = system.energy_cost_masked(state.price_per_kwh, f, &down);
+        (latency, energy, v * latency + queue * (energy - system.budget_per_slot()))
     };
 
-    let mut best: Option<P2Solution> = None;
-    // The last *warm-path* converged profile — what the next slot's round 0
-    // is seeded with. Kept separate from the incumbent's choices because
+    let mut incumbent: Option<P2Solution> = None;
+    let mut incumbent_choices = Vec::new();
+    let masked = {
+        let problem = workspace.prepare(system, state, &freqs);
+        match hooks {
+            None => None,
+            Some(h) => {
+                let masked = masked_seed(problem, h.mask, current.as_deref())?;
+                // Checkpoint the seed incumbent before any round runs:
+                // from here on the solve can be cut at any instant and
+                // still return something feasible.
+                let assignments = problem.assignments_from_choices(&masked.seed);
+                let (latency, energy_cost, objective) = evaluate(&assignments, &freqs);
+                if !objective.is_finite() {
+                    return Err(SolveError::NonFinite { context: "seed objective", index: 0 });
+                }
+                incumbent = Some(P2Solution {
+                    assignments,
+                    freqs_hz: freqs,
+                    objective,
+                    latency,
+                    energy_cost,
+                    rounds_used: 0,
+                });
+                incumbent_choices.clone_from(&masked.seed);
+                current = Some(masked.seed.clone());
+                Some(masked)
+            }
+        }
+    };
+    let filter = masked.as_ref().map(|m| &m.effect.filter);
+
+    // The last *warm-path* converged profile — what the next slot's round
+    // 0 is seeded with. Kept separate from the incumbent's choices because
     // the warm CGBA scratch snapshots its own last converged profile: only
     // a seed equal to that snapshot rides the incremental fast path.
     let mut chain_choices: Vec<usize> = Vec::new();
-    let mut last_choices: Option<Vec<usize>> = None;
     // At most one cold probe per slot, spent only after the warm chain
     // stalls: it buys exploration (a chance to escape a stale basin)
     // without paying a full random restart every round. The baseline rate
@@ -395,83 +281,59 @@ pub fn solve_p2_in(
     let mut probe_next = false;
     let mut probe_won = false;
     let mut explored = false;
+    let mut retries = 0u32;
     let mut rounds_used = 0;
-
-    for round in 0..config.rounds {
-        // Line 3: solve P2-A at the current frequencies.
+    let mut deadline_expired = false;
+    let mut round = 0;
+    while round < config.rounds {
+        if expired() {
+            deadline_expired = true;
+            break;
+        }
+        // Line 3: solve P2-A at the current frequencies, seeded with the
+        // nearest converged profile: the retained one in round 1, the
+        // previous round's result after (only server weights moved between
+        // rounds, so the CGBA snapshot fast path re-scans almost nobody).
+        // A probe round runs cold, on the solver's cold scratch, leaving
+        // the warm snapshot intact.
         let p2a_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2A);
-        let p2a = if round == 0 {
-            // Line 1 of Alg. 2: Ω ← Ω^L — or, warm, the previous slot's Ω̄
-            // (P2-B's alternation then continues where the last slot ended).
-            match &retained_freqs {
-                Some(freqs) => workspace.prepare(system, state, freqs),
-                None => workspace.prepare(system, state, &system.min_frequencies()),
-            }
-        } else {
-            workspace.refresh_frequencies(system)
-        };
-        // Warm rounds seed P2-A with the nearest converged profile: the
-        // previous slot's chain end in round 0, the previous round's result
-        // after (only server weights moved between rounds, so the CGBA
-        // snapshot fast path re-scans almost nobody). A probe round runs
-        // cold — `solve_seeded(None)` is `solve_with` on the solver's cold
-        // scratch, leaving the warm snapshot intact.
+        let problem = workspace.refresh_frequencies(system);
         let probe = warm && probe_next;
         probe_next = false;
-        let seed = if !warm || probe {
-            None
-        } else if round == 0 {
-            retained_choices.as_deref()
-        } else {
-            last_choices.as_deref()
-        };
-        let race_restart = round == 0
-            && seed.is_some()
-            && matches!(config.start, StartPolicy::WarmWithRestart { period }
-                if period > 0 && slot.is_multiple_of(period));
-        let choices = if race_restart {
-            // Cold and seeded runs use separate scratches, so the race
-            // leaves the warm snapshot of the seeded run intact either way.
-            let cold = p2a_solver.solve_with(p2a, rng, recorder);
-            let seeded = p2a_solver.solve_seeded(p2a, seed, rng, recorder);
-            let game = p2a.game();
-            let social = |c: &[usize]| Profile::from_choices(game, c.to_vec()).total_cost(game);
-            if social(&cold) < social(&seeded) {
-                cold
-            } else {
-                seeded
-            }
-        } else {
-            p2a_solver.solve_seeded(p2a, seed, rng, recorder)
-        };
-        let assignments = p2a.assignments_from_choices(&choices);
+        let seed = if probe { None } else { current.as_deref() };
+        let choices = p2a.solve(problem, seed, filter, &expired, rng, recorder)?;
+        let assignments = problem.assignments_from_choices(&choices);
         let p2a_nanos = p2a_span.finish().unwrap_or(0);
         // Line 4: solve P2-B at the chosen assignment.
         let p2b_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2B);
-        let p2b = solve_p2b(system, state, &assignments, v, queue);
+        let mut cand_freqs = solve_p2b(system, state, &assignments, v, queue).freqs_hz;
         let p2b_nanos = p2b_span.finish().unwrap_or(0);
-        // Latch the new frequencies for the next round's refresh (this
-        // replaces the old per-round `freqs_hz.clone()`).
-        workspace.set_freqs(&p2b.freqs_hz);
+        park_down(&mut cand_freqs, &down, &min_freqs);
+        let (latency, energy_cost, objective) = evaluate(&assignments, &cand_freqs);
+        round += 1;
+        if robust && !objective.is_finite() {
+            // A transient numeric failure: retry from the solo seed at
+            // minimum frequencies, or, past the limit, degrade to the
+            // incumbent rather than keep burning the deadline.
+            if retries >= RETRY_LIMIT {
+                break;
+            }
+            retries += 1;
+            current = masked.as_ref().map(|m| m.solo.clone());
+            workspace.set_freqs(&min_freqs);
+            continue;
+        }
+        // Latch the new frequencies for the next round's refresh.
+        workspace.set_freqs(&cand_freqs);
+        rounds_used = round;
         // Lines 5–7: keep the incumbent with the best P2 objective.
-        let latency =
-            crate::latency::optimal_latency(system, state, &assignments, &p2b.freqs_hz).total();
-        let energy_cost = system.energy_cost(state.price_per_kwh, &p2b.freqs_hz);
-        let candidate = P2Solution {
-            assignments,
-            freqs_hz: p2b.freqs_hz,
-            objective: p2b.objective,
-            latency,
-            energy_cost,
-            rounds_used: 0,
-        };
-        let prev_objective = best.as_ref().map(|b| b.objective);
-        let accepted = best.as_ref().is_none_or(|b| candidate.objective < b.objective);
+        let prev_objective = incumbent.as_ref().map(|b| b.objective);
+        let accepted = prev_objective.is_none_or(|prev| objective < prev);
         if recorder.is_enabled() {
             recorder.record(&TraceEvent::BdmaIteration {
                 slot,
-                round: round as u64 + 1,
-                objective: candidate.objective,
+                round: round as u64,
+                objective,
                 accepted,
                 p2a_nanos,
                 p2b_nanos,
@@ -482,24 +344,38 @@ pub fn solve_p2_in(
             }
         }
         if accepted {
-            best = Some(candidate);
+            incumbent = Some(P2Solution {
+                assignments,
+                freqs_hz: cand_freqs,
+                objective,
+                latency,
+                energy_cost,
+                rounds_used: 0,
+            });
+            if robust {
+                incumbent_choices.clone_from(&choices);
+            }
         }
         if warm && !probe {
-            chain_choices.clear();
-            chain_choices.extend_from_slice(&choices);
+            chain_choices.clone_from(&choices);
         }
-        rounds_used = round + 1;
-        last_choices = Some(choices);
-        // ε early termination (warm modes only — Cold must consume the same
-        // RNG stream as the reference): the incumbent is monotone over
-        // rounds, so stopping on a sub-ε round keeps every guarantee of the
-        // rounds already run. On probing slots the first stall spends the
-        // cold probe instead of exiting; a probe that beats the incumbent
-        // by ε keeps the loop alive (the chain adopts its basin through
-        // `last_choices`), a probe that doesn't ends the slot.
-        if warm && round >= 1 {
+        if retained {
+            current = Some(choices);
+        }
+        if expired() {
+            deadline_expired = true;
+            break;
+        }
+        // ε early termination (Warm only — Cold must consume the same RNG
+        // stream as the reference): the incumbent is monotone over rounds,
+        // so stopping on a sub-ε round keeps every guarantee of the rounds
+        // already run. On probing slots the first stall spends the cold
+        // probe instead of exiting; a probe that beats the incumbent by ε
+        // keeps the loop alive (the chain adopts its basin through
+        // `current`), a probe that doesn't ends the slot.
+        if warm && round >= 2 {
             let prev = prev_objective.expect("rounds after the first have an incumbent");
-            let improvement = prev - best.as_ref().expect("incumbent exists").objective;
+            let improvement = prev - incumbent.as_ref().expect("incumbent exists").objective;
             if improvement <= config.epsilon * prev.abs() {
                 if explored || !probe_allowed {
                     break;
@@ -516,28 +392,59 @@ pub fn solve_p2_in(
             }
         }
     }
-    if recorder.is_enabled() && rounds_used < config.rounds {
+    if warm && recorder.is_enabled() && rounds_used < config.rounds {
         recorder.add(eotora_obs::COUNTER_BDMA_ROUNDS_SAVED, (config.rounds - rounds_used) as u64);
     }
-    let mut best = best.expect("at least one round ran");
-    best.rounds_used = rounds_used;
+    let mut solution = incumbent.expect("a robust seed or at least one round");
+    solution.rounds_used = rounds_used;
     if warm {
         // Seed the next slot from the chain end (which matches the warm
         // scratch's snapshot), not the incumbent: the returned solution is
         // still the incumbent, only the seeding differs.
-        workspace.retain_solution(&chain_choices, &best.freqs_hz);
+        workspace.retain_solution(&chain_choices, &solution.freqs_hz);
         workspace.set_probe_hot(probe_won);
+    } else if robust {
+        workspace.retain_solution(&incumbent_choices, &solution.freqs_hz);
     }
-    best
+
+    let (masked_resources, best_effort_players, repaired_players) =
+        masked.as_ref().map_or((0, 0, 0), |m| {
+            (m.effect.masked_resources, m.effect.best_effort_players, m.repaired)
+        });
+    if recorder.is_enabled() {
+        if masked_resources > 0 {
+            recorder.add(eotora_obs::COUNTER_FAULT_MASKED_RESOURCES, masked_resources);
+        }
+        if repaired_players + best_effort_players > 0 {
+            recorder.add(
+                eotora_obs::COUNTER_FAULT_REPAIRED_PLAYERS,
+                repaired_players + best_effort_players,
+            );
+        }
+        if deadline_expired {
+            recorder.add(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS, 1);
+        }
+        if retries > 0 {
+            recorder.add(eotora_obs::COUNTER_ROBUST_RETRIES, u64::from(retries));
+        }
+    }
+    Ok(RobustReport {
+        solution,
+        masked_resources,
+        repaired_players,
+        best_effort_players,
+        deadline_expired,
+        retries,
+    })
 }
 
 /// The pre-refactor BDMA(z) loop, verbatim: a fresh [`P2aProblem::build`]
 /// and full game validation every round, the naive-rescan
 /// [`cgba_from_reference`] as the P2-A step, and a frequency clone per
-/// round. Kept as the equivalence oracle and benchmark baseline for the
-/// zero-rebuild path — it must produce bit-identical [`P2Solution`]s to
-/// [`solve_p2_in`] with a [`CgbaSolver`] for the same inputs and RNG
-/// stream.
+/// round. Kept as the equivalence oracle and benchmark baseline for
+/// [`solve_p2`] — it must produce bit-identical [`P2Solution`]s to a Cold
+/// [`solve_p2`] with a [`crate::sharded::CgbaSolver`] for the same inputs and
+/// RNG stream.
 ///
 /// # Panics
 ///
@@ -590,7 +497,9 @@ pub fn solve_p2_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sharded::CgbaSolver;
     use crate::system::SystemConfig;
+    use eotora_obs::NoopRecorder;
     use eotora_states::{PaperStateConfig, StateProvider};
     use eotora_util::assert_close;
 
@@ -601,6 +510,41 @@ mod tests {
         (system, state)
     }
 
+    /// A plain (hook-free) controller: a CGBA solver and its workspace.
+    #[derive(Default)]
+    struct Controller {
+        solver: CgbaSolver,
+        ws: SlotWorkspace,
+    }
+
+    impl Controller {
+        fn solve(
+            &mut self,
+            (system, state): (&MecSystem, &SystemState),
+            (v, q): (f64, f64),
+            config: &BdmaConfig,
+            rng: &mut Pcg32,
+            slot: u64,
+        ) -> P2Solution {
+            let (solver, ws, rec) = (&mut self.solver, &mut self.ws, &NoopRecorder);
+            solve_p2(system, state, v, q, config, solver, ws, rng, slot, rec, None)
+                .unwrap()
+                .solution
+        }
+    }
+
+    /// One plain slot solve on a fresh workspace.
+    fn solve_fresh(
+        system: &MecSystem,
+        state: &SystemState,
+        v: f64,
+        q: f64,
+        config: &BdmaConfig,
+        rng: &mut Pcg32,
+    ) -> P2Solution {
+        Controller::default().solve((system, state), (v, q), config, rng, 0)
+    }
+
     fn run(
         system: &MecSystem,
         state: &SystemState,
@@ -609,17 +553,8 @@ mod tests {
         rounds: usize,
         seed: u64,
     ) -> P2Solution {
-        let mut solver = CgbaSolver::default();
-        let mut rng = Pcg32::seed(seed);
-        solve_p2(
-            system,
-            state,
-            v,
-            q,
-            &BdmaConfig { rounds, ..Default::default() },
-            &mut solver,
-            &mut rng,
-        )
+        let config = BdmaConfig { rounds, ..Default::default() };
+        solve_fresh(system, state, v, q, &config, &mut Pcg32::seed(seed))
     }
 
     #[test]
@@ -727,26 +662,14 @@ mod tests {
         let system = MecSystem::random(&SystemConfig::paper_defaults(devices), seed);
         let mut provider =
             StateProvider::paper(system.topology(), &PaperStateConfig::default(), seed);
-        let mut solver = CgbaSolver::default();
-        let mut workspace = SlotWorkspace::new();
+        let mut controller = Controller::default();
         let mut rng = Pcg32::seed_stream(seed, 0xD99);
         let mut queue = 0.0;
         let mut states = Vec::new();
         let mut sols = Vec::new();
         for slot in 0..slots {
             let state = provider.observe(slot, system.topology());
-            let sol = solve_p2_in(
-                &system,
-                &state,
-                v,
-                queue,
-                config,
-                &mut solver,
-                &mut rng,
-                slot,
-                &NoopRecorder,
-                &mut workspace,
-            );
+            let sol = controller.solve((&system, &state), (v, queue), config, &mut rng, slot);
             queue = (queue + sol.energy_cost - system.budget_per_slot()).max(0.0);
             states.push(state);
             sols.push(sol);
@@ -789,44 +712,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_with_restart_stays_feasible_and_bounded() {
-        let config = BdmaConfig {
-            rounds: 3,
-            epsilon: 1e-9,
-            start: StartPolicy::WarmWithRestart { period: 2 },
-        };
-        let (system, states, sols) = run_warm_slots(12, 53, 100.0, &config, 5);
-        for (state, sol) in states.iter().zip(&sols) {
-            let decision = crate::allocation::optimal_allocation(
-                &system,
-                state,
-                &sol.assignments,
-                &sol.freqs_hz,
-            );
-            decision.validate(&system).unwrap();
-            assert_theorem3_bound(&system, state, sol, 100.0, 0.0, "warm+restart");
-        }
-    }
-
-    #[test]
-    fn solve_seeded_without_seed_matches_solve_with() {
-        // The Cold path routes through `solve_seeded(seed: None)`, which
-        // must consume the same RNG stream and produce the same choices as
-        // the plain `solve_with` (the bit-identity guarantee rides on it).
-        let (system, state) = setup(10, 54);
-        let freqs = system.min_frequencies();
-        let problem = P2aProblem::build(&system, &state, &freqs);
-        let mut a = CgbaSolver::default();
-        let mut b = CgbaSolver::default();
-        let mut rng_a = Pcg32::seed(17);
-        let mut rng_b = Pcg32::seed(17);
-        let plain = a.solve_with(&problem, &mut rng_a, &NoopRecorder);
-        let seeded = b.solve_seeded(&problem, None, &mut rng_b, &NoopRecorder);
-        assert_eq!(plain, seeded);
-        assert_eq!(rng_a, rng_b);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one round")]
     fn zero_rounds_panics() {
         let (system, state) = setup(4, 47);
@@ -838,40 +723,27 @@ mod tests {
         // The zero-rebuild path (reused workspace + incremental CGBA) must
         // be bit-identical to the pre-refactor loop across a stream of
         // slots with varying states and queue backlogs.
-        use crate::workspace::SlotWorkspace;
         use eotora_states::{PaperStateConfig, StateProvider};
 
         let system = MecSystem::random(&crate::system::SystemConfig::paper_defaults(16), 48);
         let mut provider =
             StateProvider::paper(system.topology(), &PaperStateConfig::default(), 48);
         let config = BdmaConfig { rounds: 3, ..Default::default() };
-        let mut solver = CgbaSolver::default();
-        let mut workspace = SlotWorkspace::new();
+        let mut controller = Controller::default();
         let mut rng_new = Pcg32::seed(9);
         let mut rng_ref = Pcg32::seed(9);
         let mut queue = 0.0;
         for slot in 0..6u64 {
             let state = provider.observe(slot, system.topology());
             let v = 100.0;
-            let sol = solve_p2_in(
-                &system,
-                &state,
-                v,
-                queue,
-                &config,
-                &mut solver,
-                &mut rng_new,
-                slot,
-                &NoopRecorder,
-                &mut workspace,
-            );
+            let sol = controller.solve((&system, &state), (v, queue), &config, &mut rng_new, slot);
             let reference = solve_p2_reference(
                 &system,
                 &state,
                 v,
                 queue,
                 &config,
-                &solver.config,
+                &controller.solver.config,
                 &mut rng_ref,
             );
             assert_eq!(sol, reference, "slot {slot}");
@@ -882,17 +754,15 @@ mod tests {
     }
 
     #[test]
-    fn solve_p2_with_matches_reference() {
-        // The temp-workspace wrapper is the same computation.
+    fn fresh_workspace_solve_matches_reference() {
+        // A solve on a fresh workspace is the same computation.
         let (system, state) = setup(12, 49);
-        let mut solver = CgbaSolver::default();
-        let sol = solve_p2(
+        let sol = solve_fresh(
             &system,
             &state,
             80.0,
             30.0,
             &BdmaConfig { rounds: 2, ..Default::default() },
-            &mut solver,
             &mut Pcg32::seed(11),
         );
         let reference = solve_p2_reference(

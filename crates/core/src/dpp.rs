@@ -19,11 +19,12 @@ use serde::{Deserialize, Serialize};
 
 use crate::allocation::{optimal_allocation, try_optimal_allocation};
 use crate::baselines::{ExactSolver, GreedySolver, McbaConfig, McbaSolver, RoptSolver};
-use crate::bdma::{solve_p2_in, BdmaConfig, CgbaSolver, P2aSolver, StartPolicy};
+use crate::bdma::{solve_p2, BdmaConfig, P2aSolver, StartPolicy};
 use crate::decision::SlotDecision;
+use crate::error::SolveError;
 use crate::fault::AvailabilityMask;
-use crate::robust::{equal_share_decision, solve_p2_robust, RobustConfig, RobustReport};
-use crate::sharded::ShardedCgbaSolver;
+use crate::robust::{equal_share_decision, RobustConfig, RobustHooks, RobustReport};
+use crate::sharded::CgbaSolver;
 use crate::system::MecSystem;
 use crate::workspace::SlotWorkspace;
 
@@ -63,10 +64,8 @@ pub enum SolverKind {
 impl SolverKind {
     fn instantiate(self) -> Box<dyn P2aSolver> {
         match self {
-            Self::Cgba { lambda } => Box::new(CgbaSolver::with_lambda(lambda)),
-            Self::ShardedCgba { lambda, shards } => {
-                Box::new(ShardedCgbaSolver::with_lambda(lambda, shards))
-            }
+            Self::Cgba { lambda } => Box::new(CgbaSolver::new(lambda, 1)),
+            Self::ShardedCgba { lambda, shards } => Box::new(CgbaSolver::new(lambda, shards)),
             Self::Ropt => Box::new(RoptSolver),
             Self::Greedy => Box::new(GreedySolver),
             Self::Mcba { iterations } => {
@@ -74,6 +73,12 @@ impl SolverKind {
             }
             Self::Exact { node_budget } => Box::new(ExactSolver { node_budget, warm_start: true }),
         }
+    }
+
+    /// Whether the solver honours an availability mask, which the robust
+    /// engine needs: only CGBA does, the baselines solve the unmasked game.
+    pub fn supports_masks(self) -> bool {
+        matches!(self, Self::Cgba { .. } | Self::ShardedCgba { .. })
     }
 
     /// Display name matching the paper's figure legends.
@@ -127,16 +132,14 @@ impl Default for DppConfig {
 
 /// The EOTORA-specific slot solver handed to the generic DPP controller.
 /// Owns a [`SlotWorkspace`] so steady-state slots refresh the P2-A game in
-/// place instead of rebuilding it (see [`crate::workspace`]), and next to
-/// it the robust path's P2-A solver, whose shard plan and CGBA scratch are
-/// likewise reused across rounds and slots.
+/// place instead of rebuilding it (see [`crate::workspace`]), and the one
+/// P2-A solver both the plain and the robust step run.
 pub struct EotoraSlotSolver {
     system: MecSystem,
     bdma: BdmaConfig,
     p2a: Box<dyn P2aSolver>,
     rng: Pcg32,
     workspace: SlotWorkspace,
-    robust_p2a: ShardedCgbaSolver,
 }
 
 impl fmt::Debug for EotoraSlotSolver {
@@ -149,8 +152,24 @@ impl fmt::Debug for EotoraSlotSolver {
 }
 
 impl EotoraSlotSolver {
-    /// Solves one slot, emitting `p2a`/`p2b` spans and `bdma_iteration`
-    /// events into `recorder` (`slot` labels those events).
+    /// Runs the BDMA loop for one slot, emitting `p2a`/`p2b` spans and
+    /// `bdma_iteration` events into `recorder` (`slot` labels those
+    /// events); `hooks` switch on the robust behaviour.
+    fn solve_p2(
+        &mut self,
+        state: &SystemState,
+        v: f64,
+        q: f64,
+        slot: u64,
+        recorder: &dyn Recorder,
+        hooks: Option<RobustHooks<'_>>,
+    ) -> Result<RobustReport, SolveError> {
+        let Self { system, bdma, p2a, rng, workspace } = self;
+        solve_p2(system, state, v, q, bdma, p2a.as_mut(), workspace, rng, slot, recorder, hooks)
+    }
+
+    /// Solves one slot on the plain path and recovers the Lemma 1
+    /// allocation.
     fn solve_recorded(
         &mut self,
         state: &SystemState,
@@ -159,18 +178,10 @@ impl EotoraSlotSolver {
         slot: u64,
         recorder: &dyn Recorder,
     ) -> SlotOutcome<SlotDecision> {
-        let sol = solve_p2_in(
-            &self.system,
-            state,
-            v,
-            q,
-            &self.bdma,
-            self.p2a.as_mut(),
-            &mut self.rng,
-            slot,
-            recorder,
-            &mut self.workspace,
-        );
+        let sol = self
+            .solve_p2(state, v, q, slot, recorder, None)
+            .expect("an unmasked solve without a deadline cannot fail")
+            .solution;
         let decision = optimal_allocation(&self.system, state, &sol.assignments, &sol.freqs_hz);
         debug_assert!(decision.validate(&self.system).is_ok());
         SlotOutcome {
@@ -239,7 +250,6 @@ impl EotoraDpp {
             // P2-A game, later slots refresh it in place with identical
             // numerics (so checkpoint/resume stays bit-exact).
             workspace: SlotWorkspace::new(),
-            robust_p2a: ShardedCgbaSolver::default(),
         };
         Self {
             solver,
@@ -326,11 +336,13 @@ impl EotoraDpp {
     /// [`crate::robust`]): `mask` excludes failed components from the
     /// solve, `robust.deadline` bounds the slot's wall-clock with a
     /// checkpointed incumbent, and the virtual queue is charged only for
-    /// energy actually spent (down servers draw nothing). This path never
-    /// panics on degraded inputs: a solve that cannot even seed an
-    /// incumbent (corrupt state that bypassed sanitization) falls back to
-    /// the topology-only lifeboat decision, and a failed Lemma 1
-    /// allocation falls back to equal shares.
+    /// energy actually spent (down servers draw nothing). Rounds, λ and
+    /// shards are the controller's own. This path never panics on degraded
+    /// inputs: a solve that cannot even seed an incumbent (corrupt state
+    /// that bypassed sanitization) or whose P2-A solver cannot honour the
+    /// mask (a baseline) falls back to the topology-only lifeboat
+    /// decision, and a failed Lemma 1 allocation falls back to equal
+    /// shares.
     ///
     /// Callers should sanitize observations first
     /// ([`crate::sanitize::StateSanitizer`]); the fallbacks here are the
@@ -345,31 +357,23 @@ impl EotoraDpp {
         let slot = self.slots;
         let queue_before = self.queue.backlog();
         let down = mask.down_server_flags(self.solver.system.topology().num_servers());
-        let report = solve_p2_robust(
-            &self.solver.system,
-            state,
-            self.config.v,
-            queue_before,
-            mask,
-            robust,
-            &mut self.solver.workspace,
-            &mut self.solver.robust_p2a,
-            slot,
-            recorder,
-        )
-        .unwrap_or_else(|_| {
-            // Escalation past the first rung: record it so live telemetry
-            // can trip a postmortem dump at the moment of failure.
-            recorder.add(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS, 1);
-            recorder.add(eotora_obs::COUNTER_ROBUST_LIFEBOAT_DECISIONS, 1);
-            crate::robust::lifeboat_report(
-                &self.solver.system,
-                state,
-                self.config.v,
-                queue_before,
-                &down,
-            )
-        });
+        let hooks = RobustHooks { mask, deadline: robust.deadline };
+        let report = self
+            .solver
+            .solve_p2(state, self.config.v, queue_before, slot, recorder, Some(hooks))
+            .unwrap_or_else(|_| {
+                // Escalation past the first rung: record it so live telemetry
+                // can trip a postmortem dump at the moment of failure.
+                recorder.add(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS, 1);
+                recorder.add(eotora_obs::COUNTER_ROBUST_LIFEBOAT_DECISIONS, 1);
+                crate::robust::lifeboat_report(
+                    &self.solver.system,
+                    state,
+                    self.config.v,
+                    queue_before,
+                    &down,
+                )
+            });
         let system = &self.solver.system;
         let decision = try_optimal_allocation(
             system,
@@ -635,7 +639,7 @@ mod tests {
         let system = MecSystem::random(&SystemConfig::paper_defaults(12), 21);
         let mut states = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 21);
         let mut dpp = EotoraDpp::new(system, DppConfig { bdma_rounds: 2, ..Default::default() });
-        let robust = crate::robust::RobustConfig { rounds: 2, ..Default::default() };
+        let robust = RobustConfig::default();
         for t in 0..12 {
             let beta = states.observe(t, dpp.system().topology());
             let mask = if (4..8).contains(&t) {
@@ -678,6 +682,29 @@ mod tests {
             dpp.system().energy_cost_masked(beta.price_per_kwh, &report.solution.freqs_hz, &down);
         let expected = (masked_cost - dpp.system().budget_per_slot()).max(0.0);
         assert!((step.queue_after - expected).abs() < 1e-12);
+    }
+
+    #[test]
+    fn robust_step_on_a_baseline_solver_is_a_counted_lifeboat() {
+        // ROPT cannot honour an availability mask: the robust step must
+        // fall back to the lifeboat decision and count it, never solve
+        // the slot with some other (CGBA) solver.
+        let system = MecSystem::random(&SystemConfig::paper_defaults(10), 23);
+        let mut states = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 23);
+        let config = DppConfig { solver: SolverKind::Ropt, ..Default::default() };
+        let mut dpp = EotoraDpp::new(system, config);
+        let beta = states.observe(0, dpp.system().topology());
+        let mask = AvailabilityMask::default();
+        let down = mask.down_server_flags(dpp.system().topology().num_servers());
+        let lifeboat = crate::robust::lifeboat_report(dpp.system(), &beta, config.v, 0.0, &down);
+        let rec = eotora_obs::MetricsRecorder::new();
+        let (step, report) = dpp.step_robust(&beta, &mask, &RobustConfig::default(), &rec);
+        assert_eq!(report, lifeboat);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS), 1);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_ROBUST_LIFEBOAT_DECISIONS), 1);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_CGBA_ITERATIONS), 0);
+        assert_eq!(rec.counter(eotora_obs::COUNTER_BDMA_ROUNDS), 0);
+        step.outcome.decision.validate(dpp.system()).unwrap();
     }
 
     #[test]

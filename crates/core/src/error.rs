@@ -38,6 +38,12 @@ pub enum SolveError {
         /// The device that cannot be placed.
         device: usize,
     },
+    /// A P2-A solver was handed an availability mask it cannot honour (the
+    /// baselines solve the unmasked game only).
+    FilterUnsupported {
+        /// The solver's report name, e.g. `"ROPT"`.
+        solver: &'static str,
+    },
     /// The solver could not produce any finite candidate within its retry
     /// budget; the caller should fall back to the last feasible decision.
     RetriesExhausted {
@@ -57,6 +63,9 @@ impl fmt::Display for SolveError {
             }
             Self::NoAllowedStrategy { device } => {
                 write!(f, "device {device} has no allowed strategy under the availability mask")
+            }
+            Self::FilterUnsupported { solver } => {
+                write!(f, "the {solver} solver cannot honour an availability mask")
             }
             Self::RetriesExhausted { attempts } => {
                 write!(f, "no finite solve candidate after {attempts} retries")

@@ -21,13 +21,13 @@
 //! | [`latency`] | eqs. (7)–(11), (18)–(20) | latency under arbitrary and optimal allocations |
 //! | [`p2a`] | §V-B | the P2-A ↔ weighted-congestion-game mapping |
 //! | [`p2b`] | §V-A | separable convex frequency scaling (the CVX substitute) |
-//! | [`bdma`] | Alg. 2 | BDMA(z): alternate P2-A and P2-B, keep the best |
+//! | [`bdma`] | Alg. 2 | BDMA(z): alternate P2-A and P2-B, keep the best — the one slot loop, plain or robust |
 //! | [`dpp`] | Alg. 1 | BDMA-based DPP online controller (plugs into `eotora-lyapunov`) |
 //! | [`workspace`] | — | [`workspace::SlotWorkspace`]: reusable per-slot solver state (zero-rebuild engine) |
 //! | [`baselines`] | §VI | ROPT, MCBA (MCMC), and the exact branch-and-bound optimum |
 //! | [`fault`] | — | [`fault::AvailabilityMask`] + [`fault::FaultSchedule`]: failure model and scripted traces |
-//! | [`robust`] | — | [`robust::solve_p2_robust`]: fault-masked anytime solve with checkpointed incumbents |
-//! | [`sharded`] | — | [`sharded::ShardedCgbaSolver`]: per-cluster CGBA subgames solved in parallel and merged deterministically |
+//! | [`robust`] | — | [`robust::RobustHooks`]: the fault-masked anytime behaviour of the slot loop, with checkpointed incumbents |
+//! | [`sharded`] | Alg. 3 | [`sharded::CgbaSolver`]: the P2-A solver — CGBA on the whole game, or per cluster shard merged deterministically |
 //! | [`sanitize`] | — | [`sanitize::StateSanitizer`]: `β_t` validation with last-known-good substitution |
 //! | [`checkpoint`] | — | [`checkpoint::ControllerState`]: full serializable resume state (queue + workspace + sanitizer) |
 //! | [`error`] | — | [`error::SolveError`]: typed recoverable failures for the degradation ladder |
@@ -77,8 +77,8 @@ pub use error::SolveError;
 pub use fault::{AvailabilityMask, FaultAction, FaultEvent, FaultSchedule};
 pub use multi_budget::MultiBudgetDpp;
 pub use per_slot::PerSlotController;
-pub use robust::{solve_p2_robust, RobustConfig, RobustReport};
+pub use robust::{RobustConfig, RobustHooks, RobustReport};
 pub use sanitize::{SanitizeDefaults, SanitizeLimits, StateSanitizer};
-pub use sharded::ShardedCgbaSolver;
+pub use sharded::CgbaSolver;
 pub use system::{MecSystem, SystemConfig};
 pub use workspace::SlotWorkspace;

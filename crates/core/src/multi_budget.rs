@@ -21,14 +21,16 @@
 //! over unchanged apart from the bookkeeping, implemented here.
 
 use eotora_lyapunov::MultiQueue;
+use eotora_obs::NoopRecorder;
 use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
 
 use crate::allocation::optimal_allocation;
-use crate::bdma::{CgbaSolver, P2aSolver};
+use crate::bdma::P2aSolver;
 use crate::decision::{Assignment, SlotDecision};
 use crate::latency::optimal_latency;
 use crate::p2a::P2aProblem;
+use crate::sharded::CgbaSolver;
 use crate::system::MecSystem;
 use eotora_optim::scalar::minimize_bisection;
 
@@ -172,7 +174,10 @@ impl MultiBudgetDpp {
         let mut best: Option<(f64, Vec<Assignment>, Vec<f64>)> = None;
         for _ in 0..self.bdma_rounds {
             let p2a = P2aProblem::build(&self.system, state, &freqs);
-            let choices = self.p2a.solve(&p2a, &mut self.rng);
+            let choices = self
+                .p2a
+                .solve(&p2a, None, None, &|| false, &mut self.rng, &NoopRecorder)
+                .expect("an unfiltered P2-A solve cannot fail");
             let assignments = p2a.assignments_from_choices(&choices);
             freqs = self.solve_frequencies(state, &assignments);
             let latency = optimal_latency(&self.system, state, &assignments, &freqs).total();

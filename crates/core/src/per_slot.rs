@@ -25,9 +25,10 @@ use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
 
 use crate::allocation::optimal_allocation;
-use crate::bdma::{CgbaSolver, P2aSolver, StartPolicy};
+use crate::bdma::{P2aSolver, StartPolicy};
 use crate::decision::SlotDecision;
 use crate::p2b::solve_p2b;
+use crate::sharded::CgbaSolver;
 use crate::system::MecSystem;
 use crate::workspace::SlotWorkspace;
 
@@ -129,7 +130,10 @@ impl PerSlotController {
         };
         let p2a_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2A);
         let p2a = self.workspace.prepare(&self.system, state, &min_freqs);
-        let choices = self.p2a.solve_seeded(p2a, seed.as_deref(), &mut self.rng, recorder);
+        let choices = self
+            .p2a
+            .solve(p2a, seed.as_deref(), None, &|| false, &mut self.rng, recorder)
+            .expect("an unfiltered P2-A solve cannot fail");
         let assignments = p2a.assignments_from_choices(&choices);
         p2a_span.finish();
         if self.start != StartPolicy::Cold {

@@ -1,16 +1,18 @@
 //! The fault-tolerant anytime P2 solve: failure masking + solve deadlines.
 //!
-//! The paper-faithful path ([`crate::bdma::solve_p2_in`]) assumes every
-//! server, station, and fronthaul edge is up and that it may run to
-//! completion. This module keeps the controller producing *feasible*
-//! decisions when neither holds:
+//! The paper-faithful loop assumes every server, station, and fronthaul
+//! edge is up and that it may run to completion. [`RobustHooks`] — the
+//! slot's [`AvailabilityMask`] and deadline — switch the one BDMA loop
+//! ([`crate::bdma::solve_p2`]) to behaviour that keeps the controller
+//! producing *feasible* decisions when neither holds:
 //!
-//! * **Failure masking** — an [`AvailabilityMask`] is lowered to a
+//! * **Failure masking** — the mask is lowered to a
 //!   [`eotora_game::StrategyFilter`] over the unchanged game shape, so the
 //!   CGBA solve simply never considers strategies touching a failed
-//!   component (see [`crate::fault`]). Retained warm profiles are repaired
+//!   component (see [`crate::fault`]). Retained profiles are repaired
 //!   against the masked game: displaced devices fall back to their cheapest
-//!   reachable alternative. Energy accounting charges only servers that are
+//!   reachable alternative. Down servers are held at their minimum
+//!   frequency, and energy accounting charges only servers that are
 //!   actually up ([`crate::system::MecSystem::energy_cost_masked`]), so the
 //!   virtual queue reflects energy actually spent.
 //! * **Anytime deadlines** — the solve checkpoints an incumbent *before*
@@ -25,15 +27,13 @@
 //! * **Bounded retries** — a round whose candidate objective comes out
 //!   non-finite (transient numeric failure) is retried from the
 //!   deterministic solo seed at minimum frequencies, at most
-//!   [`RobustConfig::max_retries`] times; exhaustion returns the incumbent.
+//!   [`RETRY_LIMIT`] times; exhaustion returns the incumbent.
 //!
-//! The P2-A step runs the same incremental CGBA kernel as the paper path,
-//! through [`ShardedCgbaSolver`] with the filter and the deadline as the
-//! kernel's two hooks; [`RobustConfig::shards`] picks a sequential (`1`)
-//! or sharded solve. The caller owns that solver next to its
-//! [`SlotWorkspace`], so the shard plan and the CGBA scratch are reused
-//! across rounds and slots, and it emits the same `cgba.*` / `shard.*`
-//! counters as the paper path.
+//! The P2-A step runs the controller's own solver with the filter and the
+//! deadline as hooks, so rounds, λ and shards come from the controller's
+//! configuration. Only CGBA honours a filter; a baseline solver refuses it
+//! with [`SolveError::FilterUnsupported`], and the controller falls back to
+//! the lifeboat decision rather than silently solve another problem.
 //!
 //! Unlike the paper path, the robust solve is deterministic given its
 //! inputs (no RNG): the seed profile is the repaired retained profile or
@@ -43,22 +43,24 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use eotora_game::{CgbaConfig, Profile};
-use eotora_obs::{Recorder, SpanGuard, TraceEvent};
+use eotora_game::Profile;
 use eotora_states::SystemState;
 
 use crate::bdma::P2Solution;
 use crate::decision::{Assignment, SlotDecision};
 use crate::error::SolveError;
-use crate::fault::AvailabilityMask;
-use crate::p2b::solve_p2b;
-use crate::sharded::ShardedCgbaSolver;
+use crate::fault::{AvailabilityMask, MaskEffect};
+use crate::p2a::P2aProblem;
 use crate::system::MecSystem;
-use crate::workspace::SlotWorkspace;
 
-/// Configuration of the robust per-slot solve.
+/// Immediate retries allowed when a robust round's candidate objective is
+/// non-finite.
+pub const RETRY_LIMIT: u32 = 2;
+
+/// Configuration of the robust per-slot solve. Rounds, λ and shards are
+/// the controller's own ([`crate::dpp::DppConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RobustConfig {
     /// Wall-clock budget for one slot's solve; `None` disables the
@@ -66,34 +68,27 @@ pub struct RobustConfig {
     /// iteration, so expiry latency is one best-response scan, not one
     /// round.
     pub deadline: Option<Duration>,
-    /// BDMA alternation rounds `z` (upper bound; the deadline may stop
-    /// earlier).
-    pub rounds: usize,
-    /// Immediate retries allowed when a round's candidate objective is
-    /// non-finite.
-    pub max_retries: u32,
-    /// CGBA approximation slack λ.
-    pub lambda: f64,
-    /// Shard cap for the P2-A step, in [`eotora_game::ShardPlan::compute`]'s
-    /// convention: `1` (the default) solves sequentially, `0` one shard per
-    /// BS-cluster component, `N` at most `N` shards. On dense topologies
-    /// the plan collapses to one shard either way, so sharding is always
-    /// safe; a shard that misses the deadline degrades alone while the
-    /// rest still converge.
-    pub shards: usize,
     /// Whether the engine runs the state sanitizer ahead of the solve
-    /// (consumed by the simulation runner, not by
-    /// [`solve_p2_robust`] itself). Disabling it lets corrupt
-    /// observations reach the solver — a diagnostic mode that forces
-    /// the ladder to escalate, exercising the lifeboat and the
-    /// flight-recorder postmortem path.
+    /// (consumed by the simulation runner, not by the solve itself).
+    /// Disabling it lets corrupt observations reach the solver — a
+    /// diagnostic mode that forces the ladder to escalate, exercising the
+    /// lifeboat and the flight-recorder postmortem path.
     pub sanitize: bool,
 }
 
 impl Default for RobustConfig {
     fn default() -> Self {
-        Self { deadline: None, rounds: 5, max_retries: 2, lambda: 0.0, shards: 1, sanitize: true }
+        Self { deadline: None, sanitize: true }
     }
+}
+
+/// The robust hooks of one slot's BDMA solve ([`crate::bdma::solve_p2`]).
+#[derive(Debug, Clone, Copy)]
+pub struct RobustHooks<'a> {
+    /// The components down this slot.
+    pub mask: &'a AvailabilityMask,
+    /// Wall-clock budget for the solve; `None` runs every round.
+    pub deadline: Option<Duration>,
 }
 
 /// What one robust slot solve did, besides the solution itself.
@@ -115,214 +110,46 @@ pub struct RobustReport {
     pub retries: u32,
 }
 
-/// Solves one slot's P2 under an availability mask with an anytime
-/// deadline. `p2a` is the caller's long-lived P2-A solver; its λ and shard
-/// cap are set from `config`. Emits the usual `p2a`/`p2b` spans,
-/// `bdma_iteration` events and BDMA / CGBA counters, plus the `fault.*` /
-/// `deadline.*` counters, into `recorder`.
+/// The start of a robust solve: the mask lowered onto the prepared
+/// problem, each device's cheapest-alone allowed strategy (also the retry
+/// basin), and the seed profile.
+pub(crate) struct MaskedSeed {
+    pub effect: MaskEffect,
+    pub solo: Vec<usize>,
+    /// The repaired retained profile when one exists, else `solo`.
+    pub seed: Vec<usize>,
+    /// Players the mask displaced off the retained profile.
+    pub repaired: u64,
+}
+
+/// Builds the [`MaskedSeed`] of `mask` on `problem`, repairing `retained`.
 ///
 /// # Errors
 ///
 /// [`SolveError::NoAllowedStrategy`] if some device has no strategy at all
 /// (an invalid game — masking alone cannot cause this, the best-effort
-/// re-allow guarantees a non-empty set); [`SolveError::NonFinite`] if even
-/// the seed incumbent evaluates non-finite (corrupt state that the
-/// sanitizer should have caught upstream).
-#[allow(clippy::too_many_arguments)]
-pub fn solve_p2_robust(
-    system: &MecSystem,
-    state: &SystemState,
-    v: f64,
-    queue: f64,
+/// re-allow guarantees a non-empty set).
+pub(crate) fn masked_seed(
+    problem: &P2aProblem,
     mask: &AvailabilityMask,
-    config: &RobustConfig,
-    workspace: &mut SlotWorkspace,
-    p2a: &mut ShardedCgbaSolver,
-    slot: u64,
-    recorder: &dyn Recorder,
-) -> Result<RobustReport, SolveError> {
-    let start = Instant::now();
-    let expired = || config.deadline.is_some_and(|d| start.elapsed() >= d);
-    // Pre-flight: corrupt observations (NaN cycles, negative bits, infinite
-    // spectral efficiency) must surface as a catchable SolveError before
-    // they reach game construction, whose invariants assume clean inputs.
-    // Reached only when the sanitizer is disabled or was itself defeated.
-    check_state_well_formed(state)?;
-    let min_freqs = system.min_frequencies();
-    let down = mask.down_server_flags(system.topology().num_servers());
-
-    // Starting frequencies: the retained previous-slot frequencies when
-    // their shape still matches, else Ω^L — with every down server parked
-    // at its minimum either way.
-    let retained_choices: Option<Vec<usize>> = workspace.retained_choices().map(<[usize]>::to_vec);
-    let mut freqs = match workspace.retained_freqs() {
-        Some(f) if f.len() == min_freqs.len() => f.to_vec(),
-        _ => min_freqs.clone(),
-    };
-    for (n, &d) in down.iter().enumerate() {
-        if d {
-            freqs[n] = min_freqs[n];
+    retained: Option<&[usize]>,
+) -> Result<MaskedSeed, SolveError> {
+    let effect = mask.strategy_filter(problem);
+    let game = problem.game();
+    let mut solo = Vec::with_capacity(game.num_players());
+    for i in 0..game.num_players() {
+        match Profile::solo_cheapest_filtered(game, i, &effect.filter) {
+            Some(s) => solo.push(s),
+            None => return Err(SolveError::NoAllowedStrategy { device: i }),
         }
     }
-
-    // Lower the mask onto the prepared problem and build the seed profile:
-    // the repaired retained profile when one exists, else each device's
-    // cheapest-alone allowed strategy (also the retry fallback basin).
-    let (effect, seed_choices, solo_choices, seed_assignments, repaired_players) = {
-        let problem = workspace.prepare(system, state, &freqs);
-        let effect = mask.strategy_filter(problem);
-        let game = problem.game();
-        let mut solo = Vec::with_capacity(game.num_players());
-        for i in 0..game.num_players() {
-            match Profile::solo_cheapest_filtered(game, i, &effect.filter) {
-                Some(s) => solo.push(s),
-                None => return Err(SolveError::NoAllowedStrategy { device: i }),
-            }
-        }
-        let (seed, repaired) = match retained_choices
-            .as_deref()
-            .and_then(|c| Profile::from_retained_choices_filtered(game, c, &effect.filter))
-        {
-            Some((profile, displaced)) => (profile.choices().to_vec(), displaced as u64),
-            None => (solo.clone(), 0),
-        };
-        let assignments = problem.assignments_from_choices(&seed);
-        (effect, seed, solo, assignments, repaired)
+    let (seed, repaired) = match retained
+        .and_then(|c| Profile::from_retained_choices_filtered(game, c, &effect.filter))
+    {
+        Some((profile, displaced)) => (profile.choices().to_vec(), displaced as u64),
+        None => (solo.clone(), 0),
     };
-
-    // The robust objective: latency under the Lemma 1 allocation plus
-    // queue-weighted excess of the energy *actually spent* (down servers
-    // draw nothing).
-    let evaluate = |assignments: &[Assignment], f: &[f64]| {
-        let latency = crate::latency::optimal_latency(system, state, assignments, f).total();
-        let energy = system.energy_cost_masked(state.price_per_kwh, f, &effect.down_servers);
-        (latency, energy, v * latency + queue * (energy - system.budget_per_slot()))
-    };
-
-    // Checkpoint the seed incumbent before any round runs: from here on the
-    // solve can be cut at any instant and still return something feasible.
-    let (lat, energy, objective) = evaluate(&seed_assignments, &freqs);
-    if !objective.is_finite() {
-        return Err(SolveError::NonFinite { context: "seed objective", index: 0 });
-    }
-    let mut incumbent = P2Solution {
-        assignments: seed_assignments,
-        freqs_hz: freqs.clone(),
-        objective,
-        latency: lat,
-        energy_cost: energy,
-        rounds_used: 0,
-    };
-    let mut incumbent_choices = seed_choices.clone();
-
-    p2a.config = CgbaConfig { lambda: config.lambda, ..Default::default() };
-    p2a.max_shards = config.shards;
-    let mut current = seed_choices;
-    let mut retries = 0u32;
-    let mut rounds_used = 0usize;
-    let mut deadline_expired = false;
-    let mut round = 0usize;
-    while round < config.rounds {
-        if expired() {
-            deadline_expired = true;
-            break;
-        }
-        let p2a_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2A);
-        let (choices, assignments) = {
-            let problem = workspace.refresh_frequencies(system);
-            let choices = p2a.solve_split(
-                problem,
-                std::mem::take(&mut current),
-                false,
-                Some(&effect.filter),
-                &expired,
-                recorder,
-            );
-            let assignments = problem.assignments_from_choices(&choices);
-            (choices, assignments)
-        };
-        let p2a_nanos = p2a_span.finish().unwrap_or(0);
-        let p2b_span = SpanGuard::new(recorder, eotora_obs::SPAN_P2B);
-        let p2b = solve_p2b(system, state, &assignments, v, queue);
-        let p2b_nanos = p2b_span.finish().unwrap_or(0);
-        let mut cand_freqs = p2b.freqs_hz;
-        for (n, &d) in effect.down_servers.iter().enumerate() {
-            if d {
-                cand_freqs[n] = min_freqs[n];
-            }
-        }
-        let (lat, energy, objective) = evaluate(&assignments, &cand_freqs);
-        round += 1;
-        if !objective.is_finite() {
-            if retries >= config.max_retries {
-                // Retry budget exhausted: degrade to the incumbent rather
-                // than keep burning the deadline on a hopeless basin.
-                break;
-            }
-            retries += 1;
-            current = solo_choices.clone();
-            workspace.set_freqs(&min_freqs);
-            continue;
-        }
-        workspace.set_freqs(&cand_freqs);
-        rounds_used = round;
-        let accepted = objective < incumbent.objective;
-        if recorder.is_enabled() {
-            recorder.record(&TraceEvent::BdmaIteration {
-                slot,
-                round: round as u64,
-                objective,
-                accepted,
-                p2a_nanos,
-                p2b_nanos,
-            });
-            recorder.add(eotora_obs::COUNTER_BDMA_ROUNDS, 1);
-            if accepted {
-                recorder.add(eotora_obs::COUNTER_BDMA_ACCEPTED, 1);
-            }
-        }
-        if accepted {
-            incumbent = P2Solution {
-                assignments,
-                freqs_hz: cand_freqs,
-                objective,
-                latency: lat,
-                energy_cost: energy,
-                rounds_used: 0,
-            };
-            incumbent_choices = choices.clone();
-        }
-        current = choices;
-        if expired() {
-            deadline_expired = true;
-            break;
-        }
-    }
-    incumbent.rounds_used = rounds_used;
-    workspace.retain_solution(&incumbent_choices, &incumbent.freqs_hz);
-    if recorder.is_enabled() {
-        if effect.masked_resources > 0 {
-            recorder.add(eotora_obs::COUNTER_FAULT_MASKED_RESOURCES, effect.masked_resources);
-        }
-        let repaired_total = repaired_players + effect.best_effort_players;
-        if repaired_total > 0 {
-            recorder.add(eotora_obs::COUNTER_FAULT_REPAIRED_PLAYERS, repaired_total);
-        }
-        if deadline_expired {
-            recorder.add(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS, 1);
-        }
-        if retries > 0 {
-            recorder.add(eotora_obs::COUNTER_ROBUST_RETRIES, u64::from(retries));
-        }
-    }
-    Ok(RobustReport {
-        solution: incumbent,
-        masked_resources: effect.masked_resources,
-        repaired_players,
-        best_effort_players: effect.best_effort_players,
-        deadline_expired,
-        retries,
-    })
+    Ok(MaskedSeed { effect, solo, seed, repaired })
 }
 
 /// Rejects observations whose entries would violate the congestion game's
@@ -330,7 +157,7 @@ pub fn solve_p2_robust(
 /// price). The sanitizer screens these out on the normal path; this guard
 /// is what turns a *bypassed* sanitizer into a recoverable
 /// [`SolveError::NonFinite`] instead of a downstream panic.
-fn check_state_well_formed(state: &SystemState) -> Result<(), SolveError> {
+pub(crate) fn check_state_well_formed(state: &SystemState) -> Result<(), SolveError> {
     let bad = |x: f64| !x.is_finite() || x <= 0.0;
     if let Some(i) = state.task_cycles.iter().position(|&x| bad(x)) {
         return Err(SolveError::NonFinite { context: "task_cycles", index: i });
@@ -429,9 +256,43 @@ pub fn equal_share_decision(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::bdma::{solve_p2, BdmaConfig};
+    use crate::sharded::CgbaSolver;
     use crate::system::SystemConfig;
-    use eotora_obs::{MetricsRecorder, NoopRecorder};
+    use crate::workspace::SlotWorkspace;
+    use eotora_obs::{MetricsRecorder, NoopRecorder, Recorder};
     use eotora_states::{PaperStateConfig, StateProvider};
+    use eotora_util::rng::Pcg32;
+
+    /// A controller's robust-solve state: its workspace and P2-A solver,
+    /// plus the BDMA rounds and deadline each slot runs with.
+    struct Controller {
+        ws: SlotWorkspace,
+        p2a: CgbaSolver,
+        rounds: usize,
+        deadline: Option<Duration>,
+    }
+
+    impl Controller {
+        fn new() -> Self {
+            Self { ws: SlotWorkspace::new(), p2a: CgbaSolver::default(), rounds: 5, deadline: None }
+        }
+
+        /// One robust slot solve through the BDMA loop, at V = 100.
+        fn solve(
+            &mut self,
+            (system, state): (&MecSystem, &SystemState),
+            queue: f64,
+            mask: &AvailabilityMask,
+            slot: u64,
+            rec: &dyn Recorder,
+        ) -> Result<RobustReport, SolveError> {
+            let config = BdmaConfig { rounds: self.rounds, ..Default::default() };
+            let hooks = Some(RobustHooks { mask, deadline: self.deadline });
+            let (p2a, ws, rng) = (&mut self.p2a, &mut self.ws, &mut Pcg32::seed(0));
+            solve_p2(system, state, 100.0, queue, &config, p2a, ws, rng, slot, rec, hooks)
+        }
+    }
 
     fn setup(devices: usize, seed: u64) -> (MecSystem, SystemState) {
         let system = MecSystem::random(&SystemConfig::paper_defaults(devices), seed);
@@ -444,21 +305,8 @@ mod tests {
     fn unmasked_solve_is_finite_feasible_and_deterministic() {
         let (system, state) = setup(12, 51);
         let run = || {
-            let mut ws = SlotWorkspace::new();
-            let mut p2a = ShardedCgbaSolver::default();
-            solve_p2_robust(
-                &system,
-                &state,
-                100.0,
-                0.0,
-                &AvailabilityMask::default(),
-                &RobustConfig::default(),
-                &mut ws,
-                &mut p2a,
-                0,
-                &NoopRecorder,
-            )
-            .unwrap()
+            let none = AvailabilityMask::default();
+            Controller::new().solve((&system, &state), 0.0, &none, 0, &NoopRecorder).unwrap()
         };
         let a = run();
         let b = run();
@@ -484,21 +332,7 @@ mod tests {
             down_stations: vec![],
             severed_links: vec![],
         };
-        let mut ws = SlotWorkspace::new();
-        let mut p2a = ShardedCgbaSolver::default();
-        let r = solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            5.0,
-            &mask,
-            &RobustConfig::default(),
-            &mut ws,
-            &mut p2a,
-            0,
-            &NoopRecorder,
-        )
-        .unwrap();
+        let r = Controller::new().solve((&system, &state), 5.0, &mask, 0, &NoopRecorder).unwrap();
         assert!(r.masked_resources >= 1);
         for a in &r.solution.assignments {
             assert_ne!(a.server.index(), 0, "device routed to the crashed server");
@@ -514,22 +348,10 @@ mod tests {
     #[test]
     fn warm_profile_is_repaired_when_its_server_crashes() {
         let (system, state) = setup(10, 53);
-        let mut ws = SlotWorkspace::new();
-        let mut p2a = ShardedCgbaSolver::default();
+        let mut controller = Controller::new();
         // Slot 0: fault-free, retains a warm profile.
-        let first = solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            0.0,
-            &AvailabilityMask::default(),
-            &RobustConfig::default(),
-            &mut ws,
-            &mut p2a,
-            0,
-            &NoopRecorder,
-        )
-        .unwrap();
+        let none = AvailabilityMask::default();
+        let first = controller.solve((&system, &state), 0.0, &none, 0, &NoopRecorder).unwrap();
         // Crash the server that serves the most devices.
         let mut load = vec![0usize; system.topology().num_servers()];
         for a in &first.solution.assignments {
@@ -541,19 +363,7 @@ mod tests {
             down_stations: vec![],
             severed_links: vec![],
         };
-        let r = solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            0.0,
-            &mask,
-            &RobustConfig::default(),
-            &mut ws,
-            &mut p2a,
-            1,
-            &NoopRecorder,
-        )
-        .unwrap();
+        let r = controller.solve((&system, &state), 0.0, &mask, 1, &NoopRecorder).unwrap();
         assert_eq!(r.repaired_players, load[crashed] as u64);
         for a in &r.solution.assignments {
             assert_ne!(a.server.index(), crashed);
@@ -563,23 +373,10 @@ mod tests {
     #[test]
     fn zero_deadline_returns_the_seed_incumbent_immediately() {
         let (system, state) = setup(20, 54);
-        let mut ws = SlotWorkspace::new();
-        let mut p2a = ShardedCgbaSolver::default();
+        let mut controller = Controller { deadline: Some(Duration::ZERO), ..Controller::new() };
         let rec = MetricsRecorder::new();
-        let config = RobustConfig { deadline: Some(Duration::ZERO), ..Default::default() };
-        let r = solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            0.0,
-            &AvailabilityMask::default(),
-            &config,
-            &mut ws,
-            &mut p2a,
-            0,
-            &rec,
-        )
-        .unwrap();
+        let none = AvailabilityMask::default();
+        let r = controller.solve((&system, &state), 0.0, &none, 0, &rec).unwrap();
         assert!(r.deadline_expired);
         assert_eq!(r.solution.rounds_used, 0);
         assert!(r.solution.objective.is_finite());
@@ -599,23 +396,10 @@ mod tests {
     #[test]
     fn no_deadline_runs_all_rounds_and_counts_nothing() {
         let (system, state) = setup(10, 55);
-        let mut ws = SlotWorkspace::new();
-        let mut p2a = ShardedCgbaSolver::default();
+        let mut controller = Controller { rounds: 3, ..Controller::new() };
         let rec = MetricsRecorder::new();
-        let config = RobustConfig { rounds: 3, ..Default::default() };
-        let r = solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            0.0,
-            &AvailabilityMask::default(),
-            &config,
-            &mut ws,
-            &mut p2a,
-            0,
-            &rec,
-        )
-        .unwrap();
+        let none = AvailabilityMask::default();
+        let r = controller.solve((&system, &state), 0.0, &none, 0, &rec).unwrap();
         assert!(!r.deadline_expired);
         assert_eq!(r.solution.rounds_used, 3);
         assert_eq!(rec.counter(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS), 0);
@@ -632,27 +416,13 @@ mod tests {
     #[test]
     fn fault_counters_are_emitted() {
         let (system, state) = setup(8, 56);
-        let mut ws = SlotWorkspace::new();
-        let mut p2a = ShardedCgbaSolver::default();
         let rec = MetricsRecorder::new();
         let mask = AvailabilityMask {
             down_servers: vec![1],
             down_stations: vec![],
             severed_links: vec![],
         };
-        solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            0.0,
-            &mask,
-            &RobustConfig::default(),
-            &mut ws,
-            &mut p2a,
-            0,
-            &rec,
-        )
-        .unwrap();
+        Controller::new().solve((&system, &state), 0.0, &mask, 0, &rec).unwrap();
         assert!(rec.counter(eotora_obs::COUNTER_FAULT_MASKED_RESOURCES) >= 1);
     }
 
@@ -669,21 +439,9 @@ mod tests {
         let mut p = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 61);
         let state = p.observe(0, system.topology());
         let run = |shards: usize, mask: &AvailabilityMask, rec: &dyn Recorder| {
-            let mut ws = SlotWorkspace::new();
-            let mut p2a = ShardedCgbaSolver::default();
-            solve_p2_robust(
-                &system,
-                &state,
-                100.0,
-                0.0,
-                mask,
-                &RobustConfig { shards, ..Default::default() },
-                &mut ws,
-                &mut p2a,
-                0,
-                rec,
-            )
-            .unwrap()
+            let mut controller =
+                Controller { p2a: CgbaSolver::new(0.0, shards), ..Controller::new() };
+            controller.solve((&system, &state), 0.0, mask, 0, rec).unwrap()
         };
         let server_down = AvailabilityMask {
             down_servers: vec![0],
@@ -702,21 +460,8 @@ mod tests {
     #[test]
     fn equal_share_fallback_validates() {
         let (system, state) = setup(9, 57);
-        let mut ws = SlotWorkspace::new();
-        let mut p2a = ShardedCgbaSolver::default();
-        let r = solve_p2_robust(
-            &system,
-            &state,
-            100.0,
-            0.0,
-            &AvailabilityMask::default(),
-            &RobustConfig::default(),
-            &mut ws,
-            &mut p2a,
-            0,
-            &NoopRecorder,
-        )
-        .unwrap();
+        let none = AvailabilityMask::default();
+        let r = Controller::new().solve((&system, &state), 0.0, &none, 0, &NoopRecorder).unwrap();
         let d = equal_share_decision(&system, &r.solution.assignments, &r.solution.freqs_hz);
         d.validate(&system).unwrap();
         let _ = state;

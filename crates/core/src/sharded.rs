@@ -1,10 +1,14 @@
-//! Sharded P2-A solve: per-cluster CGBA subgames merged deterministically.
+//! The paper's P2-A solver: CGBA(λ) best-response dynamics, on the whole
+//! game or per BS-cluster shard merged deterministically.
 //!
-//! On topologies whose base stations reach disjoint server clusters (BS
-//! islands), the P2-A congestion game is block-diagonal: a
-//! [`ShardPlan`] splits it into independent subgames, each solved by its
-//! own CGBA run on a dense shard-local game, and the per-shard choices are
-//! merged back in a fixed order. Shards run on a bounded
+//! [`CgbaSolver::max_shards`] caps the shard count. The default cap `1` is
+//! a trivial plan: one CGBA run on the global game, no local copy and no
+//! `shard.*` counters — the paper's solver. On topologies whose base
+//! stations reach disjoint server clusters (BS islands), the P2-A
+//! congestion game is block-diagonal, and a larger cap (or `0`, one shard
+//! per component) lets a [`ShardPlan`] split it into independent subgames,
+//! each solved by its own CGBA run on a dense shard-local game, with the
+//! per-shard choices merged back in a fixed order. Shards run on a bounded
 //! [`WorkerPool`], so 100k–1M-device slots scale across cores while the
 //! result stays independent of worker count.
 //!
@@ -19,12 +23,10 @@
 //! shard-local scan would. By induction each shard's subsequence equals the
 //! shard-local MaxGain sequence from the same split initial profile, so the
 //! converged profiles agree move for move. Local games preserve strategy
-//! and resource order, so every cost is the *bit-identical* float sum.
-//! [`ShardedCgbaSolver`] additionally draws its random initial profile
-//! from the **global** game exactly like
-//! [`CgbaSolver`](crate::bdma::CgbaSolver) does, consuming the same RNG
-//! stream — on separable topologies the two solvers are interchangeable
-//! (pinned by tests).
+//! and resource order, so every cost is the *bit-identical* float sum. The
+//! solver draws its random initial profile from the **global** game
+//! whatever the cap, consuming the same RNG stream — on separable
+//! topologies every cap gives the same decisions (pinned by tests).
 //!
 //! # Cut players and reconciliation
 //!
@@ -38,30 +40,29 @@
 //! sequential solve is small (≤ 1% on weakly cut topologies, pinned by
 //! tests). When the cut is not weak, [`ShardPlan::compute`] already
 //! collapses to a single shard and this module degrades exactly to the
-//! sequential path: a trivial plan solves on the global game, with no
-//! local copy.
+//! sequential path.
 //!
-//! # Filter and deadline
+//! # Seed, filter and deadline
 //!
-//! Every shard runs the one incremental CGBA kernel. The robust path
-//! ([`crate::robust::solve_p2_robust`]) calls the same solver with a
-//! [`StrategyFilter`], projected onto each shard's local view, and a
-//! deadline predicate polled by every shard's kernel and before each
-//! reconcile move. A shard the deadline cuts short merges its best-so-far
+//! A seeded unfiltered solve runs on each shard's warm scratch, so cold
+//! solves between warm rounds cannot wipe the warm snapshot. The robust
+//! rounds pass a [`StrategyFilter`], projected onto each shard's local
+//! view, and a deadline polled by every shard's kernel and before each
+//! reconcile move; a shard the deadline cuts short merges its best-so-far
 //! profile while the others still converge.
 
 use std::sync::Mutex;
 
 use eotora_game::{
-    cgba_from_filtered, cgba_from_with_scratch, cgba_warm_from_with_scratch, CgbaConfig,
-    CgbaScratch, CongestionGame, GameRef, GameStructure, Profile, ResourceWeights, ShardPlan,
-    SplitGame, StrategyFilter,
+    cgba_from, CgbaConfig, CgbaScratch, CongestionGame, GameRef, GameStructure, Profile,
+    ResourceWeights, ShardPlan, SplitGame, StrategyFilter,
 };
-use eotora_obs::{NoopRecorder, Recorder};
+use eotora_obs::Recorder;
 use eotora_util::pool::WorkerPool;
 use eotora_util::rng::Pcg32;
 
-use crate::bdma::{CgbaTally, P2aSolver, ShardTally};
+use crate::bdma::P2aSolver;
+use crate::error::SolveError;
 use crate::p2a::P2aProblem;
 
 /// Upper bound on post-merge global best-response sweeps over the cut
@@ -73,9 +74,7 @@ pub const RECONCILE_PASSES: usize = 4;
 
 /// One shard's solver state: the remapped local game (`None` under a
 /// trivial plan, which solves on the global game directly) plus the cold
-/// and warm CGBA scratches (separate, for the same reason
-/// [`crate::bdma::CgbaSolver`] keeps two — a cold restart must not wipe
-/// the warm snapshot).
+/// and warm CGBA scratches.
 #[derive(Debug)]
 struct ShardState {
     local: Option<(GameStructure, ResourceWeights)>,
@@ -91,9 +90,7 @@ struct ShardRun {
     converged: bool,
 }
 
-/// Runs one shard's CGBA on `game` from `initial` on `scratch`: filtered
-/// and deadline-polled when a filter is given (the robust path, always
-/// cold), else warm or cold.
+/// Runs one shard's CGBA on `game` from `initial` on `scratch`.
 fn run_shard<G: GameRef>(
     game: &G,
     initial: Vec<usize>,
@@ -105,11 +102,7 @@ fn run_shard<G: GameRef>(
 ) -> ShardRun {
     let initial = Profile::from_choices(game, initial);
     let before = scratch.probes();
-    let report = match filter {
-        Some(f) => cgba_from_filtered(game, initial, config, f, should_stop, scratch),
-        None if warm => cgba_warm_from_with_scratch(game, initial, config, scratch),
-        None => cgba_from_with_scratch(game, initial, config, scratch),
-    };
+    let report = cgba_from(game, initial, config, filter, should_stop, warm, scratch);
     ShardRun {
         choices: report.profile.choices().to_vec(),
         iterations: report.iterations,
@@ -118,22 +111,21 @@ fn run_shard<G: GameRef>(
     }
 }
 
-/// A [`P2aSolver`] running CGBA(λ) per shard of a [`ShardPlan`] on a
-/// bounded worker pool, then merging deterministically and reconciling cut
-/// players. Owns the plan and per-shard state, rebuilt only when the game
-/// *shape* or the shard cap changes (per-slot weight updates are synced in
-/// place inside the shard jobs, so steady-state slots allocate nothing).
-///
-/// The robust path ([`crate::robust::solve_p2_robust`]) runs its P2-A step
-/// through the same solver, with a [`StrategyFilter`] and a deadline.
-#[derive(Debug, Default)]
-pub struct ShardedCgbaSolver {
+/// The paper's [`P2aSolver`]: CGBA(λ), run per shard of a [`ShardPlan`] on
+/// a bounded worker pool, then merged deterministically with cut players
+/// reconciled. Owns the plan and per-shard state, rebuilt only when the
+/// game *shape* or the shard cap changes (per-slot weight updates are
+/// synced in place inside the shard jobs), so repeated solves — rounds ×
+/// slots — allocate almost nothing.
+#[derive(Debug)]
+pub struct CgbaSolver {
     /// CGBA parameters (λ, iteration cap, scheduling rule) applied to
     /// every shard.
     pub config: CgbaConfig,
-    /// Shard-count cap handed to [`ShardPlan::compute`]: `0` means one
-    /// shard per connected component, `1` a sequential solve on the global
-    /// game.
+    /// Shard-count cap handed to [`ShardPlan::compute`]: `1` (the default)
+    /// solves on the global game, `0` one shard per connected component,
+    /// `N` at most `N` shards. On dense topologies the plan collapses to
+    /// one shard whatever the cap, so sharding is always safe.
     pub max_shards: usize,
     plan: Option<ShardPlan>,
     /// The `max_shards` the cached plan was computed with.
@@ -141,13 +133,22 @@ pub struct ShardedCgbaSolver {
     shards: Vec<Mutex<ShardState>>,
 }
 
-impl ShardedCgbaSolver {
-    /// Sharded CGBA with the given λ and shard cap (`0` = auto).
-    pub fn with_lambda(lambda: f64, max_shards: usize) -> Self {
+impl Default for CgbaSolver {
+    /// The paper's CGBA(0) on the global game.
+    fn default() -> Self {
+        Self::new(0.0, 1)
+    }
+}
+
+impl CgbaSolver {
+    /// CGBA with the given λ and shard cap.
+    pub fn new(lambda: f64, max_shards: usize) -> Self {
         Self {
             config: CgbaConfig { lambda, ..Default::default() },
             max_shards,
-            ..Default::default()
+            plan: None,
+            planned_shards: 0,
+            shards: Vec::new(),
         }
     }
 
@@ -184,23 +185,17 @@ impl ShardedCgbaSolver {
         self.planned_shards = self.max_shards;
     }
 
-    /// The shared solve body: split `initial_choices`, run CGBA per shard
-    /// (cold or warm scratch; filtered and deadline-polled when `filter` is
-    /// given), merge, reconcile cut players, emit counters.
+    /// The solve body: split `initial_choices`, run CGBA per shard (on the
+    /// warm scratch when `warm`), merge, reconcile cut players, emit
+    /// counters.
     ///
     /// The filter is projected onto each shard's local view
     /// ([`StrategyFilter::project`]); cut players are reconciled with
-    /// filtered best responses, polling `should_stop` before each one. A
-    /// shard that misses the deadline merges its best-so-far profile while
-    /// the others still converge. On separable games with no filter (or an
-    /// all-allowing one) and a never-firing `should_stop`, the merged
-    /// choices equal the sequential solve move for move (see the module
-    /// docs).
-    ///
-    /// Shard counters are emitted unless `max_shards == 1`, which is the
-    /// sequential solve and reports exactly like
-    /// [`crate::bdma::CgbaSolver`].
-    pub(crate) fn solve_split(
+    /// filtered best responses, polling `should_stop` before each one. On
+    /// separable games with no filter (or an all-allowing one) and a
+    /// never-firing `should_stop`, the merged choices equal the sequential
+    /// solve move for move (see the module docs).
+    fn solve_split(
         &mut self,
         problem: &P2aProblem,
         initial_choices: Vec<usize>,
@@ -220,7 +215,7 @@ impl ShardedCgbaSolver {
         let runs: Vec<ShardRun> = WorkerPool::with_default().map_indexed(plan.num_shards(), |s| {
             let state = &mut *shards[s].lock().expect("shard state poisoned");
             let ShardState { local, scratch, warm_scratch } = state;
-            let scratch = if warm && filter.is_none() { warm_scratch } else { scratch };
+            let scratch = if warm { warm_scratch } else { scratch };
             let initial = locals[s].clone();
             match local {
                 // A trivial plan solves on the global game: no local copy,
@@ -270,66 +265,90 @@ impl ShardedCgbaSolver {
             merged = profile.choices().to_vec();
         }
 
-        CgbaTally {
-            iterations: runs.iter().map(|r| r.iterations as u64).sum(),
-            probes: runs.iter().map(|r| r.probes).sum(),
-            converged: runs.iter().all(|r| r.converged),
-            warm,
-            shards: (self.max_shards != 1).then(|| ShardTally {
-                solves: plan.num_shards() as u64,
-                degraded: runs.iter().filter(|r| !r.converged).count() as u64,
-                cut_players: plan.cut_players().len() as u64,
-                reconcile_moves,
-            }),
+        if recorder.is_enabled() {
+            let iterations: u64 = runs.iter().map(|r| r.iterations as u64).sum();
+            recorder.add(eotora_obs::COUNTER_CGBA_ITERATIONS, iterations);
+            recorder.add(eotora_obs::COUNTER_CGBA_PROBES, runs.iter().map(|r| r.probes).sum());
+            if warm {
+                recorder.add(eotora_obs::COUNTER_CGBA_WARM_MOVES, iterations);
+            }
+            if runs.iter().all(|r| r.converged) {
+                recorder.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
+            }
+            // Cap 1 is the sequential solve: it reports like the paper's
+            // solver, with no shard counters.
+            if self.max_shards != 1 {
+                recorder.add(eotora_obs::COUNTER_SHARD_SOLVES, plan.num_shards() as u64);
+                let degraded = runs.iter().filter(|r| !r.converged).count() as u64;
+                if degraded > 0 {
+                    recorder.add(eotora_obs::COUNTER_SHARD_DEADLINE_DEGRADED, degraded);
+                }
+                let cut_players = plan.cut_players().len() as u64;
+                if cut_players > 0 {
+                    recorder.add(eotora_obs::COUNTER_SHARD_CUT_PLAYERS, cut_players);
+                    recorder.add(eotora_obs::COUNTER_SHARD_RECONCILE_MOVES, reconcile_moves);
+                }
+            }
         }
-        .emit(recorder);
         merged
     }
 }
 
-impl P2aSolver for ShardedCgbaSolver {
+impl P2aSolver for CgbaSolver {
     fn name(&self) -> &'static str {
-        "Sharded-CGBA"
+        if self.max_shards == 1 {
+            "CGBA"
+        } else {
+            "Sharded-CGBA"
+        }
     }
 
-    fn solve(&mut self, problem: &P2aProblem, rng: &mut Pcg32) -> Vec<usize> {
-        self.solve_with(problem, rng, &NoopRecorder)
-    }
-
-    fn solve_with(
-        &mut self,
-        problem: &P2aProblem,
-        rng: &mut Pcg32,
-        recorder: &dyn Recorder,
-    ) -> Vec<usize> {
-        // The initial profile is drawn from the *global* game, exactly like
-        // the sequential CgbaSolver — same RNG consumption, same split seed.
-        let initial = Profile::random(problem.game(), rng);
-        self.solve_split(problem, initial.choices().to_vec(), false, None, &|| false, recorder)
-    }
-
-    fn solve_seeded(
+    fn solve(
         &mut self,
         problem: &P2aProblem,
         seed: Option<&[usize]>,
+        filter: Option<&StrategyFilter>,
+        should_stop: &(dyn Fn() -> bool + Sync),
         rng: &mut Pcg32,
         recorder: &dyn Recorder,
-    ) -> Vec<usize> {
-        let warm_seed = seed.and_then(|c| Profile::from_retained_choices(problem.game(), c));
-        let Some(initial) = warm_seed else {
-            return self.solve_with(problem, rng, recorder);
+    ) -> Result<Vec<usize>, SolveError> {
+        let game = problem.game();
+        // A seed that no longer matches the game's player count cannot be
+        // repaired: draw a random profile instead, from the *global* game
+        // whatever the cap, so every cap consumes the same RNG stream.
+        let (initial, warm) = match seed.and_then(|c| Profile::from_retained_choices(game, c)) {
+            Some(profile) => (profile.choices().to_vec(), filter.is_none()),
+            None => (Profile::random(game, rng).choices().to_vec(), false),
         };
-        self.solve_split(problem, initial.choices().to_vec(), true, None, &|| false, recorder)
+        Ok(self.solve_split(problem, initial, warm, filter, should_stop, recorder))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bdma::{solve_p2, BdmaConfig, CgbaSolver};
+    use crate::bdma::{solve_p2, BdmaConfig};
     use crate::system::{MecSystem, SystemConfig};
+    use crate::workspace::SlotWorkspace;
+    use eotora_obs::NoopRecorder;
     use eotora_states::{PaperStateConfig, StateProvider, SystemState};
     use eotora_topology::RandomTopologyConfig;
+
+    /// An unfiltered, never-stopped solve from `seed` (random without one).
+    fn unfiltered(
+        solver: &mut CgbaSolver,
+        problem: &P2aProblem,
+        seed: Option<&[usize]>,
+        rng: &mut Pcg32,
+        recorder: &dyn Recorder,
+    ) -> Vec<usize> {
+        solver.solve(problem, seed, None, &|| false, rng, recorder).unwrap()
+    }
+
+    /// The automatic cap: one shard per connected component.
+    fn auto_sharded() -> CgbaSolver {
+        CgbaSolver::new(0.0, 0)
+    }
 
     fn island_system(
         devices: usize,
@@ -352,11 +371,11 @@ mod tests {
         let freqs = system.min_frequencies();
         let problem = P2aProblem::build(&system, &state, &freqs);
         let mut sequential = CgbaSolver::default();
-        let mut sharded = ShardedCgbaSolver::default();
+        let mut sharded = auto_sharded();
         let mut rng_a = Pcg32::seed(3);
         let mut rng_b = Pcg32::seed(3);
-        let a = sequential.solve(&problem, &mut rng_a);
-        let b = sharded.solve(&problem, &mut rng_b);
+        let a = unfiltered(&mut sequential, &problem, None, &mut rng_a, &NoopRecorder);
+        let b = unfiltered(&mut sharded, &problem, None, &mut rng_b, &NoopRecorder);
         assert_eq!(a, b, "sharded choices diverged from the sequential oracle");
         assert_eq!(rng_a, rng_b, "RNG streams diverged");
         let plan = sharded.plan().unwrap();
@@ -364,8 +383,8 @@ mod tests {
         assert!(plan.cut_players().is_empty());
 
         // Warm (seeded) path from the converged profile must also agree.
-        let a2 = sequential.solve_seeded(&problem, Some(&a), &mut rng_a, &NoopRecorder);
-        let b2 = sharded.solve_seeded(&problem, Some(&b), &mut rng_b, &NoopRecorder);
+        let a2 = unfiltered(&mut sequential, &problem, Some(&a), &mut rng_a, &NoopRecorder);
+        let b2 = unfiltered(&mut sharded, &problem, Some(&b), &mut rng_b, &NoopRecorder);
         assert_eq!(a2, b2);
         assert_eq!(rng_a, rng_b);
     }
@@ -375,11 +394,17 @@ mod tests {
         let (system, state) = island_system(36, 3, 0, 21);
         let config = BdmaConfig { rounds: 3, ..Default::default() };
         let mut sequential = CgbaSolver::default();
-        let mut sharded = ShardedCgbaSolver::default();
-        let sol_a =
-            solve_p2(&system, &state, 100.0, 40.0, &config, &mut sequential, &mut Pcg32::seed(5));
-        let sol_b =
-            solve_p2(&system, &state, 100.0, 40.0, &config, &mut sharded, &mut Pcg32::seed(5));
+        let mut sharded = auto_sharded();
+        let run = |solver: &mut CgbaSolver| {
+            let mut ws = SlotWorkspace::new();
+            let mut rng = Pcg32::seed(5);
+            let rec = &NoopRecorder;
+            solve_p2(&system, &state, 100.0, 40.0, &config, solver, &mut ws, &mut rng, 0, rec, None)
+                .unwrap()
+                .solution
+        };
+        let sol_a = run(&mut sequential);
+        let sol_b = run(&mut sharded);
         assert_eq!(sol_a, sol_b);
     }
 
@@ -390,9 +415,9 @@ mod tests {
         let problem = P2aProblem::build(&system, &state, &freqs);
         let game = problem.game();
         let mut sequential = CgbaSolver::default();
-        let mut sharded = ShardedCgbaSolver::default();
-        let a = sequential.solve(&problem, &mut Pcg32::seed(9));
-        let b = sharded.solve(&problem, &mut Pcg32::seed(9));
+        let mut sharded = auto_sharded();
+        let a = unfiltered(&mut sequential, &problem, None, &mut Pcg32::seed(9), &NoopRecorder);
+        let b = unfiltered(&mut sharded, &problem, None, &mut Pcg32::seed(9), &NoopRecorder);
         let plan = sharded.plan().unwrap();
         assert!(!plan.cut_players().is_empty(), "straddlers should be cut players");
         let cost_a = Profile::from_choices(game, a).total_cost(game);
@@ -423,9 +448,9 @@ mod tests {
         let freqs = system.min_frequencies();
         let problem = P2aProblem::build(&system, &state, &freqs);
         let mut sequential = CgbaSolver::default();
-        let mut sharded = ShardedCgbaSolver::default();
-        let a = sequential.solve(&problem, &mut Pcg32::seed(1));
-        let b = sharded.solve(&problem, &mut Pcg32::seed(1));
+        let mut sharded = auto_sharded();
+        let a = unfiltered(&mut sequential, &problem, None, &mut Pcg32::seed(1), &NoopRecorder);
+        let b = unfiltered(&mut sharded, &problem, None, &mut Pcg32::seed(1), &NoopRecorder);
         assert_eq!(a, b);
         assert!(sharded.plan().unwrap().is_trivial());
     }
@@ -441,8 +466,8 @@ mod tests {
         let initial = Profile::random(game, &mut Pcg32::seed(2));
         let mut scratch = CgbaScratch::default();
         let reference =
-            cgba_from_filtered(game, initial.clone(), &config, &filter, || false, &mut scratch);
-        let mut sharded = ShardedCgbaSolver::default();
+            cgba_from(game, initial.clone(), &config, Some(&filter), || false, false, &mut scratch);
+        let mut sharded = auto_sharded();
         let rec = eotora_obs::MetricsRecorder::new();
         let choices = sharded.solve_split(
             &problem,
@@ -466,7 +491,7 @@ mod tests {
         let game = problem.game();
         let filter = StrategyFilter::allow_all(game.structure());
         let initial = Profile::random(game, &mut Pcg32::seed(4));
-        let mut sharded = ShardedCgbaSolver::default();
+        let mut sharded = auto_sharded();
         let rec = eotora_obs::MetricsRecorder::new();
         let choices = sharded.solve_split(
             &problem,
@@ -488,9 +513,9 @@ mod tests {
         let (system, state) = island_system(40, 4, 2, 19);
         let freqs = system.min_frequencies();
         let problem = P2aProblem::build(&system, &state, &freqs);
-        let mut sharded = ShardedCgbaSolver::default();
+        let mut sharded = auto_sharded();
         let rec = eotora_obs::MetricsRecorder::new();
-        sharded.solve_with(&problem, &mut Pcg32::seed(6), &rec);
+        unfiltered(&mut sharded, &problem, None, &mut Pcg32::seed(6), &rec);
         let shards = sharded.plan().unwrap().num_shards() as u64;
         assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_SOLVES), shards);
         assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_CUT_PLAYERS), 2);
@@ -502,10 +527,10 @@ mod tests {
         let (system, state) = island_system(48, 6, 0, 23);
         let freqs = system.min_frequencies();
         let problem = P2aProblem::build(&system, &state, &freqs);
-        let mut capped = ShardedCgbaSolver { max_shards: 2, ..Default::default() };
-        let mut auto = ShardedCgbaSolver::default();
-        let a = capped.solve(&problem, &mut Pcg32::seed(8));
-        let b = auto.solve(&problem, &mut Pcg32::seed(8));
+        let mut capped = CgbaSolver::new(0.0, 2);
+        let mut auto = auto_sharded();
+        let a = unfiltered(&mut capped, &problem, None, &mut Pcg32::seed(8), &NoopRecorder);
+        let b = unfiltered(&mut auto, &problem, None, &mut Pcg32::seed(8), &NoopRecorder);
         assert_eq!(capped.plan().unwrap().num_shards(), 2);
         assert!(auto.plan().unwrap().num_shards() > 2);
         // Bin-packing changes which shards solve which component but not

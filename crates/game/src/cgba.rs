@@ -12,13 +12,12 @@
 //! rescan (asserted per-iteration under `cfg(test)` or the `naive-check`
 //! feature, and property-tested in `tests/incremental.rs`).
 //!
-//! Every solve runs this one kernel. It has two hooks for the
-//! fault-tolerant path ([`cgba_from_filtered`]): an optional
-//! [`StrategyFilter`] whose disallowed entries are never probed (their
-//! cached cost stays `+∞`, so they never win a best response), and a
-//! `should_stop` predicate polled at the top of every iteration (the
-//! anytime-deadline cut-off). The plain entry points pass no filter and a
-//! never-firing predicate.
+//! Every solve runs this one kernel through [`cgba_from`]. It has two
+//! hooks for the fault-tolerant path: an optional [`StrategyFilter`] whose
+//! disallowed entries are never probed (their cached cost stays `+∞`, so
+//! they never win a best response), and a `should_stop` predicate polled
+//! at the top of every iteration (the anytime-deadline cut-off). The plain
+//! path passes no filter and a never-firing predicate.
 //!
 //! [`cgba_from_reference`] keeps the pre-refactor rescan loop verbatim as
 //! the equivalence oracle and benchmark baseline.
@@ -69,8 +68,7 @@ pub struct CgbaReport {
     pub total_cost: f64,
     /// Social cost of the *seed* profile the dynamics started from — a
     /// uniformly random profile under [`cgba`], the caller-supplied (e.g.
-    /// retained previous-slot) profile under [`cgba_from`] and the warm
-    /// entry points.
+    /// retained previous-slot) profile under [`cgba_from`].
     pub initial_cost: f64,
     /// Number of best-response moves performed.
     pub iterations: usize,
@@ -80,9 +78,9 @@ pub struct CgbaReport {
 
 /// Reusable state for the incremental MaxGain scheduler: cached
 /// `(player, strategy)` costs in a flat arena plus dirty flags. Owning one
-/// across [`cgba_from_with_scratch`] calls makes the steady-state solve
-/// allocation-free; `CgbaScratch::reset` marks everything dirty at the
-/// start of each call, so weight updates between calls need no bookkeeping.
+/// across [`cgba_from`] calls makes the steady-state solve allocation-free;
+/// `CgbaScratch::reset` marks everything dirty at the start of each cold
+/// call, so weight updates between calls need no bookkeeping.
 #[derive(Debug, Clone, Default)]
 pub struct CgbaScratch {
     /// `offsets[i]..offsets[i+1]` indexes player `i`'s entries in the arena.
@@ -100,8 +98,8 @@ pub struct CgbaScratch {
     moves: Vec<(usize, usize)>,
     /// Move-local buffer of `(resource, pre-move load bits)` pairs.
     touched: Vec<(usize, u64)>,
-    /// Warm-start snapshot of the last tracked run (see
-    /// [`cgba_warm_from_with_scratch`]): when the next warm call starts from
+    /// Warm-start snapshot of the last converged warm run (see
+    /// [`cgba_from`]'s `warm` flag): when the next warm call starts from
     /// the snapshotted profile, only entries whose inputs changed bit
     /// pattern since that run need a rescan.
     snap_valid: bool,
@@ -333,79 +331,69 @@ impl CgbaScratch {
 /// [`crate::ResourceWeights::new`]) and only debug-asserted here.
 pub fn cgba<G: GameRef>(game: &G, config: &CgbaConfig, rng: &mut Pcg32) -> CgbaReport {
     let initial = Profile::random(game, rng);
-    cgba_from(game, initial, config)
+    cgba_from(game, initial, config, None, || false, false, &mut CgbaScratch::default())
 }
 
-/// Runs CGBA(λ) from a caller-supplied initial profile (used for
-/// deterministic ablations and warm starts).
+/// Runs CGBA(λ) from a caller-supplied initial profile on caller-owned
+/// [`CgbaScratch`] — the entry point every solve goes through (owning the
+/// scratch across calls makes the steady-state solve allocation-free).
+///
+/// - `filter` restricts each player's best response to the strategies it
+///   allows. Players it leaves with *no* allowed strategy never move;
+///   callers must seed `initial` with those players already on a
+///   deliberate (best-effort) strategy. With a filter the game is fully
+///   validated on every call, in release builds too: a filtered solve
+///   serves input that may have bypassed the sanitizer.
+/// - `should_stop` is polled at the top of every iteration; returning
+///   `true` breaks out with `converged == false` and the best-so-far
+///   profile (the anytime-deadline hook).
+/// - `warm` enables the first-iteration fast path: when `initial` equals
+///   the profile the previous warm call on this scratch converged to, only
+///   cache entries whose inputs changed bit pattern since then are
+///   rescanned (the scratch's `try_warm` step). It falls back to a full
+///   reset whenever the snapshot does not apply, and it is ignored with a
+///   filter or under RoundRobin, which have no snapshot to reuse.
+///
+/// With no filter (or an all-allowing one) and a never-firing
+/// `should_stop`, the result is bit-identical to [`cgba_from_reference`]
+/// for the same game, initial profile, and config, warm or not: warm
+/// starts change how fast the mover sequence is found, never which moves
+/// are made (property-tested in `tests/warm.rs` and `tests/masking.rs`).
 ///
 /// # Panics
 ///
-/// Same conditions as [`cgba`].
-pub fn cgba_from<G: GameRef>(game: &G, initial: Profile, config: &CgbaConfig) -> CgbaReport {
-    cgba_from_with_scratch(game, initial, config, &mut CgbaScratch::default())
-}
-
-/// Runs CGBA(λ) reusing caller-owned [`CgbaScratch`] — the allocation-free
-/// steady-state entry point. Produces bit-identical results to
-/// [`cgba_from_reference`] for any game, initial profile, and config.
-///
-/// # Panics
-///
-/// Same conditions as [`cgba`].
-pub fn cgba_from_with_scratch<G: GameRef>(
+/// Same conditions as [`cgba`]; with a filter, also if the game fails
+/// validation.
+pub fn cgba_from<G: GameRef>(
     game: &G,
     initial: Profile,
     config: &CgbaConfig,
+    filter: Option<&StrategyFilter>,
+    should_stop: impl FnMut() -> bool,
+    warm: bool,
     scratch: &mut CgbaScratch,
 ) -> CgbaReport {
-    assert!(game.structure().num_players() > 0, "game has no players");
+    let structure = game.structure();
+    assert!(structure.num_players() > 0, "game has no players");
     assert!((0.0..1.0).contains(&config.lambda), "lambda must be in [0, 1)");
-    debug_assert!(
-        validate_parts(game.structure(), game.weights()).is_ok(),
-        "game must validate before solving"
-    );
-    scratch.reset(game.structure());
-    run_kernel(game, initial, config, None, || false, scratch)
-}
-
-/// Runs CGBA(λ) from a caller-supplied profile with the warm
-/// first-iteration fast path: when `initial` equals the profile the
-/// previous call through this entry point converged to, only cache entries
-/// whose inputs changed bit pattern since then are rescanned (the
-/// scratch's `try_warm` step); everything else is reused. Falls back to a
-/// full scratch reset whenever the snapshot does not apply, so the
-/// result is *always* bit-identical to [`cgba_from_reference`] for the same
-/// game, initial profile, and config — warm starts change how fast the
-/// mover sequence is found, never which moves are made.
-///
-/// Only the MaxGain scheduler has an incremental cache to warm; RoundRobin
-/// degrades to the cold path.
-///
-/// # Panics
-///
-/// Same conditions as [`cgba`].
-pub fn cgba_warm_from_with_scratch<G: GameRef>(
-    game: &G,
-    initial: Profile,
-    config: &CgbaConfig,
-    scratch: &mut CgbaScratch,
-) -> CgbaReport {
-    assert!(game.structure().num_players() > 0, "game has no players");
-    assert!((0.0..1.0).contains(&config.lambda), "lambda must be in [0, 1)");
-    debug_assert!(
-        validate_parts(game.structure(), game.weights()).is_ok(),
-        "game must validate before solving"
-    );
-    let warm = config.scheduling == SchedulingRule::MaxGain && scratch.try_warm(game, &initial);
-    if !warm {
-        scratch.reset(game.structure());
+    if filter.is_some() {
+        validate_parts(structure, game.weights()).expect("game must validate before solving");
+    } else {
+        debug_assert!(
+            validate_parts(structure, game.weights()).is_ok(),
+            "game must validate before solving"
+        );
     }
-    let report = run_kernel(game, initial, config, None, || false, scratch);
+    let warm = warm && filter.is_none() && config.scheduling == SchedulingRule::MaxGain;
+    if !(warm && scratch.try_warm(game, &initial)) {
+        scratch.reset(structure);
+    }
+    let report = run_kernel(game, initial, config, filter, should_stop, scratch);
     // Only a converged MaxGain run leaves every cache entry clean (the
-    // final no-mover scan refreshed them all); an iteration-capped exit
-    // leaves stale entries behind and cannot seed the fast path.
-    if report.converged && config.scheduling == SchedulingRule::MaxGain {
+    // final no-mover scan refreshed them all); an iteration-capped or
+    // stopped exit leaves stale entries behind and cannot seed the fast
+    // path.
+    if warm && report.converged {
         scratch.store_snapshot(game, &report.profile);
     } else {
         scratch.snap_valid = false;
@@ -414,8 +402,8 @@ pub fn cgba_warm_from_with_scratch<G: GameRef>(
 }
 
 /// Dispatches to the scheduler's kernel. `filter` and `should_stop` are
-/// the fault-tolerance hooks (see the module docs); the plain entry points
-/// pass `None` and a never-firing predicate.
+/// the fault-tolerance hooks (see the module docs); the plain path passes
+/// `None` and a never-firing predicate.
 fn run_kernel<G: GameRef>(
     game: &G,
     initial: Profile,
@@ -698,41 +686,6 @@ pub fn cgba_from_reference<G: GameRef>(
 
     let total_cost = profile.total_cost(game);
     CgbaReport { profile, total_cost, initial_cost, iterations, converged }
-}
-
-/// Runs CGBA(λ) with the two fault-tolerance hooks: a [`StrategyFilter`]
-/// restricting each player's best response to allowed strategies, and a
-/// `should_stop` predicate polled at the top of every iteration (the
-/// anytime-deadline hook — returning `true` breaks out with
-/// `converged == false` and the best-so-far profile). Runs the same
-/// incremental kernel as [`cgba_from_with_scratch`], cold, on `scratch`.
-///
-/// With an all-allowing filter and a never-stopping predicate this is
-/// bit-identical to [`cgba_from_reference`] from the same initial profile:
-/// same mover sequence, same floats (property-tested in
-/// `tests/masking.rs`). Players the filter leaves with *no* allowed
-/// strategy never move; callers must seed `initial` with those players
-/// already on a deliberate (best-effort) strategy.
-///
-/// Unlike the plain entry points, the game is fully validated on every
-/// call, not only in debug builds.
-///
-/// # Panics
-///
-/// Same conditions as [`cgba_reference`].
-pub fn cgba_from_filtered<G: GameRef>(
-    game: &G,
-    initial: Profile,
-    config: &CgbaConfig,
-    filter: &StrategyFilter,
-    should_stop: impl FnMut() -> bool,
-    scratch: &mut CgbaScratch,
-) -> CgbaReport {
-    assert!(game.structure().num_players() > 0, "game has no players");
-    assert!((0.0..1.0).contains(&config.lambda), "lambda must be in [0, 1)");
-    validate_parts(game.structure(), game.weights()).expect("game must validate before solving");
-    scratch.reset(game.structure());
-    run_kernel(game, initial, config, Some(filter), should_stop, scratch)
 }
 
 /// Exhaustively computes the social optimum of a *small* game.

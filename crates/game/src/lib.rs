@@ -61,8 +61,7 @@ mod profile;
 mod shard;
 
 pub use cgba::{
-    brute_force_optimum, cgba, cgba_from, cgba_from_filtered, cgba_from_reference,
-    cgba_from_with_scratch, cgba_reference, cgba_warm_from_with_scratch,
+    brute_force_optimum, cgba, cgba_from, cgba_from_reference, cgba_reference,
     empirical_price_of_anarchy, CgbaConfig, CgbaReport, CgbaScratch, SchedulingRule,
 };
 pub use mask::StrategyFilter;
@@ -335,7 +334,9 @@ impl<G: GameRef + ?Sized> GameRef for &G {
 /// # Examples
 ///
 /// ```
-/// use eotora_game::{cgba_from, CgbaConfig, GameStructure, Profile, ResourceWeights, SplitGame};
+/// use eotora_game::{
+///     cgba_from, CgbaConfig, CgbaScratch, GameStructure, Profile, ResourceWeights, SplitGame,
+/// };
 ///
 /// let structure = GameStructure::new(
 ///     2,
@@ -346,7 +347,9 @@ impl<G: GameRef + ?Sized> GameRef for &G {
 /// weights.set(1, 0.5); // in-place weight update, no game rebuild
 /// let game = SplitGame { structure: &structure, weights: &weights };
 /// let initial = Profile::from_choices(&game, vec![0, 0]);
-/// let report = cgba_from(&game, initial, &CgbaConfig::default());
+/// let mut scratch = CgbaScratch::default();
+/// let report =
+///     cgba_from(&game, initial, &CgbaConfig::default(), None, || false, false, &mut scratch);
 /// assert!(report.converged);
 /// ```
 #[derive(Debug, Clone, Copy)]
@@ -830,8 +833,17 @@ mod tests {
             for round in 0..3 {
                 let initial = Profile::random(&g, &mut Pcg32::seed(seed * 10 + round));
                 let cfg = CgbaConfig::default();
-                let reused = cgba_from_with_scratch(&g, initial.clone(), &cfg, &mut scratch);
-                let fresh = cgba_from_with_scratch(&g, initial, &cfg, &mut CgbaScratch::default());
+                let reused =
+                    cgba_from(&g, initial.clone(), &cfg, None, || false, false, &mut scratch);
+                let fresh = cgba_from(
+                    &g,
+                    initial,
+                    &cfg,
+                    None,
+                    || false,
+                    false,
+                    &mut CgbaScratch::default(),
+                );
                 assert_eq!(reused, fresh);
                 // Perturb a resource weight in place before the next round.
                 let r = wr.below(resources);

@@ -3,9 +3,7 @@
 //! random games and random in-place weight updates (satellite of the
 //! zero-rebuild engine refactor).
 
-use eotora_game::{
-    cgba_from_with_scratch, CgbaConfig, CgbaReport, CgbaScratch, CongestionGame, Profile,
-};
+use eotora_game::{cgba_from, CgbaConfig, CgbaReport, CgbaScratch, CongestionGame, Profile};
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
 
@@ -103,7 +101,7 @@ proptest! {
         for round in 0..3u64 {
             let initial = Profile::random(&game, &mut Pcg32::seed(seed ^ round));
             let (naive_moves, naive_report) = naive_trace(&game, initial.clone(), &config);
-            let report = cgba_from_with_scratch(&game, initial, &config, &mut scratch);
+            let report = cgba_from(&game, initial, &config, None, || false, false, &mut scratch);
             prop_assert_eq!(scratch.moves(), &naive_moves[..]);
             prop_assert_eq!(&report, &naive_report);
             prop_assert!(report.converged);

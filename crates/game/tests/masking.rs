@@ -3,7 +3,7 @@
 //! must restore bit-identical behavior to the never-masked cold path.
 
 use eotora_game::{
-    cgba_from_filtered, cgba_from_reference, CgbaConfig, CgbaScratch, CongestionGame, Profile,
+    cgba_from, cgba_from_reference, CgbaConfig, CgbaScratch, CongestionGame, Profile,
     SchedulingRule, StrategyFilter,
 };
 use eotora_util::rng::Pcg32;
@@ -89,8 +89,8 @@ proptest! {
             scheduling: [SchedulingRule::MaxGain, SchedulingRule::RoundRobin][scheduling],
             ..Default::default()
         };
-        let report = cgba_from_filtered(&game, solo_seed(&game, &filter), &config, &filter,
-            || false, &mut CgbaScratch::default());
+        let report = cgba_from(&game, solo_seed(&game, &filter), &config, Some(&filter),
+            || false, false, &mut CgbaScratch::default());
         prop_assert!(report.converged);
         for (i, &s) in report.profile.choices().iter().enumerate() {
             prop_assert!(filter.is_allowed(i, s), "player {i} on disallowed strategy {s}");
@@ -131,7 +131,7 @@ proptest! {
         let initial = Profile::random(&game, &mut Pcg32::seed(seed ^ 0xABCD));
         let filter = StrategyFilter::allow_all(game.structure());
         let reference = cgba_from_reference(&game, initial.clone(), &config);
-        let filtered = cgba_from_filtered(&game, initial, &config, &filter, || false,
+        let filtered = cgba_from(&game, initial, &config, Some(&filter), || false, false,
             &mut CgbaScratch::default());
         prop_assert_eq!(&filtered, &reference);
     }
@@ -203,20 +203,22 @@ fn deadline_predicate_stops_the_loop_with_converged_false() {
     let filter = StrategyFilter::allow_all(game.structure());
     let initial = Profile::random(&game, &mut Pcg32::seed(99));
     let mut scratch = CgbaScratch::default();
-    let full = cgba_from_filtered(&game, initial.clone(), &config, &filter, || false, &mut scratch);
+    let full =
+        cgba_from(&game, initial.clone(), &config, Some(&filter), || false, false, &mut scratch);
     // Stop after two iterations: the loop must return the best-so-far
     // profile without claiming convergence (unless it truly converged in
     // fewer moves).
     let mut polls = 0;
-    let cut = cgba_from_filtered(
+    let cut = cgba_from(
         &game,
         initial,
         &config,
-        &filter,
+        Some(&filter),
         move || {
             polls += 1;
             polls > 2
         },
+        false,
         &mut scratch,
     );
     if full.iterations > 2 {

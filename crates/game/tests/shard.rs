@@ -5,7 +5,7 @@
 //! solver's decision-identity guarantee rests on.
 
 use eotora_game::{
-    cgba_from_with_scratch, CgbaConfig, CgbaScratch, CongestionGame, Profile, ShardPlan, SplitGame,
+    cgba_from, CgbaConfig, CgbaScratch, CongestionGame, Profile, ShardPlan, SplitGame,
 };
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
@@ -145,10 +145,13 @@ proptest! {
             (0..game.num_players()).map(|i| rng.below(game.strategies(i).len())).collect();
 
         let mut global_scratch = CgbaScratch::default();
-        let report = cgba_from_with_scratch(
+        let report = cgba_from(
             &game,
             Profile::from_choices(&game, initial.clone()),
             &config,
+            None,
+            || false,
+            false,
             &mut global_scratch,
         );
         prop_assert!(report.converged);
@@ -164,10 +167,13 @@ proptest! {
             let (ls, lw) = spec.build_local(game.structure(), game.weights());
             let local = SplitGame { structure: &ls, weights: &lw };
             let mut scratch = CgbaScratch::default();
-            let r = cgba_from_with_scratch(
+            let r = cgba_from(
                 &local,
                 Profile::from_choices(&local, locals[s].clone()),
                 &config,
+                None,
+                || false,
+                false,
                 &mut scratch,
             );
             prop_assert!(r.converged);

@@ -1,13 +1,11 @@
 //! Property tests for the warm-start CGBA path: from *any* seed profile —
 //! random, the previous converged profile, or deliberately stale choices
-//! repaired via [`Profile::from_retained_choices`] — the warm entry point
+//! repaired via [`Profile::from_retained_choices`] — a warm `cgba_from` run
 //! must terminate at a true λ-equilibrium and pick the same mover sequence
 //! as the pre-refactor naive rescan seeded identically (warm starts change
 //! how fast the moves are found, never which moves are made).
 
-use eotora_game::{
-    cgba_warm_from_with_scratch, CgbaConfig, CgbaReport, CgbaScratch, CongestionGame, Profile,
-};
+use eotora_game::{cgba_from, CgbaConfig, CgbaReport, CgbaScratch, CongestionGame, Profile};
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
 
@@ -117,7 +115,7 @@ proptest! {
                 }
             };
             let (naive_moves, naive_report) = naive_trace(&game, initial.clone(), &config);
-            let report = cgba_warm_from_with_scratch(&game, initial, &config, &mut scratch);
+            let report = cgba_from(&game, initial, &config, None, || false, true, &mut scratch);
             prop_assert_eq!(scratch.moves(), &naive_moves[..]);
             prop_assert_eq!(&report, &naive_report);
             prop_assert!(report.converged);
@@ -147,17 +145,23 @@ fn unchanged_game_warm_rerun_makes_no_moves() {
     let game = random_game(&mut rng, 6, 4, 3);
     let config = CgbaConfig::default();
     let mut scratch = CgbaScratch::default();
-    let first = cgba_warm_from_with_scratch(
+    let first = cgba_from(
         &game,
         Profile::random(&game, &mut Pcg32::seed(1)),
         &config,
+        None,
+        || false,
+        true,
         &mut scratch,
     );
     assert!(first.converged);
-    let again = cgba_warm_from_with_scratch(
+    let again = cgba_from(
         &game,
         Profile::from_retained_choices(&game, first.profile.choices()).unwrap(),
         &config,
+        None,
+        || false,
+        true,
         &mut scratch,
     );
     assert_eq!(again.iterations, 0);

@@ -212,6 +212,17 @@ impl ServerConfig {
         server.reject_unknown(&["deadline_ms", "watchdog_expirations", "kill_after_slot"])?;
         let deadline_ms = server.u64("deadline_ms", 0)?;
         let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
+        if deadline.is_some() && !scenario.dpp.solver.supports_masks() {
+            // A deadline selects the robust engine, which masks faults
+            // through the P2-A solver: a baseline would lifeboat every slot.
+            return Err(invalid(
+                "scenario.dpp.solver",
+                format!(
+                    "{} cannot run the robust engine that server.deadline_ms selects; use CGBA",
+                    scenario.dpp.solver.name()
+                ),
+            ));
+        }
         let watchdog_expirations = server.u64("watchdog_expirations", 8)?;
         let kill_after_slot = match server.get("kill_after_slot") {
             None => None,
@@ -388,6 +399,33 @@ mod tests {
             Err(ConfigError::Invalid { field, .. }) => assert_eq!(field, "extra"),
             other => panic!("expected Invalid, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn robust_mode_refuses_a_baseline_solver() {
+        let dir = std::env::temp_dir().join(format!("eotora-config-solver-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("ropt.json");
+        let scenario = Scenario::paper(4, 9).with_solver(eotora_core::dpp::SolverKind::Ropt);
+        std::fs::write(&path, serde_json::to_string(&scenario).expect("serializable"))
+            .expect("scenario written");
+        let config = |server: &str| {
+            let path = path.display();
+            ServerConfig::from_str(&format!(
+                "[scenario]\npath = \"{path}\"\n[durability]\ndir = \"ckpt\"\n{server}"
+            ))
+        };
+        // The plain engine runs any solver; a deadline selects the robust
+        // engine, which needs CGBA, and the error names the solver field.
+        assert!(config("").is_ok());
+        match config("[server]\ndeadline_ms = 50\n") {
+            Err(ConfigError::Invalid { field, reason }) => {
+                assert_eq!(field, "scenario.dpp.solver");
+                assert!(reason.contains("ROPT"), "{reason}");
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -144,6 +144,8 @@ impl RunManifest {
     /// than [`robust_config`] of `scenario` at the deadline's
     /// whole-millisecond value (`deadline_ms` is the only robust knob on
     /// disk, so a sub-millisecond deadline would resume as another run).
+    /// Also refuses robust mode on a scenario whose solver cannot honour
+    /// an availability mask (a baseline): every slot would be a lifeboat.
     pub fn new(
         scenario: &Scenario,
         mode: &DriverMode,
@@ -152,6 +154,15 @@ impl RunManifest {
         let (name, faults, deadline_ms) = match mode {
             DriverMode::Plain => ("plain", None, None),
             DriverMode::Robust { faults, robust } => {
+                if !scenario.dpp.solver.supports_masks() {
+                    return Err(DurabilityError::InvalidConfig {
+                        reason: format!(
+                            "robust mode needs a CGBA solver; the scenario's solver is {} \
+                             (dpp.solver)",
+                            scenario.dpp.solver.name()
+                        ),
+                    });
+                }
                 let deadline_ms = robust.deadline.map(|d| d.as_millis() as u64);
                 if *robust != robust_config(scenario, deadline_ms.map(Duration::from_millis)) {
                     return Err(DurabilityError::InvalidConfig {

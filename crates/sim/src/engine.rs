@@ -43,12 +43,14 @@ pub enum DriverMode {
     /// The plain DPP step — the paper's controller ([`crate::run`]).
     Plain,
     /// The fault-tolerant step: corruption injection, sanitization,
-    /// availability masking, anytime deadline.
+    /// availability masking, anytime deadline. Needs a CGBA solver: a
+    /// baseline cannot honour the mask, so each of its slots falls back to
+    /// the lifeboat decision.
     Robust {
         /// Scripted fault trace (empty on the server — real deployments
         /// get their faults from the world, not a script).
         faults: FaultSchedule,
-        /// Robust-solve configuration (deadline, rounds, λ); usually
+        /// Robust-solve configuration (deadline, sanitizer); usually
         /// [`crate::robust_config`] of the scenario.
         robust: RobustConfig,
     },

@@ -15,10 +15,12 @@
 
 use std::sync::Arc;
 
-use eotora_core::bdma::{solve_p2, BdmaConfig, CgbaSolver};
+use eotora_core::bdma::{solve_p2, BdmaConfig};
 use eotora_core::dpp::{DppConfig, EotoraDpp};
 use eotora_core::per_slot::PerSlotController;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::workspace::SlotWorkspace;
+use eotora_core::CgbaSolver;
 use eotora_energy::{CubicEnergy, EnergyModel, LinearEnergy};
 use eotora_game::{CgbaConfig, SchedulingRule};
 use eotora_states::{PaperStateConfig, StateProvider};
@@ -56,9 +58,14 @@ pub fn bdma_rounds(devices: usize, trials: usize, seed: u64) -> Vec<BdmaRoundsRo
                 20.0,
                 &BdmaConfig { rounds, ..Default::default() },
                 &mut solver,
+                &mut SlotWorkspace::new(),
                 &mut rng,
-            );
-            total += sol.objective;
+                0,
+                &eotora_obs::NoopRecorder,
+                None,
+            )
+            .expect("an unmasked solve cannot fail");
+            total += sol.solution.objective;
         }
         BdmaRoundsRow { rounds, objective: total / trials as f64 }
     })

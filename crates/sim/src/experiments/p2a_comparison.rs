@@ -8,9 +8,10 @@
 use std::time::Instant;
 
 use eotora_core::baselines::{ExactSolver, McbaSolver, RoptSolver};
-use eotora_core::bdma::{CgbaSolver, P2aSolver};
+use eotora_core::bdma::P2aSolver;
 use eotora_core::p2a::P2aProblem;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::CgbaSolver;
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
 use serde::{Deserialize, Serialize};
@@ -115,7 +116,9 @@ pub fn p2a_comparison(config: &P2aComparisonConfig) -> Vec<P2aComparisonRow> {
                 let mut timed = |solver: &mut dyn P2aSolver, slot: usize, rng_seed: u64| {
                     let mut rng = Pcg32::seed(rng_seed);
                     let started = Instant::now();
-                    let choices = solver.solve(&p2a, &mut rng);
+                    let choices = solver
+                        .solve(&p2a, None, None, &|| false, &mut rng, &eotora_obs::NoopRecorder)
+                        .expect("an unmasked solve cannot fail");
                     let elapsed = started.elapsed().as_secs_f64();
                     acc[slot].0 += p2a.total_latency(&choices);
                     acc[slot].1 += elapsed;

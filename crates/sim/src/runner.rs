@@ -11,7 +11,6 @@
 
 use std::collections::BTreeMap;
 
-use eotora_core::dpp::SolverKind;
 use eotora_core::robust::RobustConfig;
 use eotora_core::system::MecSystem;
 use eotora_durability::DurabilityError;
@@ -167,22 +166,12 @@ pub(crate) fn run_engine(
     Ok(DurableRun::Completed(Box::new(driver.finish())))
 }
 
-/// The robust-solve configuration a scenario implies: the scenario's BDMA
-/// round count, CGBA λ and shard cap (sequential unless its solver is
-/// sharded), plus the given per-slot wall-clock deadline.
-pub fn robust_config(scenario: &Scenario, deadline: Option<std::time::Duration>) -> RobustConfig {
-    let (lambda, shards) = match scenario.dpp.solver {
-        SolverKind::Cgba { lambda } => (lambda, 1),
-        SolverKind::ShardedCgba { lambda, shards } => (lambda, shards),
-        _ => (0.0, 1),
-    };
-    RobustConfig {
-        deadline,
-        rounds: scenario.dpp.bdma_rounds,
-        lambda,
-        shards,
-        ..Default::default()
-    }
+/// The robust-solve configuration of a scenario's run: the given per-slot
+/// wall-clock deadline, sanitizer on. The scenario itself adds nothing —
+/// rounds, λ and shards reach the robust solve through the controller's
+/// own [`eotora_core::dpp::DppConfig`].
+pub fn robust_config(_scenario: &Scenario, deadline: Option<std::time::Duration>) -> RobustConfig {
+    RobustConfig { deadline, ..Default::default() }
 }
 
 /// Runs independent scenarios in parallel on the process-default worker
@@ -335,10 +324,16 @@ mod tests {
 
     #[test]
     fn robust_config_maps_sharded_solver() {
-        let s = Scenario::scale_up(24, 3, 5);
-        assert_eq!(robust_config(&s, None).shards, 1);
-        assert_eq!(robust_config(&s.clone().with_shards(0), None).shards, 0);
-        assert_eq!(robust_config(&s.with_shards(2), None).shards, 2);
+        // The robust solve runs the scenario's own solver, so its shard cap
+        // reaches the robust P2-A step with no second setting.
+        let s = Scenario::scale_up(24, 3, 5).with_horizon(2).with_bdma_rounds(1);
+        let solves = |scenario: &Scenario| {
+            let mode = robust_mode(&FaultSchedule::default(), robust_config(scenario, None));
+            run_mode(scenario, mode, None).counters.get("shard.solves").copied().unwrap_or(0)
+        };
+        assert_eq!(solves(&s), 0);
+        assert_eq!(solves(&s.clone().with_shards(0)), 3 * 2);
+        assert_eq!(solves(&s.with_shards(2)), 2 * 2);
     }
 
     #[test]

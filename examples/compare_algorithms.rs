@@ -10,9 +10,11 @@
 use std::time::Instant;
 
 use eotora_core::baselines::{ExactSolver, McbaSolver, RoptSolver};
-use eotora_core::bdma::{CgbaSolver, P2aSolver};
+use eotora_core::bdma::P2aSolver;
 use eotora_core::p2a::P2aProblem;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::CgbaSolver;
+use eotora_obs::NoopRecorder;
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
 
@@ -28,7 +30,9 @@ fn main() {
     let run = |name: &str, solver: &mut dyn P2aSolver| -> Vec<usize> {
         let mut rng = Pcg32::seed(seed);
         let started = Instant::now();
-        let choices = solver.solve(&p2a, &mut rng);
+        let choices = solver
+            .solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder)
+            .expect("an unmasked solve cannot fail");
         let elapsed = started.elapsed();
         println!(
             "{name:<6} latency {:.4} s   solved in {:>10.3?}",

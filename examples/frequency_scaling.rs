@@ -10,10 +10,12 @@
 //! power, and processing latency — the mechanism DPP uses to keep the
 //! time-average energy cost under budget.
 
-use eotora_core::bdma::{CgbaSolver, P2aSolver};
+use eotora_core::bdma::P2aSolver;
 use eotora_core::p2a::P2aProblem;
 use eotora_core::p2b::solve_p2b;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::CgbaSolver;
+use eotora_obs::NoopRecorder;
 use eotora_sim::report::{ascii_table, num};
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
@@ -27,7 +29,9 @@ fn main() {
     // Fix a good offloading decision once (CGBA at minimum frequencies).
     let p2a = P2aProblem::build(&system, &state, &system.min_frequencies());
     let mut rng = Pcg32::seed(seed);
-    let choices = CgbaSolver::default().solve(&p2a, &mut rng);
+    let choices = CgbaSolver::default()
+        .solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder)
+        .expect("an unmasked solve cannot fail");
     let assignments = p2a.assignments_from_choices(&choices);
 
     let v = 100.0;

@@ -2,9 +2,11 @@
 //! optima on instances small enough to certify.
 
 use eotora_core::baselines::ExactSolver;
-use eotora_core::bdma::{solve_p2, BdmaConfig, CgbaSolver, P2aSolver};
+use eotora_core::bdma::{solve_p2, BdmaConfig, P2aSolver};
 use eotora_core::p2a::P2aProblem;
 use eotora_core::system::{MecSystem, SystemConfig};
+use eotora_core::{CgbaSolver, SlotWorkspace};
+use eotora_obs::NoopRecorder;
 use eotora_states::{PaperStateConfig, StateProvider};
 use eotora_util::rng::Pcg32;
 
@@ -27,7 +29,9 @@ fn cgba_is_near_optimal_on_certifiable_instances() {
             .solve_with_report(&p2a, &mut rng);
         assert!(report.proven_optimal, "instance must be certifiable");
         let mut rng = Pcg32::seed(seed + 50);
-        let cgba = CgbaSolver::default().solve(&p2a, &mut rng);
+        let cgba = CgbaSolver::default()
+            .solve(&p2a, None, None, &|| false, &mut rng, &NoopRecorder)
+            .unwrap();
         let ratio = p2a.total_latency(&cgba) / report.latency;
         assert!(ratio <= 2.62 + 1e-9, "Theorem 2 violated: {ratio}");
         worst_ratio = worst_ratio.max(ratio);
@@ -45,28 +49,16 @@ fn bdma_more_rounds_and_lambda_zero_never_lose_to_lambda_high() {
     let state = provider.observe(0, system.topology());
     let (v, q) = (100.0, 20.0);
 
-    let mut strong = CgbaSolver::with_lambda(0.0);
-    let mut weak = CgbaSolver::with_lambda(0.12);
+    let mut strong = CgbaSolver::new(0.0, 1);
+    let mut weak = CgbaSolver::new(0.12, 1);
     let mut rng_a = Pcg32::seed(1);
     let mut rng_b = Pcg32::seed(1);
-    let good = solve_p2(
-        &system,
-        &state,
-        v,
-        q,
-        &BdmaConfig { rounds: 5, ..Default::default() },
-        &mut strong,
-        &mut rng_a,
-    );
-    let rough = solve_p2(
-        &system,
-        &state,
-        v,
-        q,
-        &BdmaConfig { rounds: 1, ..Default::default() },
-        &mut weak,
-        &mut rng_b,
-    );
+    let solve = |rounds: usize, solver: &mut CgbaSolver, rng: &mut Pcg32| {
+        let (config, ws) = (BdmaConfig { rounds, ..Default::default() }, &mut SlotWorkspace::new());
+        solve_p2(&system, &state, v, q, &config, solver, ws, rng, 0, &NoopRecorder, None).unwrap()
+    };
+    let good = solve(5, &mut strong, &mut rng_a).solution;
+    let rough = solve(1, &mut weak, &mut rng_b).solution;
     assert!(good.objective <= rough.objective + 1e-9);
 }
 
