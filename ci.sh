@@ -408,7 +408,7 @@ for i in range(3):
 print("OK: clean-link Fixed federation decision-identical to independent fixed-share runs")
 EOF
 
-echo "==> trace tee smoke (--trace + --fault-trace + --metrics-out vs untraced, bit-for-bit; unknown flags refused)"
+echo "==> trace tee smoke (--trace + --fault-trace + --metrics-out vs untraced, bit-for-bit; unknown flags and bad engine options refused)"
 # A robust run whose live telemetry session and JSONL trace share one tee
 # sink. Gates: `eotora trace` reads every line of the trace, both sinks saw
 # all 60 slots, and the per-slot CSV matches the same flags without
@@ -442,6 +442,40 @@ python3 -c 'import json, sys; s = json.load(open(sys.argv[1])); s["dpp"]["solver
   "$TEE_DIR/scenario.json" "$TEE_DIR/ropt.json"
 if ./target/release/eotora run "$TEE_DIR/ropt.json" --slot-deadline-ms 5 > /dev/null 2> "$TEE_DIR/unknown.err" \
   || ! grep -q "ROPT" "$TEE_DIR/unknown.err"; then echo "FAIL: robust mode accepted a ROPT scenario"; exit 1; fi
+# Engine options are refused by name, never ignored: a knob without what it
+# configures, a zero deadline, and a cadence or fsync policy on a resumed run
+# (whose manifest fixes them).
+refused_by_name() {  # usage: refused_by_name FLAG COMMAND...
+  local flag="$1"; shift
+  if "$@" > /dev/null 2> "$TEE_DIR/refused.err" || ! grep -q -- "$flag" "$TEE_DIR/refused.err"; then
+    echo "FAIL: \`${*:2}\` was not refused naming $flag"; exit 1
+  fi
+}
+refused_by_name --checkpoint-every ./target/release/eotora run "$TEE_DIR/scenario.json" \
+  --kill-at-slot 3 --checkpoint-every 5 --fsync always
+refused_by_name --metrics-every ./target/release/eotora run "$TEE_DIR/scenario.json" --metrics-every 5
+refused_by_name --slot-deadline-ms ./target/release/eotora run "$TEE_DIR/scenario.json" \
+  --slot-deadline-ms 0
+./target/release/eotora run "$TEE_DIR/scenario.json" --checkpoint-dir "$TEE_DIR/ck" \
+  --kill-at-slot 10 > /dev/null
+refused_by_name --checkpoint-every ./target/release/eotora run --resume "$TEE_DIR/ck" \
+  --checkpoint-every 2
+refused_by_name --fsync ./target/release/eotora run --resume "$TEE_DIR/ck" --fsync os
+# A resumed federation keeps the cadence and fsync policy it was started with.
+./target/release/eotora federate --regions 2 --devices 6 --horizon 20 --checkpoint-dir "$TEE_DIR/fk" \
+  --checkpoint-every 4 --fsync every-slot --kill-at-slot 6 > /dev/null
+refused_by_name --checkpoint-every ./target/release/eotora federate --resume "$TEE_DIR/fk" \
+  --checkpoint-every 2
+./target/release/eotora federate --resume "$TEE_DIR/fk" > /dev/null
+python3 - "$TEE_DIR/fk" <<'EOF'
+import glob, json, sys
+manifests = sorted(glob.glob(sys.argv[1] + "/region-*/manifest.json"))
+assert len(manifests) == 2, f"expected 2 region manifests, found {len(manifests)}"
+for path in manifests:
+    m = json.load(open(path))
+    assert (m["checkpoint_every"], m["fsync"]) == (4, "every-slot"), f"{path}: resume rewrote {m}"
+print("OK: bad engine options refused by name; federate --resume kept cadence 4, fsync every-slot")
+EOF
 # A reader that closes stdout early ends the command quietly: exit 0, no stderr.
 set +e
 ./target/release/eotora template --devices 3 2> "$TEE_DIR/pipe.err" | head -1 > /dev/null

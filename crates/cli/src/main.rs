@@ -23,14 +23,15 @@ use eotora_cli::{
 };
 use eotora_core::system::MecSystem;
 use eotora_federation::{LinkFaultConfig, RebalancePolicy};
-use eotora_obs::{
-    HealthMonitor, HealthSample, HealthSummary, Recorder, TelemetryConfig, TelemetrySession,
-};
-use eotora_sim::durable::{resume_durable, run_durable, DurabilityConfig, DurableRun};
+use eotora_obs::{HealthMonitor, HealthSample, HealthSummary, Recorder, TelemetrySession};
+use eotora_sim::durable::{read_manifest_in, resume_durable, run_durable, DurableRun};
 use eotora_sim::report::{ascii_table, num, slot_csv};
-use eotora_sim::runner::{robust_config, run_many, run_mode, SimulationResult};
+use eotora_sim::runner::{run_many, run_mode, SimulationResult};
 use eotora_sim::scenario::Scenario;
-use eotora_sim::{DriverMode, FederationConfig, FederationReport, FederationRun};
+use eotora_sim::{
+    DriverMode, EngineOption, EngineOptions, FederationConfig, FederationReport, FederationRun,
+    Surface, DURABILITY_OPTIONS, ENGINE_OPTIONS,
+};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -66,13 +67,14 @@ eotora — energy-aware online task offloading (ICDCS'23 reproduction)
 USAGE:
   eotora template [--devices N] [--seed S] [--islands K]
   eotora run <scenario.json> [--out results.json] [--csv prefix] [--svg prefix]
-             [--trace trace.jsonl] [--jobs N] [--cold-start] [--bdma-eps X]
-             [--shards auto|N]
+             [--jobs N] [--cold-start] [--bdma-eps X] [--shards auto|N]
              [--fault-trace faults.json] [--slot-deadline-ms MS] [--no-sanitize]
-             [--metrics-out m.jsonl|m.prom] [--metrics-every K]
              [--checkpoint-dir D] [--checkpoint-every K] [--fsync every-slot|every-K|os]
+             [--kill-at-slot N] [--metrics-out m.jsonl|m.prom] [--metrics-every K]
+             [--trace trace.jsonl]
   eotora run --resume <checkpoint-dir> [--out ...] [--csv ...] [--svg ...]
-             [--metrics-out ...] [--metrics-every K]
+             [--kill-at-slot N] [--metrics-out ...] [--metrics-every K]
+             # the manifest fixes the scenario, mode, cadence and fsync policy
   eotora serve --config server.toml [--input states.jsonl|-] [--socket path.sock]
              # daemon: JSONL states in, JSONL decisions on stdout, events on
              # stderr; SIGTERM/SIGINT graceful shutdown, SIGHUP hot-reload,
@@ -92,7 +94,8 @@ USAGE:
              # N per-region controllers sharing one fleet budget C̄ over a
              # (possibly faulty) peer link; --standalone runs the regions
              # with no link at fixed equal shares instead
-  eotora federate --resume <checkpoint-root> [--csv-dir D] [--out report.json]
+  eotora federate --resume <checkpoint-root> [--kill-at-slot N] [--csv-dir D]
+             [--out report.json]
 ";
 
 /// Writes `text` and a newline to stdout — the one path every command's
@@ -197,72 +200,6 @@ fn run_summary(result: &SimulationResult) -> String {
     line
 }
 
-/// Loads a JSON [`FaultSchedule`](eotora_core::fault::FaultSchedule) file
-/// (the serde form: `{"events": [{"slot": 10, "action": {...}}, ...]}`).
-fn load_fault_trace(path: &str) -> Result<eotora_core::fault::FaultSchedule, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("cannot parse {path}: {e}"))
-}
-
-/// Builds the checkpointing configuration for `dir` from the `run` flags.
-fn durability_config(args: &[String], dir: &str) -> Result<DurabilityConfig, String> {
-    let mut cfg = DurabilityConfig::new(dir);
-    cfg.checkpoint_every = parse_flag(args, "--checkpoint-every", cfg.checkpoint_every)?;
-    if cfg.checkpoint_every == 0 {
-        return Err("--checkpoint-every must be at least 1".into());
-    }
-    if let Some(raw) = flag_value(args, "--fsync") {
-        cfg.fsync = raw.parse().map_err(|e: String| format!("--fsync: {e}"))?;
-    }
-    if let Some(raw) = flag_value(args, "--kill-at-slot") {
-        let slot: u64 =
-            raw.parse().map_err(|_| format!("--kill-at-slot expects a slot index, got `{raw}`"))?;
-        cfg.kill_at_slot = Some(slot);
-    }
-    Ok(cfg)
-}
-
-/// The `--metrics-out` / `--metrics-every` / `--no-sanitize` flag group.
-struct MetricsFlags {
-    out: Option<PathBuf>,
-    every: u64,
-    no_sanitize: bool,
-}
-
-impl MetricsFlags {
-    fn parse(args: &[String]) -> Result<Self, String> {
-        Ok(MetricsFlags {
-            out: flag_value(args, "--metrics-out").map(PathBuf::from),
-            every: parse_flag(args, "--metrics-every", 0)?,
-            no_sanitize: args.iter().any(|a| a == "--no-sanitize"),
-        })
-    }
-
-    /// Whether a live [`TelemetrySession`] should be attached at all.
-    fn active(&self) -> bool {
-        self.out.is_some() || self.no_sanitize
-    }
-
-    /// Builds the session. Postmortems land in the checkpoint directory
-    /// when the run is durable, else next to the metrics file.
-    fn session(&self, v: f64, budget: f64, checkpoint_dir: Option<&str>) -> TelemetrySession {
-        let postmortem_dir = checkpoint_dir.map(PathBuf::from).or_else(|| {
-            self.out.as_deref().map(|p| match p.parent() {
-                Some(parent) if !parent.as_os_str().is_empty() => parent.to_path_buf(),
-                _ => PathBuf::from("."),
-            })
-        });
-        TelemetrySession::new(TelemetryConfig {
-            v,
-            budget,
-            metrics_out: self.out.clone(),
-            metrics_every: self.every,
-            postmortem_dir,
-            ..TelemetryConfig::default()
-        })
-    }
-}
-
 /// Prints the health line and flushes the metrics sink of a finished
 /// telemetry session.
 fn finish_telemetry(telemetry: TelemetrySession) -> Result<(), String> {
@@ -283,86 +220,24 @@ fn finish_telemetry(telemetry: TelemetrySession) -> Result<(), String> {
     Ok(())
 }
 
-/// Value-taking flags of a fresh `eotora run`.
-const RUN_VALUE_FLAGS: &[&str] = &[
-    "--out",
-    "--csv",
-    "--svg",
-    "--trace",
-    "--jobs",
-    "--bdma-eps",
-    "--shards",
-    "--fault-trace",
-    "--slot-deadline-ms",
-    "--checkpoint-dir",
-    "--checkpoint-every",
-    "--fsync",
-    "--kill-at-slot",
-    "--metrics-out",
-    "--metrics-every",
-];
-/// Presence-only flags of a fresh `eotora run`.
-const RUN_SWITCHES: &[&str] = &["--cold-start", "--no-sanitize"];
-/// Value-taking flags of `eotora run --resume`. `--trace` and
-/// `--no-sanitize` are known so that they are refused with their reason.
-const RESUME_VALUE_FLAGS: &[&str] = &[
-    "--resume",
-    "--out",
-    "--csv",
-    "--svg",
-    "--trace",
-    "--checkpoint-every",
-    "--fsync",
-    "--kill-at-slot",
-    "--metrics-out",
-    "--metrics-every",
-];
-/// Presence-only flags of `eotora run --resume`.
-const RESUME_SWITCHES: &[&str] = &["--no-sanitize"];
-
-/// `eotora run --resume <dir>`: picks a checkpointed run back up. The
-/// manifest in the directory supplies the scenario and mode, so no scenario
-/// file is given; output flags work as on a fresh `run`.
-fn cmd_run_resume(args: &[String]) -> Result<(), String> {
-    require_known_flags(args, "eotora run --resume", RESUME_VALUE_FLAGS, RESUME_SWITCHES)?;
-    let dir = flag_value(args, "--resume").ok_or("--resume requires a checkpoint directory")?;
-    if flag_value(args, "--trace").is_some() {
-        return Err("--trace cannot be combined with checkpointed runs".into());
-    }
-    let metrics = MetricsFlags::parse(args)?;
-    if metrics.no_sanitize {
-        return Err(
-            "--no-sanitize cannot be combined with --resume (the manifest fixes the mode)".into()
-        );
-    }
-    let cfg = durability_config(args, dir)?;
-    // V and budget for the health rules come from the manifest's scenario.
-    let manifest = eotora_sim::durable::read_manifest_in(Path::new(dir)).ok();
-    let telemetry = metrics.active().then(|| {
-        let (v, budget) = manifest
-            .as_ref()
-            .map(|m| (m.scenario.dpp.v, m.scenario.system.budget_per_slot))
-            .unwrap_or((100.0, 1.0));
-        metrics.session(v, budget, Some(dir))
-    });
-    eprintln!("resuming checkpointed run in {dir} …");
-    let outcome = resume_durable(&cfg, telemetry.as_ref().map(|t| t as &dyn Recorder))
-        .map_err(|e| e.to_string())?;
-    report_outcome(args, Some(dir), outcome, telemetry)
-}
+/// The non-engine value flags of a fresh `eotora run`.
+const RUN_FLAGS: &[&str] = &["--out", "--csv", "--svg", "--jobs", "--bdma-eps", "--shards"];
+/// The non-engine value flags of `eotora run --resume`, whose manifest
+/// fixes the scenario: the output flags.
+const RESUME_FLAGS: &[&str] = &["--out", "--csv", "--svg"];
 
 /// Reports how a `run` ended: the resume hint when the kill hook
 /// interrupted the checkpointed run in `dir`, else the result table, the
 /// requested output files, and the health line.
 fn report_outcome(
     args: &[String],
-    dir: Option<&str>,
+    dir: Option<&Path>,
     outcome: DurableRun,
     telemetry: Option<TelemetrySession>,
 ) -> Result<(), String> {
     match outcome {
         DurableRun::Interrupted { slot } => {
-            let dir = dir.unwrap_or_default();
+            let dir = dir.unwrap_or(Path::new("")).display();
             outln!("interrupted after slot {slot}; resume with `eotora run --resume {dir}`")?;
             Ok(())
         }
@@ -373,115 +248,40 @@ fn report_outcome(
     }
 }
 
-/// Picks the engine pipeline from the `run` flags.
-///
-/// `--fault-trace` and/or `--slot-deadline-ms` select the robust engine:
-/// failures are masked per slot, corrupt state is sanitized (unless
-/// `no_sanitize`), and each slot's solve honours the wall-clock deadline by
-/// returning its best checkpointed incumbent. The robust engine masks
-/// faults through the CGBA solver, so a scenario with a baseline solver is
-/// refused. Without either flag the plain engine runs.
-fn run_driver_mode(
-    args: &[String],
-    scenario: &Scenario,
-    no_sanitize: bool,
-) -> Result<DriverMode, String> {
-    let fault_trace = flag_value(args, "--fault-trace").map(load_fault_trace).transpose()?;
-    let deadline = match flag_value(args, "--slot-deadline-ms") {
-        Some(raw) => {
-            let ms: u64 = raw
-                .parse()
-                .map_err(|_| format!("--slot-deadline-ms expects milliseconds, got `{raw}`"))?;
-            Some(std::time::Duration::from_millis(ms))
-        }
-        None => None,
-    };
-    if fault_trace.is_none() && deadline.is_none() {
-        if no_sanitize {
-            return Err(
-                "--no-sanitize requires robust mode (--fault-trace or --slot-deadline-ms)".into()
-            );
-        }
-        return Ok(DriverMode::Plain);
-    }
-    if !scenario.dpp.solver.supports_masks() {
-        let flag = if fault_trace.is_some() { "--fault-trace" } else { "--slot-deadline-ms" };
-        return Err(format!(
-            "{flag} selects the robust engine, which needs a CGBA solver; the scenario's \
-             solver (dpp.solver) is {}",
-            scenario.dpp.solver.name()
-        ));
-    }
-    let mut robust = robust_config(scenario, deadline);
-    robust.sanitize = !no_sanitize;
-    Ok(DriverMode::Robust { faults: fault_trace.unwrap_or_default(), robust })
-}
-
+/// `eotora run <scenario.json>` runs a scenario, and
+/// `eotora run --resume <dir>` picks a checkpointed run back up, the
+/// manifest in the directory supplying the scenario and mode. The engine
+/// options are read and checked by the one schema
+/// ([`eotora_sim::EngineOptions`]); output flags work the same on both.
 fn cmd_run(args: &[String]) -> Result<(), String> {
-    if flag_value(args, "--resume").is_some() {
-        return cmd_run_resume(args);
-    }
-    let path = args.first().ok_or("run requires a scenario file")?;
-    require_known_flags(args, "eotora run", RUN_VALUE_FLAGS, RUN_SWITCHES)?;
-    apply_jobs_flag(args)?;
-    let mut scenario = load_scenario(path)?;
-    // `--cold-start` pins the paper-faithful solver regardless of what the
-    // scenario file's `start` field says; `--bdma-eps` overrides the
-    // warm-mode early-termination threshold.
-    if args.iter().any(|a| a == "--cold-start") {
-        scenario.dpp.start = eotora_core::bdma::StartPolicy::Cold;
-    }
-    scenario.dpp.bdma_epsilon = parse_flag(args, "--bdma-eps", scenario.dpp.bdma_epsilon)?;
-    // `--shards` switches the P2-A solve to the sharded CGBA engine
-    // (decision-identical to the sequential solver on separable topologies,
-    // and a safe no-op on dense ones — the partition pass refuses bad cuts).
-    if let Some(shards) = parse_shards_flag(args)? {
-        scenario = scenario.with_shards(shards);
-    }
-    eprintln!(
-        "running `{}`: {} devices, {} slots, V={}, budget ${:.2}/slot, start {:?} …",
-        scenario.label,
-        scenario.system.topology.num_devices,
-        scenario.horizon,
-        scenario.dpp.v,
-        scenario.system.budget_per_slot,
-        scenario.dpp.start
-    );
-    let metrics = MetricsFlags::parse(args)?;
-    let mode = run_driver_mode(args, &scenario, metrics.no_sanitize)?;
-    match &mode {
-        DriverMode::Plain => {}
-        DriverMode::Robust { faults, robust } => eprintln!(
+    let given = run_options(args)?;
+    let scenario = match flag_value(args, EngineOption::Resume.flag()) {
+        Some(dir) => {
+            eprintln!("resuming checkpointed run in {dir} …");
+            read_manifest_in(Path::new(dir))
+                .map_err(|e| format!("cannot resume from {dir}: {e}"))?
+                .scenario
+        }
+        None => fresh_scenario(args)?,
+    };
+    let options =
+        EngineOptions::parse(Surface::Cli, &given, &scenario).map_err(|e| e.to_string())?;
+    let mode = options.mode().clone();
+    if let DriverMode::Robust { faults, robust } = &mode {
+        eprintln!(
             "robust mode: {} fault event(s), slot deadline {}{}",
             faults.events.len(),
             robust.deadline.map_or("none".into(), |d| format!("{} ms", d.as_millis())),
             if robust.sanitize { "" } else { ", sanitizer OFF (diagnostic)" },
-        ),
+        );
     }
-    // `--checkpoint-dir` makes the run durable: a write-ahead slot journal
-    // plus periodic controller snapshots, resumable with `run --resume`.
-    let checkpoint_dir = flag_value(args, "--checkpoint-dir");
-    let durability = match checkpoint_dir {
-        Some(dir) => {
-            if flag_value(args, "--trace").is_some() {
-                return Err("--trace cannot be combined with --checkpoint-dir".into());
-            }
-            if metrics.no_sanitize {
-                return Err("--no-sanitize cannot be combined with --checkpoint-dir (the \
-                            journal must stay replayable)"
-                    .into());
-            }
-            Some(durability_config(args, dir)?)
-        }
-        None => None,
-    };
-    let telemetry = metrics
-        .active()
-        .then(|| metrics.session(scenario.dpp.v, scenario.system.budget_per_slot, checkpoint_dir));
-    let trace = match flag_value(args, "--trace") {
+    let durability = options.durability();
+    let telemetry =
+        options.live_telemetry().then(|| TelemetrySession::new(options.telemetry().clone()));
+    let trace = match options.trace() {
         Some(path) => {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            let file = std::fs::File::create(path)
+                .map_err(|e| format!("cannot create {}: {e}", path.display()))?;
             Some((path, eotora_obs::JsonlRecorder::new(std::io::BufWriter::new(file))))
         }
         None => None,
@@ -498,16 +298,87 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .or(telemetry.as_ref().map(|t| t as &dyn Recorder))
             .or(trace.as_ref().map(|(_, jsonl)| jsonl as &dyn Recorder));
         match &durability {
-            Some(cfg) => run_durable(&scenario, mode, cfg, sink).map_err(|e| e.to_string())?,
-            None => DurableRun::Completed(Box::new(run_mode(&scenario, mode, sink))),
+            Some(cfg) if options.resume() => resume_durable(cfg, sink),
+            Some(cfg) => run_durable(&scenario, mode, cfg, sink),
+            None => Ok(DurableRun::Completed(Box::new(run_mode(&scenario, mode, sink)))),
         }
+        .map_err(|e| e.to_string())?
     };
     if let Some((path, sink)) = trace {
         let events = sink.records_written();
-        sink.finish().map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("wrote {path} ({events} events)");
+        sink.finish().map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {} ({events} events)", path.display());
     }
-    report_outcome(args, checkpoint_dir, outcome, telemetry)
+    report_outcome(args, durability.map(|d| d.dir.as_path()), outcome, telemetry)
+}
+
+/// Checks the flags of `eotora run [--resume]` and returns its engine
+/// options: all of them, beside the command's own flags.
+fn run_options(args: &[String]) -> Result<Vec<(EngineOption, &str)>, String> {
+    let all: Vec<EngineOption> = ENGINE_OPTIONS.iter().map(|row| row.0).collect();
+    if args.iter().any(|a| a == EngineOption::Resume.flag()) {
+        engine_options(args, "eotora run --resume", RESUME_FLAGS, &[], &all)
+    } else {
+        engine_options(args, "eotora run", RUN_FLAGS, &["--cold-start"], &all)
+    }
+}
+
+/// Checks `args` against a command's own flags plus the flags of the
+/// engine options in `scope`, and returns the engine options given, for
+/// [`EngineOptions::parse`] to read against the run's scenario.
+fn engine_options<'a>(
+    args: &'a [String],
+    command: &str,
+    value_flags: &[&str],
+    switches: &[&str],
+    scope: &[EngineOption],
+) -> Result<Vec<(EngineOption, &'a str)>, String> {
+    let is_switch = |option: EngineOption| option == EngineOption::NoSanitize;
+    let (mut values, mut presence) = (value_flags.to_vec(), switches.to_vec());
+    for &option in scope {
+        if is_switch(option) {
+            presence.push(option.flag())
+        } else {
+            values.push(option.flag())
+        }
+    }
+    require_known_flags(args, command, &values, &presence)?;
+    Ok(scope
+        .iter()
+        .filter_map(|&option| match is_switch(option) {
+            true => args.iter().any(|a| a == option.flag()).then_some((option, "")),
+            false => flag_value(args, option.flag()).map(|value| (option, value)),
+        })
+        .collect())
+}
+
+/// Loads the scenario of a fresh `eotora run` and applies its scenario
+/// flags. `--cold-start` pins the paper-faithful solver regardless of the
+/// file's `start` field, `--bdma-eps` overrides the warm-mode
+/// early-termination threshold, and `--shards` switches P2-A to the
+/// sharded CGBA engine (decision-identical to the sequential solver on
+/// separable topologies, and a safe no-op on dense ones).
+fn fresh_scenario(args: &[String]) -> Result<Scenario, String> {
+    let path = args.first().ok_or("run requires a scenario file")?;
+    apply_jobs_flag(args)?;
+    let mut scenario = load_scenario(path)?;
+    if args.iter().any(|a| a == "--cold-start") {
+        scenario.dpp.start = eotora_core::bdma::StartPolicy::Cold;
+    }
+    scenario.dpp.bdma_epsilon = parse_flag(args, "--bdma-eps", scenario.dpp.bdma_epsilon)?;
+    if let Some(shards) = parse_shards_flag(args)? {
+        scenario = scenario.with_shards(shards);
+    }
+    eprintln!(
+        "running `{}`: {} devices, {} slots, V={}, budget ${:.2}/slot, start {:?} …",
+        scenario.label,
+        scenario.system.topology.num_devices,
+        scenario.horizon,
+        scenario.dpp.v,
+        scenario.system.budget_per_slot,
+        scenario.dpp.start
+    );
+    Ok(scenario)
 }
 
 /// `eotora serve`: the long-running controller daemon. Slot states arrive
@@ -647,41 +518,31 @@ fn report_run(args: &[String], result: &SimulationResult) -> Result<(), String> 
     Ok(())
 }
 
+/// The flags that configure a fresh federation; a resumed one's manifest
+/// fixes them.
+const FEDERATION_FLAGS: &[&str] = &[
+    "--regions",
+    "--devices",
+    "--horizon",
+    "--seed",
+    "--sync-every",
+    "--budget",
+    "--policy",
+    "--floor",
+    "--link-faults",
+];
+
 /// `eotora federate`: N per-region DPP controllers sharing one fleet
 /// budget `C̄` over a (possibly faulty) peer link. With
 /// `--checkpoint-dir` the whole federation is durable; `--resume` picks
 /// a killed federation back up from its checkpoint root.
 fn cmd_federate(args: &[String]) -> Result<(), String> {
-    require_known_flags(
-        args,
-        "eotora federate",
-        &[
-            "--regions",
-            "--devices",
-            "--horizon",
-            "--seed",
-            "--sync-every",
-            "--budget",
-            "--policy",
-            "--floor",
-            "--link-faults",
-            "--checkpoint-dir",
-            "--checkpoint-every",
-            "--fsync",
-            "--kill-at-slot",
-            "--resume",
-            "--csv-dir",
-            "--out",
-        ],
-        &["--standalone"],
-    )?;
     let standalone = args.iter().any(|a| a == "--standalone");
     if standalone {
-        // Checked before any config or fault file is loaded, so the
+        // Checked before any option, config or fault file is read, so the
         // conflict surfaces even when the named file does not exist.
-        for flag in
-            ["--link-faults", "--checkpoint-dir", "--checkpoint-every", "--fsync", "--kill-at-slot"]
-        {
+        let durability = DURABILITY_OPTIONS.iter().map(|option| option.flag());
+        for flag in std::iter::once("--link-faults").chain(durability) {
             if flag_value(args, flag).is_some() {
                 return Err(format!(
                     "{flag} does not apply to --standalone (independent regions, no peer link)"
@@ -689,23 +550,12 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
             }
         }
     }
+    let flags = [FEDERATION_FLAGS, &["--csv-dir", "--out"]].concat();
+    let given =
+        engine_options(args, "eotora federate", &flags, &["--standalone"], DURABILITY_OPTIONS)?;
 
-    let (cfg, faults, root) = if let Some(dir) = flag_value(args, "--resume") {
-        if standalone {
-            return Err("--standalone cannot be combined with --resume".into());
-        }
-        for flag in [
-            "--regions",
-            "--devices",
-            "--horizon",
-            "--seed",
-            "--sync-every",
-            "--budget",
-            "--policy",
-            "--floor",
-            "--link-faults",
-            "--checkpoint-dir",
-        ] {
+    let (cfg, faults) = if let Some(dir) = flag_value(args, EngineOption::Resume.flag()) {
+        for flag in FEDERATION_FLAGS {
             if flag_value(args, flag).is_some() {
                 return Err(format!(
                     "{flag} cannot be combined with --resume (the manifest in the checkpoint \
@@ -716,7 +566,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         let manifest = eotora_sim::read_federation_manifest(Path::new(dir))
             .map_err(|e| format!("cannot resume from {dir}: {e}"))?;
         eprintln!("resuming federation in {dir} …");
-        (manifest.config, manifest.faults, Some(dir.to_owned()))
+        (manifest.config, manifest.faults)
     } else {
         let regions: u32 = parse_flag(args, "--regions", 3)?;
         let devices: usize = parse_flag(args, "--devices", 30)?;
@@ -735,8 +585,10 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
             None => LinkFaultConfig::clean(),
             Some(path) => load_link_faults(path)?,
         };
-        (cfg, faults, flag_value(args, "--checkpoint-dir").map(str::to_owned))
+        (cfg, faults)
     };
+    let options = EngineOptions::parse(Surface::Cli, &given, &eotora_sim::region_scenario(&cfg, 0))
+        .map_err(|e| e.to_string())?;
 
     if standalone {
         let results = eotora_sim::run_standalone(&cfg);
@@ -759,28 +611,18 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         return write_region_csvs(args, &results);
     }
 
-    if root.is_none() {
-        // Durability knobs without a checkpoint root would be silently
-        // ignored — reject them so a mistyped invocation cannot look
-        // durable while running purely in memory.
-        for flag in ["--checkpoint-every", "--fsync", "--kill-at-slot"] {
-            if flag_value(args, flag).is_some() {
-                return Err(format!(
-                    "{flag} requires a durable federation (add --checkpoint-dir, or --resume an \
-                     existing root)"
-                ));
-            }
-        }
+    let mut durability = options.durability().cloned();
+    if let (Some(d), true) = (durability.as_mut(), options.resume()) {
+        // A resumed federation keeps the cadence and fsync policy its
+        // region manifests were started with.
+        let kept = read_manifest_in(&d.dir.join("region-0")).map_err(|e| e.to_string())?;
+        (d.checkpoint_every, d.fsync) = (kept.checkpoint_every, kept.fsync.parse()?);
     }
-    let durability = match &root {
-        Some(dir) => Some(durability_config(args, dir)?),
-        None => None,
-    };
     let outcome = eotora_sim::run_federation(&cfg, &faults, durability.as_ref())
         .map_err(|e| e.to_string())?;
     match outcome {
         FederationRun::Interrupted { slot } => {
-            let dir = root.as_deref().unwrap_or(".");
+            let dir = durability.as_ref().map_or(Path::new("."), |d| &d.dir).display();
             outln!("interrupted after slot {slot}; resume with `eotora federate --resume {dir}`")?;
             Ok(())
         }
@@ -1300,6 +1142,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    use eotora_sim::robust_config;
+
     use super::*;
 
     fn owned(args: &[&str]) -> Vec<String> {
@@ -1330,12 +1174,19 @@ mod tests {
             "--metrics-out",
             "m.prom",
         ]);
-        require_known_flags(&args, "eotora run", RUN_VALUE_FLAGS, RUN_SWITCHES).unwrap();
         let scenario = Scenario::paper(4, 1);
         let mut robust = robust_config(&scenario, Some(std::time::Duration::from_millis(5)));
         robust.sanitize = false;
         let expected = DriverMode::Robust { faults: Default::default(), robust };
-        assert_eq!(run_driver_mode(&args, &scenario, true).unwrap(), expected);
+        assert_eq!(run_mode_of(&args, &scenario).unwrap(), expected);
+    }
+
+    /// The pipeline `eotora run` picks for `args` on `scenario`: its flag
+    /// check, option parse, validation and mode, without the run.
+    fn run_mode_of(args: &[String], scenario: &Scenario) -> Result<DriverMode, String> {
+        let options = EngineOptions::parse(Surface::Cli, &run_options(args)?, scenario)
+            .map_err(|e| e.to_string())?;
+        Ok(options.mode().clone())
     }
 
     #[test]
@@ -1351,7 +1202,7 @@ mod tests {
         let args = owned(&["s.json", "--slot-deadline-ms", "1000"]);
         for (solver, refused) in rows {
             let scenario = Scenario::paper(4, 1).with_solver(solver);
-            match (run_driver_mode(&args, &scenario, false), refused) {
+            match (run_mode_of(&args, &scenario), refused) {
                 (Err(err), Some(name)) => {
                     assert!(err.contains(name), "{err}");
                     assert!(err.contains("--slot-deadline-ms"), "{err}");
@@ -1397,10 +1248,180 @@ mod tests {
         }
     }
 
+    #[test]
+    fn every_engine_option_rule_is_refused_by_name_through_both_parsers() {
+        use eotora_core::dpp::SolverKind;
+        let dir = std::env::temp_dir().join(format!("eotora-cli-rules-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ropt_path = dir.join("ropt.json");
+        let ropt = Scenario::paper(4, 1).with_solver(SolverKind::Ropt);
+        std::fs::write(&ropt_path, serde_json::to_string(&ropt).unwrap()).unwrap();
+        // (`eotora run` arguments, whether the scenario runs ROPT, the flag
+        // the CLI error must name, and — where the daemon has the knob — its
+        // config sections and the key that error must name)
+        type Toml = Option<(&'static str, &'static str)>;
+        let rows: [(&str, bool, &str, Toml); 19] = [
+            (
+                "s.json --slot-deadline-ms 0",
+                false,
+                "--slot-deadline-ms",
+                Some((
+                    "[server]\ndeadline_ms = 0\n[durability]\ndir = \"ck\"\n",
+                    "server.deadline_ms",
+                )),
+            ),
+            (
+                "s.json --checkpoint-dir ck --checkpoint-every 0",
+                false,
+                "--checkpoint-every",
+                Some((
+                    "[durability]\ndir = \"ck\"\ncheckpoint_every = 0\n",
+                    "durability.checkpoint_every",
+                )),
+            ),
+            (
+                "s.json --checkpoint-every 5",
+                false,
+                "--checkpoint-every",
+                Some(("[durability]\ncheckpoint_every = 5\n", "durability.checkpoint_every")),
+            ),
+            (
+                "s.json --fsync os",
+                false,
+                "--fsync",
+                Some(("[durability]\nfsync = \"os\"\n", "durability.fsync")),
+            ),
+            (
+                "s.json --kill-at-slot 3",
+                false,
+                "--kill-at-slot",
+                Some(("[server]\nkill_after_slot = 3\n", "server.kill_after_slot")),
+            ),
+            (
+                "s.json --metrics-every 5",
+                false,
+                "--metrics-every",
+                Some((
+                    "[durability]\ndir = \"ck\"\n[telemetry]\nmetrics_every = 5\n",
+                    "telemetry.metrics_every",
+                )),
+            ),
+            (
+                "s.json --checkpoint-dir ck --fsync always",
+                false,
+                "--fsync",
+                Some(("[durability]\ndir = \"ck\"\nfsync = \"always\"\n", "durability.fsync")),
+            ),
+            (
+                "s.json --slot-deadline-ms 1000",
+                true,
+                "--slot-deadline-ms",
+                Some((
+                    "[server]\ndeadline_ms = 1000\n[durability]\ndir = \"ck\"\n",
+                    "server.deadline_ms",
+                )),
+            ),
+            ("s.json --fault-trace f.json", true, "--fault-trace", None),
+            ("s.json --no-sanitize", false, "--no-sanitize", None),
+            (
+                "s.json --slot-deadline-ms 5 --no-sanitize --checkpoint-dir ck",
+                false,
+                "--no-sanitize",
+                None,
+            ),
+            ("s.json --trace t.jsonl --checkpoint-dir ck", false, "--trace", None),
+            ("--resume ck --checkpoint-dir ck2", false, "--checkpoint-dir", None),
+            ("--resume ck --checkpoint-every 2", false, "--checkpoint-every", None),
+            ("--resume ck --fsync os", false, "--fsync", None),
+            ("--resume ck --fault-trace f.json", false, "--fault-trace", None),
+            ("--resume ck --slot-deadline-ms 5", false, "--slot-deadline-ms", None),
+            ("--resume ck --no-sanitize", false, "--no-sanitize", None),
+            ("--resume ck --trace t.jsonl", false, "--trace", None),
+        ];
+        let durability_flags: Vec<&str> = DURABILITY_OPTIONS.iter().map(|o| o.flag()).collect();
+        let fed_root = dir.join("fed").display().to_string();
+        cmd_federate(&fed_args(&["--checkpoint-dir", &fed_root])).expect("a durable federation");
+        for (args, is_ropt, flag, toml) in rows {
+            let args: Vec<String> = args.split_whitespace().map(str::to_owned).collect();
+            let scenario = if is_ropt { ropt.clone() } else { Scenario::paper(4, 1) };
+            let err = run_mode_of(&args, &scenario).expect_err("the rule must refuse");
+            assert!(err.contains(flag) && !err.contains("unknown flag"), "{args:?}: {err}");
+            // The same durability flags through `eotora federate`'s parser,
+            // resuming a real (finished) federation root.
+            let flags = args.iter().filter(|a| a.starts_with("--"));
+            if flags.clone().all(|a| durability_flags.contains(&a.as_str())) {
+                let federate: Vec<String> = args
+                    .iter()
+                    .filter(|a| *a != "s.json")
+                    .map(|a| if a == "ck" { fed_root.clone() } else { a.clone() })
+                    .collect();
+                let err = cmd_federate(&federate).expect_err("the rule must refuse");
+                assert!(err.contains(flag), "federate {federate:?}: {err}");
+            }
+            let Some((sections, key)) = toml else { continue };
+            let scenario = if is_ropt {
+                format!("path = \"{}\"", ropt_path.display())
+            } else {
+                "devices = 4\nseed = 1".to_owned()
+            };
+            let text = format!("[scenario]\n{scenario}\n{sections}");
+            match eotora_server::ServerConfig::from_str(&text) {
+                Err(err @ eotora_server::ConfigError::Invalid { .. }) => {
+                    assert!(err.to_string().contains(key), "{text}: {err}");
+                }
+                other => panic!("{text}: expected an invalid field, got {other:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn help_and_readme_list_every_engine_option() {
+        let federate = &USAGE[USAGE.find("eotora federate").unwrap()..];
+        let readme = include_str!("../../../README.md");
+        for &(option, flag, key) in ENGINE_OPTIONS {
+            assert!(USAGE.contains(flag), "`eotora --help` misses {flag}");
+            assert!(readme.contains(flag), "README misses {flag}");
+            if let Some(key) = key {
+                assert!(readme.contains(key), "README misses {key}");
+            }
+            if DURABILITY_OPTIONS.contains(&option) {
+                assert!(federate.contains(flag), "federate help misses {flag}");
+            }
+        }
+    }
+
     fn fed_args(extra: &[&str]) -> Vec<String> {
         let mut args = vec!["--regions", "2", "--devices", "4", "--horizon", "5"];
         args.extend_from_slice(extra);
         args.into_iter().map(str::to_owned).collect()
+    }
+
+    #[test]
+    fn federate_resume_keeps_the_region_manifests_durability_policy() {
+        let root = std::env::temp_dir().join(format!("eotora-cli-fed-{}", std::process::id()));
+        let root_arg = root.display().to_string();
+        let policy = |region: u32| {
+            let dir = root.join(format!("region-{region}"));
+            let manifest = read_manifest_in(&dir).unwrap();
+            (manifest.checkpoint_every, manifest.fsync)
+        };
+        let start = ["--checkpoint-every", "4", "--fsync", "every-slot", "--kill-at-slot", "2"];
+        cmd_federate(&fed_args(&[&["--checkpoint-dir", root_arg.as_str()], &start[..]].concat()))
+            .unwrap();
+        cmd_federate(&owned(&["--resume", &root_arg])).unwrap();
+        for region in 0..2 {
+            assert_eq!(policy(region), (4, "every-slot".to_owned()), "region {region}");
+        }
+        // Rerunning with `--checkpoint-dir` on the same root follows the
+        // flags given, as `open_session` does for every durable engine.
+        let rerun =
+            ["--checkpoint-dir", root_arg.as_str(), "--checkpoint-every", "2", "--fsync", "os"];
+        cmd_federate(&fed_args(&rerun)).unwrap();
+        for region in 0..2 {
+            assert_eq!(policy(region), (2, "os".to_owned()), "region {region}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]

@@ -44,12 +44,6 @@ pub enum SolveError {
         /// The solver's report name, e.g. `"ROPT"`.
         solver: &'static str,
     },
-    /// The solver could not produce any finite candidate within its retry
-    /// budget; the caller should fall back to the last feasible decision.
-    RetriesExhausted {
-        /// Retries attempted before giving up.
-        attempts: u32,
-    },
 }
 
 impl fmt::Display for SolveError {
@@ -66,9 +60,6 @@ impl fmt::Display for SolveError {
             }
             Self::FilterUnsupported { solver } => {
                 write!(f, "the {solver} solver cannot honour an availability mask")
-            }
-            Self::RetriesExhausted { attempts } => {
-                write!(f, "no finite solve candidate after {attempts} retries")
             }
         }
     }
@@ -90,7 +81,5 @@ mod tests {
         assert!(e.to_string().contains("freqs_hz"));
         let e = SolveError::NoAllowedStrategy { device: 7 };
         assert!(e.to_string().contains('7'));
-        let e = SolveError::RetriesExhausted { attempts: 2 };
-        assert!(e.to_string().contains('2'));
     }
 }

@@ -48,7 +48,7 @@ const POSTMORTEM_TRIGGERS: &[&str] = &[
 const MAX_POSTMORTEMS: u64 = 8;
 
 /// Configuration for a [`TelemetrySession`].
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TelemetryConfig {
     /// Drift-plus-penalty weight V of the run (scales queue health
     /// thresholds).

@@ -1,7 +1,10 @@
 //! The server's validated configuration: parsing (TOML subset or JSON),
 //! startup validation, and the hot-reload compatibility check.
 //!
-//! Missing optional fields take documented defaults; *unknown* keys are
+//! The engine's own keys (`server.deadline_ms`, `server.kill_after_slot`,
+//! `[durability]`, `[telemetry]`) are the [`ENGINE_OPTIONS`] table's: they
+//! are read and checked by [`EngineOptions::parse`], as `eotora run`'s
+//! flags are. Missing optional fields take documented defaults; *unknown* keys are
 //! rejected outright (a typo'd `deadline_mss` must not silently become
 //! "no deadline"). Hot reloads revalidate from scratch and then pass
 //! through [`validate_reload`], which partitions fields into hot-
@@ -9,11 +12,10 @@
 //! durability, telemetry) — a rejected reload leaves the running config
 //! untouched.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
-use eotora_durability::FsyncPolicy;
-use eotora_sim::Scenario;
+use eotora_sim::{DurabilityConfig, EngineOptions, OptionError, Scenario, Surface, ENGINE_OPTIONS};
 use serde_json::Value;
 
 use crate::queue::ShedPolicy;
@@ -70,26 +72,6 @@ pub struct AdmissionSettings {
     pub policy: ShedPolicy,
 }
 
-/// `[durability]` — always-on journal + checkpoints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DurabilitySettings {
-    /// Checkpoint directory (auto-resumed on restart).
-    pub dir: PathBuf,
-    /// Snapshot cadence in slots.
-    pub checkpoint_every: u64,
-    /// Journal fsync policy.
-    pub fsync: FsyncPolicy,
-}
-
-/// `[telemetry]` — periodic metrics dumps and postmortem flight dumps.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetrySettings {
-    /// Metrics snapshot file (`.prom` or JSONL); `None` disables.
-    pub metrics_out: Option<PathBuf>,
-    /// Snapshot interval in slots (0 = final only).
-    pub metrics_every: u64,
-}
-
 /// The full validated server configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -101,19 +83,31 @@ pub struct ServerConfig {
     /// Trip the watchdog after this many *consecutive* slots with
     /// deadline expirations (0 disables).
     pub watchdog_expirations: u64,
-    /// Test hook: simulate a crash right after this slot commits (no
-    /// graceful checkpoint) — drives the kill–restart chaos tests.
-    pub kill_after_slot: Option<u64>,
     /// Admission queue settings.
     pub admission: AdmissionSettings,
-    /// Journal/checkpoint settings.
-    pub durability: DurabilitySettings,
-    /// Metrics/postmortem settings.
-    pub telemetry: TelemetrySettings,
+    /// The always-on journal and checkpoints (`[durability]`); its kill
+    /// hook is `server.kill_after_slot`, a simulated crash right after
+    /// that slot commits, with no graceful checkpoint.
+    pub durability: DurabilityConfig,
+    /// The engine options the config gave, validated against the
+    /// scenario; `serve` builds its live telemetry from them (`[telemetry]`,
+    /// postmortems under `<durability.dir>/postmortems`).
+    pub engine: EngineOptions,
 }
 
 fn invalid(field: &str, reason: impl Into<String>) -> ConfigError {
     ConfigError::Invalid { field: field.to_owned(), reason: reason.into() }
+}
+
+impl From<OptionError> for ConfigError {
+    fn from(e: OptionError) -> Self {
+        ConfigError::Invalid { field: e.field.to_owned(), reason: e.reason }
+    }
+}
+
+/// The [`ENGINE_OPTIONS`] keys in `section`.
+fn engine_keys(section: &str) -> impl Iterator<Item = &'static str> + '_ {
+    ENGINE_OPTIONS.iter().filter_map(move |row| row.2?.strip_prefix(section)?.strip_prefix('.'))
 }
 
 /// A section's fields plus cursor bookkeeping for unknown-key rejection.
@@ -209,27 +203,21 @@ impl ServerConfig {
         let scenario = parse_scenario(section(root, "scenario")?)?;
 
         let server = section(root, "server")?;
-        server.reject_unknown(&["deadline_ms", "watchdog_expirations", "kill_after_slot"])?;
-        let deadline_ms = server.u64("deadline_ms", 0)?;
-        let deadline = (deadline_ms > 0).then(|| Duration::from_millis(deadline_ms));
-        if deadline.is_some() && !scenario.dpp.solver.supports_masks() {
-            // A deadline selects the robust engine, which masks faults
-            // through the P2-A solver: a baseline would lifeboat every slot.
-            return Err(invalid(
-                "scenario.dpp.solver",
-                format!(
-                    "{} cannot run the robust engine that server.deadline_ms selects; use CGBA",
-                    scenario.dpp.solver.name()
-                ),
-            ));
+        let known: Vec<&str> = engine_keys("server").chain(["watchdog_expirations"]).collect();
+        server.reject_unknown(&known)?;
+        for name in ["durability", "telemetry"] {
+            section(root, name)?.reject_unknown(&engine_keys(name).collect::<Vec<_>>())?;
         }
+        let mut given = Vec::new();
+        for &(option, _, key) in ENGINE_OPTIONS {
+            let Some((name, key)) = key.and_then(|k| k.split_once('.')) else { continue };
+            given.extend(section(root, name)?.get(key).map(|value| (option, value)));
+        }
+        let engine = EngineOptions::parse(Surface::Toml, &given, &scenario)?;
+        let durability = engine.durability().cloned().ok_or_else(|| {
+            invalid("durability.dir", "required: the always-on checkpoint directory")
+        })?;
         let watchdog_expirations = server.u64("watchdog_expirations", 8)?;
-        let kill_after_slot = match server.get("kill_after_slot") {
-            None => None,
-            Some(v) => Some(v.as_u64().ok_or_else(|| {
-                invalid("server.kill_after_slot", "expected a slot index (integer ≥ 0)")
-            })?),
-        };
 
         let admission = section(root, "admission")?;
         admission.reject_unknown(&["capacity", "policy"])?;
@@ -247,35 +235,13 @@ impl ServerConfig {
             })?,
         };
 
-        let durability = section(root, "durability")?;
-        durability.reject_unknown(&["dir", "checkpoint_every", "fsync"])?;
-        let dir = durability.str("dir")?.ok_or_else(|| {
-            invalid("durability.dir", "required: the always-on checkpoint directory")
-        })?;
-        let checkpoint_every = durability.u64("checkpoint_every", 10)?;
-        if checkpoint_every == 0 {
-            return Err(invalid("durability.checkpoint_every", "must be at least 1"));
-        }
-        let fsync = match durability.str("fsync")? {
-            None => FsyncPolicy::default(),
-            Some(text) => {
-                text.parse::<FsyncPolicy>().map_err(|e| invalid("durability.fsync", e))?
-            }
-        };
-
-        let telemetry = section(root, "telemetry")?;
-        telemetry.reject_unknown(&["metrics_out", "metrics_every"])?;
-        let metrics_out = telemetry.str("metrics_out")?.map(PathBuf::from);
-        let metrics_every = telemetry.u64("metrics_every", 0)?;
-
         Ok(ServerConfig {
-            scenario,
-            deadline,
+            deadline: engine.deadline(),
             watchdog_expirations,
-            kill_after_slot,
             admission: AdmissionSettings { capacity: capacity as usize, policy },
-            durability: DurabilitySettings { dir: PathBuf::from(dir), checkpoint_every, fsync },
-            telemetry: TelemetrySettings { metrics_out, metrics_every },
+            durability,
+            engine,
+            scenario,
         })
     }
 }
@@ -326,8 +292,8 @@ fn parse_scenario(section: Section<'_>) -> Result<Scenario, ConfigError> {
 }
 
 /// Splits a candidate reload against the running config: hot-appliable
-/// changes (deadline, admission, watchdog, kill hook) pass through;
-/// anything pinned by open resources (scenario, durability session,
+/// changes (deadline, admission, watchdog) pass through; anything pinned
+/// by open resources (scenario, durability session and its kill hook,
 /// telemetry sinks) or by the engine mode (plain ↔ robust) is rejected
 /// with a typed [`ConfigError::Reload`] — and the caller keeps running
 /// on the old config.
@@ -342,7 +308,7 @@ pub fn validate_reload(
     if next.durability != current.durability {
         return refuse("durability settings are pinned by the open journal; restart");
     }
-    if next.telemetry != current.telemetry {
+    if next.engine.telemetry() != current.engine.telemetry() {
         return refuse("telemetry sinks are pinned for the session; restart");
     }
     match (current.deadline, next.deadline) {
@@ -355,6 +321,8 @@ pub fn validate_reload(
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     const MINIMAL: &str = "\
@@ -375,7 +343,7 @@ mod tests {
         assert_eq!(cfg.admission.policy, ShedPolicy::NewestWins);
         assert_eq!(cfg.durability.dir, PathBuf::from("ckpt"));
         assert_eq!(cfg.durability.checkpoint_every, 10);
-        assert_eq!(cfg.telemetry.metrics_out, None);
+        assert_eq!(cfg.engine.telemetry().metrics_out, None);
     }
 
     #[test]

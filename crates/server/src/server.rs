@@ -17,14 +17,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use eotora_core::fault::FaultSchedule;
-use eotora_core::system::MecSystem;
 use eotora_durability::DurabilityError;
-use eotora_obs::{Recorder, TelemetryConfig, TelemetrySession};
-use eotora_sim::{
-    open_session, robust_config, DriverMode, DriverTuning, DurabilityConfig, RunManifest,
-    StepDriver, MANIFEST_VERSION,
-};
+use eotora_obs::{Recorder, TelemetrySession};
+use eotora_sim::StepDriver;
 
 use crate::config::{validate_reload, ConfigError, ServerConfig};
 use crate::frame::{
@@ -41,8 +36,6 @@ const POLL: Duration = Duration::from_millis(25);
 /// stream and never end up here).
 #[derive(Debug)]
 pub enum ServerError {
-    /// Startup configuration was unusable.
-    Config(ConfigError),
     /// The durable session failed (journal/snapshot I/O).
     Durability(DurabilityError),
     /// An output stream died.
@@ -52,7 +45,6 @@ pub enum ServerError {
 impl std::fmt::Display for ServerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Self::Config(e) => write!(f, "{e}"),
             Self::Durability(e) => write!(f, "durability: {e}"),
             Self::Io(reason) => write!(f, "i/o: {reason}"),
         }
@@ -60,12 +52,6 @@ impl std::fmt::Display for ServerError {
 }
 
 impl std::error::Error for ServerError {}
-
-impl From<ConfigError> for ServerError {
-    fn from(e: ConfigError) -> Self {
-        Self::Config(e)
-    }
-}
 
 impl From<DurabilityError> for ServerError {
     fn from(e: DurabilityError) -> Self {
@@ -113,45 +99,9 @@ pub fn serve(
     events: &mut dyn Write,
     flags: &SignalFlags,
 ) -> Result<ServerSummary, ServerError> {
-    let manifest = RunManifest {
-        version: MANIFEST_VERSION,
-        mode: "server".to_owned(),
-        scenario: config.scenario.clone(),
-        faults: None,
-        deadline_ms: config.deadline.map(|d| d.as_millis() as u64),
-        checkpoint_every: config.durability.checkpoint_every,
-        fsync: config.durability.fsync.to_string(),
-    };
-    let mut durability = DurabilityConfig::new(config.durability.dir.clone());
-    durability.checkpoint_every = config.durability.checkpoint_every;
-    durability.fsync = config.durability.fsync;
-    durability.kill_at_slot = config.kill_after_slot;
-    let session = open_session(&durability, &manifest)?;
-
-    let system = MecSystem::random(&config.scenario.system, config.scenario.seed);
-    let telemetry = TelemetrySession::new(TelemetryConfig {
-        v: config.scenario.dpp.v,
-        budget: system.budget_per_slot(),
-        metrics_out: config.telemetry.metrics_out.clone(),
-        metrics_every: config.telemetry.metrics_every,
-        postmortem_dir: Some(config.durability.dir.join("postmortems")),
-        flight_capacity: 0,
-    });
-    let mode = match config.deadline {
-        None => DriverMode::Plain,
-        Some(deadline) => DriverMode::Robust {
-            faults: FaultSchedule::default(),
-            robust: robust_config(&config.scenario, Some(deadline)),
-        },
-    };
-    let mut driver = StepDriver::new(
-        &config.scenario,
-        system,
-        mode,
-        Some(session),
-        Some(&telemetry),
-        DriverTuning { horizon: Some(u64::MAX), bounded: true },
-    );
+    let telemetry = TelemetrySession::new(config.engine.telemetry().clone());
+    let mut driver =
+        StepDriver::daemon(&config.scenario, config.deadline, &config.durability, &telemetry)?;
 
     let queue = Arc::new(AdmissionQueue::new(config.admission.capacity, config.admission.policy));
     {

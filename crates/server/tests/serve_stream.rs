@@ -11,11 +11,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use eotora_core::system::MecSystem;
 use eotora_durability::FsyncPolicy;
-use eotora_server::config::{AdmissionSettings, DurabilitySettings, TelemetrySettings};
+use eotora_server::config::AdmissionSettings;
 use eotora_server::{
     serve, DecisionRecord, InputSource, ServerConfig, ServerSummary, ShedPolicy, SignalFlags,
 };
-use eotora_sim::{run, Scenario, SimulationResult};
+use eotora_sim::{
+    run, DurabilityConfig, EngineOption, EngineOptions, Scenario, SimulationResult, Surface,
+};
 use eotora_states::StateProvider;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -35,14 +37,18 @@ fn config(s: &Scenario, dir: &Path) -> ServerConfig {
         scenario: s.clone(),
         deadline: None,
         watchdog_expirations: 8,
-        kill_after_slot: None,
         admission: AdmissionSettings { capacity: 64, policy: ShedPolicy::Block },
-        durability: DurabilitySettings {
-            dir: dir.to_path_buf(),
+        durability: DurabilityConfig {
             checkpoint_every: 5,
             fsync: FsyncPolicy::Os,
+            ..DurabilityConfig::new(dir)
         },
-        telemetry: TelemetrySettings { metrics_out: None, metrics_every: 0 },
+        engine: EngineOptions::parse(
+            Surface::Toml,
+            &[(EngineOption::CheckpointDir, dir.to_str().unwrap())],
+            s,
+        )
+        .unwrap(),
     }
 }
 
@@ -173,7 +179,7 @@ fn hard_kill_and_restart_re_emit_identical_decisions() {
     // Crash (no graceful snapshot) after slot 7; the last cadence
     // snapshot is at slot 5, so the restart re-solves 5..=7.
     let mut killed = config(&s, &dir);
-    killed.kill_after_slot = Some(7);
+    killed.durability.kill_at_slot = Some(7);
     let (first, records_a, events_a) = run_server(killed, &full);
     assert!(first.interrupted);
     assert_eq!(first.slots_completed, 8);

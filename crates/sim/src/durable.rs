@@ -68,7 +68,7 @@ const SNAPSHOT_FILE: &str = "snapshot.bin";
 const JOURNAL_DIR: &str = "journal";
 
 /// How a run checkpoints itself.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DurabilityConfig {
     /// Checkpoint directory (created if missing).
     pub dir: PathBuf,
@@ -144,8 +144,6 @@ impl RunManifest {
     /// than [`robust_config`] of `scenario` at the deadline's
     /// whole-millisecond value (`deadline_ms` is the only robust knob on
     /// disk, so a sub-millisecond deadline would resume as another run).
-    /// Also refuses robust mode on a scenario whose solver cannot honour
-    /// an availability mask (a baseline): every slot would be a lifeboat.
     pub fn new(
         scenario: &Scenario,
         mode: &DriverMode,
@@ -154,15 +152,6 @@ impl RunManifest {
         let (name, faults, deadline_ms) = match mode {
             DriverMode::Plain => ("plain", None, None),
             DriverMode::Robust { faults, robust } => {
-                if !scenario.dpp.solver.supports_masks() {
-                    return Err(DurabilityError::InvalidConfig {
-                        reason: format!(
-                            "robust mode needs a CGBA solver; the scenario's solver is {} \
-                             (dpp.solver)",
-                            scenario.dpp.solver.name()
-                        ),
-                    });
-                }
                 let deadline_ms = robust.deadline.map(|d| d.as_millis() as u64);
                 if *robust != robust_config(scenario, deadline_ms.map(Duration::from_millis)) {
                     return Err(DurabilityError::InvalidConfig {
@@ -312,14 +301,9 @@ fn write_manifest(dir: &Path, manifest: &RunManifest) -> Result<(), DurabilityEr
     write_atomic(&path, text.as_bytes())
 }
 
-/// Reads the run manifest of the checkpoint directory `dir` — the public
-/// hook the CLI uses to recover a resumed run's scenario parameters (V,
-/// budget) for health-rule construction.
+/// Reads the run manifest of the checkpoint directory `dir` — how
+/// `eotora run --resume` learns the scenario it resumes.
 pub fn read_manifest_in(dir: &Path) -> Result<RunManifest, DurabilityError> {
-    read_manifest(dir)
-}
-
-fn read_manifest(dir: &Path) -> Result<RunManifest, DurabilityError> {
     let path = manifest_path(dir);
     let text = fs::read_to_string(&path).map_err(|e| DurabilityError::io(&path, &e))?;
     let manifest: RunManifest = serde_json::from_str(&text).map_err(|e| {
@@ -392,7 +376,7 @@ pub fn resume_durable(
     cfg: &DurabilityConfig,
     sink: Option<&dyn Recorder>,
 ) -> Result<DurableRun, DurabilityError> {
-    let manifest = read_manifest(&cfg.dir)?;
+    let manifest = read_manifest_in(&cfg.dir)?;
     let mode = manifest.driver_mode().map_err(|reason| DurabilityError::CorruptManifest {
         path: manifest_path(&cfg.dir).display().to_string(),
         reason,
@@ -487,7 +471,7 @@ pub fn open_session(
     if !manifest_path(&cfg.dir).exists() {
         return fresh_session(cfg, manifest);
     }
-    let existing = read_manifest(&cfg.dir)?;
+    let existing = read_manifest_in(&cfg.dir)?;
     if existing.mode != manifest.mode
         || existing.scenario != manifest.scenario
         || existing.faults != manifest.faults

@@ -31,7 +31,9 @@ use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
 use eotora_util::series::TimeSeries;
 
-use crate::durable::{DurableSession, ResumeState, RunSnapshot};
+use crate::durable::{
+    open_session, DurabilityConfig, DurableSession, ResumeState, RunManifest, RunSnapshot,
+};
 use crate::scenario::Scenario;
 
 /// Which per-slot pipeline the driver runs — the one option a batch caller
@@ -256,6 +258,27 @@ impl<'s> StepDriver<'s> {
             handover_rate,
             mean_clock_ghz,
         }
+    }
+
+    /// Opens the `eotora-server` daemon's engine, fresh or resumed
+    /// ([`open_session`]): plain, or robust under `deadline`; no horizon,
+    /// bounded memory, manifest mode `"server"`.
+    pub fn daemon(
+        scenario: &Scenario,
+        deadline: Option<std::time::Duration>,
+        durability: &DurabilityConfig,
+        sink: &'s dyn Recorder,
+    ) -> Result<Self, DurabilityError> {
+        let mode = crate::options::driver_mode(scenario, None, deadline, true);
+        let manifest = RunManifest {
+            mode: "server".to_owned(),
+            faults: None,
+            ..RunManifest::new(scenario, &mode, durability)?
+        };
+        let session = open_session(durability, &manifest)?;
+        let system = MecSystem::random(&scenario.system, scenario.seed);
+        let tuning = DriverTuning { horizon: Some(u64::MAX), bounded: true };
+        Ok(Self::new(scenario, system, mode, Some(session), Some(sink), tuning))
     }
 
     /// The next slot this driver will solve (> 0 after a resume).

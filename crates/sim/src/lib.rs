@@ -22,6 +22,8 @@
 //!   a checksummed write-ahead slot journal, with deterministic
 //!   kill–resume ([`durable::run_durable`] in any journalable
 //!   [`DriverMode`] / [`durable::resume_durable`]).
+//! * [`options`] — the one engine-options schema shared by the CLI and
+//!   the server config, and the configs built from it.
 //! * [`federation`] — federated multi-region control: N per-region
 //!   drivers sharing one fleet budget over an unreliable, checkpointable
 //!   peer link ([`federation::run_federation`]).
@@ -45,6 +47,7 @@ pub mod durable;
 pub mod engine;
 pub mod experiments;
 pub mod federation;
+pub mod options;
 pub mod report;
 pub mod runner;
 pub mod scenario;
@@ -58,6 +61,9 @@ pub use engine::{DriverMode, DriverTuning, StepDriver, StepReport};
 pub use federation::{
     read_federation_manifest, region_scenario, run_federation, run_standalone, FederationConfig,
     FederationManifest, FederationReport, FederationRun, FED_MANIFEST_VERSION,
+};
+pub use options::{
+    EngineOption, EngineOptions, OptionError, Surface, DURABILITY_OPTIONS, ENGINE_OPTIONS,
 };
 pub use runner::{robust_config, run, run_many, run_mode, SimulationResult};
 pub use scenario::Scenario;

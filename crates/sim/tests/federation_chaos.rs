@@ -12,6 +12,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use eotora_durability::FsyncPolicy;
 use eotora_federation::{LinkFaultConfig, PartitionWindow};
 use eotora_sim::durable::DurabilityConfig;
 use eotora_sim::federation::{run_federation, FederationConfig, FederationReport, FederationRun};
@@ -151,5 +152,30 @@ fn resumed_federation_survives_a_second_kill() {
     durability.kill_at_slot = None;
     let resumed = completed(run_federation(&cfg, &faults(44), Some(&durability)).unwrap());
     assert_same_federation(&resumed, &reference);
+    let _ = fs::remove_dir_all(&durability.dir);
+}
+
+#[test]
+fn kill_resume_with_a_non_default_cadence_and_fsync_is_bit_identical() {
+    let cfg = config(45);
+    let reference = completed(run_federation(&cfg, &faults(45), None).unwrap());
+    let mut durability = DurabilityConfig::new(temp_root("policy"));
+    durability.checkpoint_every = 4;
+    durability.fsync = FsyncPolicy::EverySlot;
+    durability.kill_at_slot = Some(6);
+    assert_eq!(interrupted(run_federation(&cfg, &faults(45), Some(&durability)).unwrap()), 6);
+    // Resume with the same policy, as `eotora federate --resume` passes it
+    // from the region manifests.
+    let resume = DurabilityConfig { kill_at_slot: None, ..durability.clone() };
+    let resumed = completed(run_federation(&cfg, &faults(45), Some(&resume)).unwrap());
+    assert_same_federation(&resumed, &reference);
+    for (region, result) in resumed.regions.iter().enumerate() {
+        // The snapshot at slot 4 (cadence 4), not a default-cadence restart.
+        assert_eq!(result.counters.get("durability.resumed_slots").copied().unwrap_or(0), 4);
+        let dir = durability.dir.join(format!("region-{region}"));
+        let manifest = eotora_sim::durable::read_manifest_in(&dir).unwrap();
+        assert_eq!(manifest.checkpoint_every, 4, "region {region} lost its cadence");
+        assert_eq!(manifest.fsync, "every-slot", "region {region} lost its fsync policy");
+    }
     let _ = fs::remove_dir_all(&durability.dir);
 }
