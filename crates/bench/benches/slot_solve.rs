@@ -12,9 +12,16 @@
 //!   previous slot's incumbent and stops alternating once rounds stop
 //!   paying.
 //!
-//! Engine and reference consume identically seeded RNG streams, so their
-//! latency series must match bit for bit — asserted here, which makes the
-//! benchmark double as the at-scale equivalence check. The warm arm takes
+//! Engine and reference run interleaved slot by slot, so a change in host
+//! speed during the run lands on both sides of `p50_speedup` alike; the
+//! order alternates every slot, because whichever arm runs second inherits
+//! the first one's caches and freed heap (engine-first on every slot read
+//! `p50_speedup` 1.39–1.58 at 30 devices, alternating 1.66–1.96). They consume
+//! identically seeded RNG streams, so their latency series must match bit
+//! for bit — asserted here, which makes the benchmark double as the
+//! at-scale equivalence check. Each row records `kernel_threads`, the
+//! threads the engine's CGBA kernel split each scan over (the reference
+//! is always serial). The warm arm takes
 //! different (equally valid) decisions, so it reports `rounds_used_mean`
 //! and `warm_speedup` (vs the cold engine's p50) instead of bit-identity.
 //! A fourth **journal** arm repeats the engine path with the durability
@@ -72,6 +79,7 @@ const WARM_ROUNDS: usize = 5;
 struct ScaleResult {
     devices: usize,
     horizon: u64,
+    kernel_threads: usize,
     engine_p50_s: f64,
     engine_p95_s: f64,
     reference_p50_s: f64,
@@ -98,32 +106,51 @@ fn record_states(system: &MecSystem, horizon: u64) -> Vec<SystemState> {
     (0..horizon).map(|t| provider.observe(t, system.topology())).collect()
 }
 
-/// Runs the online loop once, timing each slot's solve; returns the
-/// latency series, per-slot wall-clock seconds, and per-slot BDMA rounds
-/// actually executed.
-fn run_loop(
+/// One arm's slot solve: `(system, state, queue, slot, rng) -> solution`.
+type Arm<'a> = &'a mut dyn FnMut(&MecSystem, &SystemState, f64, u64, &mut Pcg32) -> P2Solution;
+
+/// One arm's pass over the loop: the latency series, per-slot wall-clock
+/// seconds, and per-slot BDMA rounds actually executed.
+struct LoopRun {
+    latencies: Vec<f64>,
+    times: Vec<f64>,
+    rounds: Vec<usize>,
+}
+
+/// Runs the online loop for every arm in lock-step — each slot is solved
+/// by every arm in turn before the next slot starts — timing each solve.
+/// Every arm carries its own identically seeded RNG stream and virtual
+/// queue.
+fn run_loop<const N: usize>(
     system: &MecSystem,
     states: &[SystemState],
-    mut solve: impl FnMut(&MecSystem, &SystemState, f64, u64, &mut Pcg32) -> P2Solution,
-) -> (Vec<f64>, Vec<f64>, Vec<usize>) {
-    let mut rng = Pcg32::seed_stream(SEED, 0xD99);
+    arms: [Arm<'_>; N],
+) -> [LoopRun; N] {
+    let mut rngs = [(); N].map(|_| Pcg32::seed_stream(SEED, 0xD99));
+    let mut queues = [0.0; N];
+    let mut runs = [(); N].map(|_| LoopRun {
+        latencies: Vec::with_capacity(states.len()),
+        times: Vec::with_capacity(states.len()),
+        rounds: Vec::with_capacity(states.len()),
+    });
     let budget = system.budget_per_slot();
-    let mut queue = 0.0;
-    let mut latencies = Vec::with_capacity(states.len());
-    let mut times = Vec::with_capacity(states.len());
-    let mut rounds = Vec::with_capacity(states.len());
     for (slot, state) in states.iter().enumerate() {
-        let start = Instant::now();
-        let sol = solve(system, state, queue, slot as u64, &mut rng);
-        times.push(start.elapsed().as_secs_f64());
-        latencies.push(sol.latency);
-        rounds.push(sol.rounds_used);
-        // Same association as `VirtualQueue::update` (form the excess
-        // first) so the two loops share the queue trajectory exactly.
-        let excess = sol.energy_cost - budget;
-        queue = (queue + excess).max(0.0);
+        // Alternate the order slot by slot, so no arm always runs in the
+        // wake of another (warm caches, a just-freed heap).
+        for j in 0..N {
+            let k = if slot % 2 == 0 { j } else { N - 1 - j };
+            let start = Instant::now();
+            let sol = arms[k](system, state, queues[k], slot as u64, &mut rngs[k]);
+            runs[k].times.push(start.elapsed().as_secs_f64());
+            runs[k].latencies.push(sol.latency);
+            runs[k].rounds.push(sol.rounds_used);
+            // Same association as `VirtualQueue::update` (form the excess
+            // first) so the loops share the queue trajectory exactly.
+            let excess = sol.energy_cost - budget;
+            queues[k] = (queues[k] + excess).max(0.0);
+        }
     }
-    (latencies, times, rounds)
+    runs
 }
 
 /// One arm's plain (hook-free) engine: its BDMA configuration, CGBA solver
@@ -162,18 +189,23 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     let cgba = CgbaConfig::default();
 
     let mut engine = Engine::new(bdma.clone(), CgbaSolver::default());
-    let (engine_lat, mut engine_times, _) =
-        run_loop(&system, &states, |sys, state, queue, slot, rng| {
-            engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
-        });
-
-    let (ref_lat, mut ref_times, _) =
-        run_loop(&system, &states, |sys, state, queue, _slot, rng| {
-            solve_p2_reference(sys, state, V, queue, &bdma, &cgba, rng)
-        });
-
+    let [engine_run, ref_run] = run_loop(
+        &system,
+        &states,
+        [
+            &mut |sys, state, queue, slot, rng| {
+                engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
+            },
+            &mut |sys, state, queue, _slot, rng| {
+                solve_p2_reference(sys, state, V, queue, &bdma, &cgba, rng)
+            },
+        ],
+    );
+    let kernel_threads = engine.solver.kernel_threads();
+    let (engine_lat, mut engine_times) = (engine_run.latencies, engine_run.times);
+    let mut ref_times = ref_run.times;
     assert_eq!(
-        engine_lat, ref_lat,
+        engine_lat, ref_run.latencies,
         "engine and reference latency series must be bit-identical at I={devices}"
     );
 
@@ -181,10 +213,14 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     // cold loops), the paper's z with ε-termination deciding the rest.
     let warm_bdma = BdmaConfig { rounds: WARM_ROUNDS, epsilon: 1e-9, start: StartPolicy::Warm };
     let mut warm_engine = Engine::new(warm_bdma, CgbaSolver::default());
-    let (_, mut warm_times, warm_rounds) =
-        run_loop(&system, &states, |sys, state, queue, slot, rng| {
+    let [warm_run] = run_loop(
+        &system,
+        &states,
+        [&mut |sys, state, queue, slot, rng| {
             warm_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
-        });
+        }],
+    );
+    let (mut warm_times, warm_rounds) = (warm_run.times, warm_run.rounds);
 
     // Journal arm: the engine path plus the per-slot durability frame
     // append inside the timed region — the exact extra work `run
@@ -199,42 +235,50 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
         });
     let mut journal_engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let mut journal_work: Vec<f64> = Vec::new();
-    let (journal_lat, _, _) = run_loop(&system, &states, |sys, state, queue, slot, rng| {
-        let sol = journal_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder);
-        let journal_start = Instant::now();
-        {
-            let record = SlotRecord {
-                slot,
-                latency_s: sol.latency,
-                cost_usd: sol.energy_cost,
-                queue,
-                price: 0.18,
-                solve_time_s: 1e-3,
-                fairness: 1.0,
-                handover_rate: 0.0,
-                mean_clock_ghz: sol.freqs_hz.iter().sum::<f64>()
-                    / sol.freqs_hz.len().max(1) as f64
-                    / 1e9,
-                rounds_used: sol.rounds_used as f64,
-                stations: sol.assignments.iter().map(|a| a.base_station.index() as u32).collect(),
-                stages: vec![
-                    ("p2a".to_owned(), 1e-4),
-                    ("p2b".to_owned(), 1e-4),
-                    ("queue_update".to_owned(), 1e-6),
-                ],
-            };
-            writer
-                .append(&record.encode())
-                .unwrap_or_else(|e| panic!("bench journal append failed: {e}"));
-        }
-        journal_work.push(journal_start.elapsed().as_secs_f64());
-        sol
-    });
+    let [journal_run] = run_loop(
+        &system,
+        &states,
+        [&mut |sys, state, queue, slot, rng| {
+            let sol = journal_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder);
+            let journal_start = Instant::now();
+            {
+                let record = SlotRecord {
+                    slot,
+                    latency_s: sol.latency,
+                    cost_usd: sol.energy_cost,
+                    queue,
+                    price: 0.18,
+                    solve_time_s: 1e-3,
+                    fairness: 1.0,
+                    handover_rate: 0.0,
+                    mean_clock_ghz: sol.freqs_hz.iter().sum::<f64>()
+                        / sol.freqs_hz.len().max(1) as f64
+                        / 1e9,
+                    rounds_used: sol.rounds_used as f64,
+                    stations: sol
+                        .assignments
+                        .iter()
+                        .map(|a| a.base_station.index() as u32)
+                        .collect(),
+                    stages: vec![
+                        ("p2a".to_owned(), 1e-4),
+                        ("p2b".to_owned(), 1e-4),
+                        ("queue_update".to_owned(), 1e-6),
+                    ],
+                };
+                writer
+                    .append(&record.encode())
+                    .unwrap_or_else(|e| panic!("bench journal append failed: {e}"));
+            }
+            journal_work.push(journal_start.elapsed().as_secs_f64());
+            sol
+        }],
+    );
     writer.sync().unwrap_or_else(|e| panic!("bench journal sync failed: {e}"));
     drop(writer);
     let _ = std::fs::remove_dir_all(&journal_dir);
     assert_eq!(
-        journal_lat, engine_lat,
+        journal_run.latencies, engine_lat,
         "journaling must not perturb the decision sequence at I={devices}"
     );
 
@@ -252,51 +296,55 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     let live = TelemetrySession::in_memory(V, budget);
     let mut live_engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let mut live_work: Vec<f64> = Vec::new();
-    let (live_lat, _, _) = run_loop(&system, &states, |sys, state, queue, slot, rng| {
-        let sol = live_engine.solve(sys, state, queue, slot, rng, &live);
-        let excess = sol.energy_cost - budget;
-        let obs_start = Instant::now();
-        for round in 1..=BDMA_ROUNDS as u64 {
-            live.span_ns(eotora_obs::SPAN_P2A, 120_000);
-            live.add(eotora_obs::COUNTER_CGBA_ITERATIONS, 6);
-            live.add(eotora_obs::COUNTER_CGBA_PROBES, 40 * devices as u64);
-            live.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
-            live.span_ns(eotora_obs::SPAN_P2B, 80_000);
-            live.record(&TraceEvent::BdmaIteration {
-                slot,
-                round,
-                objective: sol.latency,
-                accepted: round == 1,
-                p2a_nanos: 120_000,
-                p2b_nanos: 80_000,
-            });
-            live.add(eotora_obs::COUNTER_BDMA_ROUNDS, 1);
-            if round == 1 {
-                live.add(eotora_obs::COUNTER_BDMA_ACCEPTED, 1);
+    let [live_run] = run_loop(
+        &system,
+        &states,
+        [&mut |sys, state, queue, slot, rng| {
+            let sol = live_engine.solve(sys, state, queue, slot, rng, &live);
+            let excess = sol.energy_cost - budget;
+            let obs_start = Instant::now();
+            for round in 1..=BDMA_ROUNDS as u64 {
+                live.span_ns(eotora_obs::SPAN_P2A, 120_000);
+                live.add(eotora_obs::COUNTER_CGBA_ITERATIONS, 6);
+                live.add(eotora_obs::COUNTER_CGBA_PROBES, 40 * devices as u64);
+                live.add(eotora_obs::COUNTER_CGBA_CONVERGED, 1);
+                live.span_ns(eotora_obs::SPAN_P2B, 80_000);
+                live.record(&TraceEvent::BdmaIteration {
+                    slot,
+                    round,
+                    objective: sol.latency,
+                    accepted: round == 1,
+                    p2a_nanos: 120_000,
+                    p2b_nanos: 80_000,
+                });
+                live.add(eotora_obs::COUNTER_BDMA_ROUNDS, 1);
+                if round == 1 {
+                    live.add(eotora_obs::COUNTER_BDMA_ACCEPTED, 1);
+                }
             }
-        }
-        live.add(eotora_obs::COUNTER_BDMA_ROUNDS_SAVED, 0);
-        live.span_ns(eotora_obs::SPAN_QUEUE_UPDATE, 900);
-        live.record(&TraceEvent::QueueUpdate {
-            slot,
-            before: queue,
-            after: (queue + excess).max(0.0),
-            excess,
-        });
-        live.span_ns(eotora_obs::SPAN_SLOT_SOLVE, 250_000);
-        live.add(eotora_obs::COUNTER_SLOTS, 1);
-        live.record(&TraceEvent::Slot {
-            slot,
-            objective: V * sol.latency + queue * excess,
-            latency: sol.latency,
-            cost: sol.energy_cost,
-            queue: (queue + excess).max(0.0),
-        });
-        live_work.push(obs_start.elapsed().as_secs_f64());
-        sol
-    });
+            live.add(eotora_obs::COUNTER_BDMA_ROUNDS_SAVED, 0);
+            live.span_ns(eotora_obs::SPAN_QUEUE_UPDATE, 900);
+            live.record(&TraceEvent::QueueUpdate {
+                slot,
+                before: queue,
+                after: (queue + excess).max(0.0),
+                excess,
+            });
+            live.span_ns(eotora_obs::SPAN_SLOT_SOLVE, 250_000);
+            live.add(eotora_obs::COUNTER_SLOTS, 1);
+            live.record(&TraceEvent::Slot {
+                slot,
+                objective: V * sol.latency + queue * excess,
+                latency: sol.latency,
+                cost: sol.energy_cost,
+                queue: (queue + excess).max(0.0),
+            });
+            live_work.push(obs_start.elapsed().as_secs_f64());
+            sol
+        }],
+    );
     assert_eq!(
-        live_lat, engine_lat,
+        live_run.latencies, engine_lat,
         "live telemetry must not perturb the decision sequence at I={devices}"
     );
 
@@ -316,6 +364,7 @@ fn bench_scale(devices: usize, horizon: u64) -> ScaleResult {
     ScaleResult {
         devices,
         horizon,
+        kernel_threads,
         engine_p50_s,
         engine_p95_s,
         reference_p50_s,
@@ -357,18 +406,27 @@ fn bench_shard_scale(devices: usize, islands: usize, horizon: u64) -> ShardScale
     let bdma = BdmaConfig { rounds: 1, ..Default::default() };
 
     let mut seq_engine = Engine::new(bdma.clone(), CgbaSolver::default());
-    let (seq_lat, mut seq_times, _) = run_loop(&system, &states, |sys, state, queue, slot, rng| {
-        seq_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
-    });
+    let [seq_run] = run_loop(
+        &system,
+        &states,
+        [&mut |sys, state, queue, slot, rng| {
+            seq_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
+        }],
+    );
+    let mut seq_times = seq_run.times;
 
     let mut sharded_engine = Engine::new(bdma.clone(), CgbaSolver::new(0.0, 0));
-    let (sharded_lat, mut sharded_times, _) =
-        run_loop(&system, &states, |sys, state, queue, slot, rng| {
+    let [sharded_run] = run_loop(
+        &system,
+        &states,
+        [&mut |sys, state, queue, slot, rng| {
             sharded_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
-        });
+        }],
+    );
+    let mut sharded_times = sharded_run.times;
 
     assert_eq!(
-        seq_lat, sharded_lat,
+        seq_run.latencies, sharded_run.latencies,
         "sharded and sequential latency series must be bit-identical at I={devices}"
     );
     let plan = sharded_engine.solver.plan().expect("sharded solver ran, so a plan exists");
@@ -405,9 +463,10 @@ fn main() {
         );
         let r = bench_scale(devices, horizon);
         eprintln!(
-            "  engine p50 {:.3} ms / p95 {:.3} ms | reference p50 {:.3} ms / p95 {:.3} ms | speedup p50 {:.2}x",
+            "  engine p50 {:.3} ms / p95 {:.3} ms ({} kernel thread(s)) | reference p50 {:.3} ms / p95 {:.3} ms | speedup p50 {:.2}x",
             r.engine_p50_s * 1e3,
             r.engine_p95_s * 1e3,
+            r.kernel_threads,
             r.reference_p50_s * 1e3,
             r.reference_p95_s * 1e3,
             r.p50_speedup,
@@ -463,6 +522,7 @@ fn main() {
                     "      \"devices\": {},\n",
                     "      \"horizon_slots\": {},\n",
                     "      \"bdma_rounds\": {},\n",
+                    "      \"kernel_threads\": {},\n",
                     "      \"engine_p50_s\": {:e},\n",
                     "      \"engine_p95_s\": {:e},\n",
                     "      \"reference_p50_s\": {:e},\n",
@@ -483,6 +543,7 @@ fn main() {
                 r.devices,
                 r.horizon,
                 BDMA_ROUNDS,
+                r.kernel_threads,
                 r.engine_p50_s,
                 r.engine_p95_s,
                 r.reference_p50_s,

@@ -42,6 +42,18 @@
 //! collapses to a single shard and this module degrades exactly to the
 //! sequential path.
 //!
+//! # Kernel threads
+//!
+//! Each shard's CGBA may also split its MaxGain scan over several threads
+//! ([`CgbaScratch::set_threads`]; decisions never depend on it). The width
+//! takes no knob of its own: it is the process worker count
+//! ([`pool::default_workers`], the CLI's `--jobs`) divided by the plan's
+//! shard count, and 1 when the solve runs inside a [`WorkerPool`] job
+//! (`run_many`, the sweeps, the ablations — their sibling jobs hold the
+//! cores) or when a shard has fewer than [`MIN_SPLIT_ENTRIES`] entries. So
+//! the paper's 100-device solve uses both workers of a 2-core host, while
+//! a 4-shard plan on 2 workers and every nested solve stay serial.
+//!
 //! # Seed, filter and deadline
 //!
 //! A seeded unfiltered solve runs on each shard's warm scratch, so cold
@@ -51,14 +63,15 @@
 //! reconcile move; a shard the deadline cuts short merges its best-so-far
 //! profile while the others still converge.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use eotora_game::{
     cgba_from, CgbaConfig, CgbaScratch, CongestionGame, GameRef, GameStructure, Profile,
-    ResourceWeights, ShardPlan, SplitGame, StrategyFilter,
+    ResourceWeights, ShardPlan, SplitGame, StrategyFilter, MIN_SPLIT_ENTRIES,
 };
 use eotora_obs::Recorder;
-use eotora_util::pool::WorkerPool;
+use eotora_util::pool::{self, WorkerPool};
 use eotora_util::rng::Pcg32;
 
 use crate::bdma::P2aSolver;
@@ -78,8 +91,15 @@ pub const RECONCILE_PASSES: usize = 4;
 #[derive(Debug)]
 struct ShardState {
     local: Option<(GameStructure, ResourceWeights)>,
+    /// `(player, strategy)` entries of the shard's game.
+    entries: usize,
     scratch: CgbaScratch,
     warm_scratch: CgbaScratch,
+}
+
+/// `(player, strategy)` entries of `structure` — the MaxGain scan's size.
+fn entries(structure: &GameStructure) -> usize {
+    (0..structure.num_players()).map(|i| structure.strategies(i).len()).sum()
 }
 
 /// What one shard's CGBA run reports back to the merge.
@@ -131,6 +151,8 @@ pub struct CgbaSolver {
     /// The `max_shards` the cached plan was computed with.
     planned_shards: usize,
     shards: Vec<Mutex<ShardState>>,
+    /// Kernel threads of the widest shard solve in the last solve.
+    kernel_threads: usize,
 }
 
 impl Default for CgbaSolver {
@@ -149,6 +171,7 @@ impl CgbaSolver {
             plan: None,
             planned_shards: 0,
             shards: Vec::new(),
+            kernel_threads: 1,
         }
     }
 
@@ -156,6 +179,12 @@ impl CgbaSolver {
     /// and cut players for telemetry and benches.
     pub fn plan(&self) -> Option<&ShardPlan> {
         self.plan.as_ref()
+    }
+
+    /// Threads the widest shard's CGBA kernel ran on in the most recent
+    /// solve (1 before any solve); see the module docs for the rule.
+    pub fn kernel_threads(&self) -> usize {
+        self.kernel_threads
     }
 
     /// (Re)computes the plan and per-shard local games when the shape or
@@ -174,8 +203,11 @@ impl CgbaSolver {
             .shards()
             .iter()
             .map(|spec| {
+                let local = (!trivial).then(|| spec.build_local(structure, game.weights()));
+                let entries = entries(local.as_ref().map_or(structure, |(local, _)| local));
                 Mutex::new(ShardState {
-                    local: (!trivial).then(|| spec.build_local(structure, game.weights())),
+                    local,
+                    entries,
                     scratch: CgbaScratch::default(),
                     warm_scratch: CgbaScratch::default(),
                 })
@@ -212,10 +244,21 @@ impl CgbaSolver {
         let structure = game.structure();
         let weights = game.weights();
         let shards = &self.shards;
+        // Judged on the calling thread: the shard jobs below may run on
+        // pool workers themselves.
+        let width = if WorkerPool::in_worker() {
+            1
+        } else {
+            (pool::default_workers() / plan.num_shards()).max(1)
+        };
+        let threads = AtomicUsize::new(1);
         let runs: Vec<ShardRun> = WorkerPool::with_default().map_indexed(plan.num_shards(), |s| {
             let state = &mut *shards[s].lock().expect("shard state poisoned");
-            let ShardState { local, scratch, warm_scratch } = state;
+            let ShardState { local, entries, scratch, warm_scratch } = state;
             let scratch = if warm { warm_scratch } else { scratch };
+            let shard_threads = if *entries < MIN_SPLIT_ENTRIES { 1 } else { width };
+            scratch.set_threads(shard_threads);
+            threads.fetch_max(shard_threads, Ordering::Relaxed);
             let initial = locals[s].clone();
             match local {
                 // A trivial plan solves on the global game: no local copy,
@@ -233,6 +276,7 @@ impl CgbaSolver {
             }
         });
 
+        self.kernel_threads = threads.into_inner();
         let mut merged = initial_choices;
         let choice_vecs: Vec<Vec<usize>> = runs.iter().map(|r| r.choices.clone()).collect();
         plan.merge_choices(&choice_vecs, &mut merged);
@@ -328,6 +372,8 @@ impl P2aSolver for CgbaSolver {
 mod tests {
     use super::*;
     use crate::bdma::{solve_p2, BdmaConfig};
+    use crate::fault::AvailabilityMask;
+    use crate::robust::RobustHooks;
     use crate::system::{MecSystem, SystemConfig};
     use crate::workspace::SlotWorkspace;
     use eotora_obs::NoopRecorder;
@@ -520,6 +566,71 @@ mod tests {
         assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_SOLVES), shards);
         assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_CUT_PLAYERS), 2);
         assert!(rec.counter(eotora_obs::COUNTER_CGBA_ITERATIONS) > 0);
+    }
+
+    /// The paper's 100-device P2-A game (4,800 entries, far above
+    /// `MIN_SPLIT_ENTRIES`) through a few BDMA slots on a 2-worker pool:
+    /// the kernel splits in two, plain and under a robust mask, and every
+    /// decision and CGBA counter equals the 1-worker serial run. Under the
+    /// `naive-check` feature each split iteration is also checked against
+    /// the full rescan.
+    #[test]
+    fn paper_scale_split_kernel_matches_the_serial_solve() {
+        let system = MecSystem::random(&SystemConfig::paper_defaults(100), 1);
+        let mut provider = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 1);
+        let states: Vec<SystemState> =
+            (0..2).map(|t| provider.observe(t, system.topology())).collect();
+        let mask = AvailabilityMask {
+            down_servers: vec![1],
+            severed_links: vec![(0, 2)],
+            ..Default::default()
+        };
+        let config = BdmaConfig { rounds: 3, ..Default::default() };
+        let run = |workers: usize, mask: Option<&AvailabilityMask>| {
+            // Decisions never depend on the worker count, so tests running
+            // alongside this one are unaffected by the process-wide value.
+            pool::set_default_workers(workers);
+            let mut solver = CgbaSolver::default();
+            let mut ws = SlotWorkspace::new();
+            let mut rng = Pcg32::seed(5);
+            let rec = eotora_obs::MetricsRecorder::new();
+            let solutions: Vec<_> = (0..states.len())
+                .map(|t| {
+                    let hooks = mask.map(|mask| RobustHooks { mask, deadline: None });
+                    let (state, slot) = (&states[t], t as u64);
+                    solve_p2(
+                        &system,
+                        state,
+                        100.0,
+                        40.0,
+                        &config,
+                        &mut solver,
+                        &mut ws,
+                        &mut rng,
+                        slot,
+                        &rec,
+                        hooks,
+                    )
+                    .unwrap()
+                    .solution
+                })
+                .collect();
+            pool::set_default_workers(0);
+            let counters = [
+                eotora_obs::COUNTER_CGBA_ITERATIONS,
+                eotora_obs::COUNTER_CGBA_PROBES,
+                eotora_obs::COUNTER_CGBA_CONVERGED,
+            ]
+            .map(|name| rec.counter(name));
+            (solutions, counters, solver.kernel_threads())
+        };
+        for mask in [None, Some(&mask)] {
+            let (serial, serial_counters, serial_threads) = run(1, mask);
+            let (split, split_counters, split_threads) = run(2, mask);
+            assert_eq!((serial_threads, split_threads), (1, 2));
+            assert_eq!(split, serial, "masked: {}", mask.is_some());
+            assert_eq!(split_counters, serial_counters);
+        }
     }
 
     #[test]

@@ -19,14 +19,75 @@
 //! at the top of every iteration (the anytime-deadline cut-off). The plain
 //! path passes no filter and a never-firing predicate.
 //!
+//! # Range-split MaxGain
+//!
+//! [`CgbaScratch::set_threads`] splits each MaxGain iteration's
+//! refresh-and-scan across threads without changing a single move. The
+//! players are cut into contiguous ranges with about equal entry counts,
+//! each owning its slice of the caches (`split_at_mut`). One iteration is
+//! one *phase* per range, then a move:
+//!
+//! 1. each range marks its own players' entries from the last move's
+//!    changed-resource list, refreshes its dirty entries and finds its
+//!    local max-gap candidate (the first player on a tie, as in the serial
+//!    scan), reading the shared [`MoveState`] under a read lock;
+//! 2. the calling thread combines the candidates in range order: a later
+//!    range wins only on a strictly larger gap, so the winner is the
+//!    serial scan's first player with the largest gap;
+//! 3. with every range done, the calling thread alone takes the write
+//!    lock, runs the `naive-check` assert and makes the move; it polls
+//!    `should_stop` before starting the next phase.
+//!
+//! The [`CgbaReport`], [`CgbaScratch::moves`] and the probe count are
+//! therefore bit-identical at every width (property-tested in
+//! `tests/width.rs`). Helpers are scoped threads spawned per solve. The
+//! hand-off is a phase epoch and a done count, waited on by spinning, then
+//! yielding: a slot has hundreds of phases of tens of microseconds each,
+//! too short to park a thread on. There are several ranges per thread,
+//! each claimed per phase by whichever thread gets to it first: every
+//! thread starts on its own block and then takes any range still
+//! unclaimed, so a helper that is descheduled, still starting or slower
+//! this phase never stalls it. A drop guard on each side turns a panic on
+//! either into a panic of the solve instead of a hang. The warm-start
+//! bookkeeping, RoundRobin and [`cgba_from_reference`] stay serial, and
+//! callers give nested solves (inside a `WorkerPool` job) width 1.
+//!
 //! [`cgba_from_reference`] keeps the pre-refactor rescan loop verbatim as
 //! the equivalence oracle and benchmark baseline.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, RwLock};
 
 use serde::{Deserialize, Serialize};
 
 use eotora_util::rng::Pcg32;
 
 use crate::{validate_parts, GameRef, GameStructure, Profile, StrategyFilter};
+
+/// Entry count (`Σ_i |Z_i|` over all players) below which a MaxGain solve
+/// is not worth splitting across threads: per-iteration scan work that
+/// small is on the order of the phase hand-off, and the per-solve thread
+/// spawn and join add sporadic millisecond stalls. Callers choosing a
+/// width for [`CgbaScratch::set_threads`] keep smaller games serial.
+///
+/// Measured on a 2-vCPU VM, cold CGBA(0) solves of the paper's P2-A game
+/// (48 entries per device) alternating with the serial kernel in one
+/// process: width 2 took 1.16× the serial time in total at 960 entries,
+/// 1.06× at 1,440, 0.77–1.18× at 1,920, 0.78–0.79× at 2,400, 0.83× at
+/// 2,880 and 0.65–0.72× at 4,800.
+pub const MIN_SPLIT_ENTRIES: usize = 1_600;
+
+/// Ranges per thread of a split solve. Each thread starts on its own block
+/// of ranges and then takes any range still unclaimed, so finer ranges let
+/// a thread that finished early — or a helper that started late — share
+/// the rest of the phase.
+const RANGES_PER_THREAD: usize = 4;
+
+/// Spin iterations a waiting thread burns before it starts yielding. On a
+/// 2-vCPU VM, perfbench `paper_plain` read a `decision_ms_p50` of 14.8 ms
+/// at `1 << 10`, 15.3–16.2 ms at `1 << 7` and 16.0–16.9 ms at `1 << 14`
+/// (long pause loops get a vCPU descheduled).
+const SPIN_LIMIT: u32 = 1 << 10;
 
 /// How CGBA picks which improvable player moves next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -96,8 +157,10 @@ pub struct CgbaScratch {
     best_cost: Vec<f64>,
     player_dirty: Vec<bool>,
     moves: Vec<(usize, usize)>,
-    /// Move-local buffer of `(resource, pre-move load bits)` pairs.
-    touched: Vec<(usize, u64)>,
+    /// Reused buffer for [`MoveState`]'s changed-resource list.
+    changed: Vec<(usize, u64)>,
+    /// Threads each MaxGain iteration is split over (0 and 1: serial).
+    threads: usize,
     /// Warm-start snapshot of the last converged warm run (see
     /// [`cgba_from`]'s `warm` flag): when the next warm call starts from
     /// the snapshotted profile, only entries whose inputs changed bit
@@ -273,51 +336,435 @@ impl CgbaScratch {
         self.probes
     }
 
+    /// Splits each iteration of every later MaxGain solve on this scratch
+    /// across `threads` threads: the calling thread plus `threads − 1`
+    /// helpers spawned per solve, scanning contiguous player ranges. The
+    /// width is clamped to the player count, and 0 or 1 (the default) is
+    /// the serial scan. The report, [`CgbaScratch::moves`] and
+    /// [`CgbaScratch::probes`] never depend on it (see the module docs);
+    /// RoundRobin ignores it.
+    pub fn set_threads(&mut self, threads: usize) {
+        self.threads = threads;
+    }
+}
+
+/// What a phase reads besides its own range: the profile, the move that
+/// led to it, and that move's changed resources. The calling thread writes
+/// it only between phases.
+struct MoveState {
+    profile: Profile,
+    /// The last move `(player, strategy)`; `None` before the first.
+    last: Option<(usize, usize)>,
+    /// The last move's resources whose load changed bit pattern, with
+    /// their pre-move load bits.
+    changed: Vec<(usize, u64)>,
+}
+
+impl MoveState {
     /// Performs player `i`'s move to strategy `s` (via [`Profile::switch`])
-    /// and marks every cache entry the move invalidates.
+    /// and records it with the resources it changed.
     ///
     /// A non-mover's cached cost depends only on the *values* of its
     /// strategy's resource loads (and its own unchanged choice), so only
-    /// resources whose load actually changed bit pattern can invalidate it.
-    /// When the old and new strategy share a resource with the same weight
-    /// (e.g. a server switch that keeps the base station), the `-w` then
-    /// `+w` round-trip usually restores the load bits exactly — those
+    /// resources whose load actually changed bit pattern can invalidate
+    /// it. When the old and new strategy share a resource with the same
+    /// weight (e.g. a server switch that keeps the base station), the `-w`
+    /// then `+w` round-trip usually restores the load bits exactly — those
     /// entries would recompute to the identical float and stay valid, so
     /// the loads are snapshotted before the switch and compared after.
-    fn apply_move<G: GameRef>(&mut self, game: &G, profile: &mut Profile, i: usize, s: usize) {
+    fn advance<G: GameRef>(&mut self, game: &G, (i, s): (usize, usize)) {
+        let Self { profile, last, changed } = self;
         let structure = game.structure();
-        // The mover's own entries all change (its `own` contribution term
-        // follows its current choice), as do its cost and best response.
-        for e in &mut self.entry_dirty[self.offsets[i]..self.offsets[i + 1]] {
-            *e = true;
-        }
-        self.player_dirty[i] = true;
-        self.cur_dirty[i] = true;
-
-        self.touched.clear();
+        changed.clear();
         for strat in [profile.choices[i], s] {
             for &(r, _) in &structure.strategies(i)[strat] {
-                if !self.touched.iter().any(|&(tr, _)| tr == r) {
-                    self.touched.push((r, profile.loads[r].to_bits()));
+                if !changed.iter().any(|&(cr, _)| cr == r) {
+                    changed.push((r, profile.loads[r].to_bits()));
                 }
             }
         }
         profile.switch(game, i, s);
-        for idx in 0..self.touched.len() {
-            let (r, before) = self.touched[idx];
-            if profile.loads[r].to_bits() == before {
-                continue;
-            }
-            for &(p, ps) in structure.touching(r) {
+        changed.retain(|&(r, before)| profile.loads[r].to_bits() != before);
+        *last = Some((i, s));
+    }
+}
+
+/// One contiguous player range's share of a [`CgbaScratch`]: the cache
+/// slices of players `lo..hi` and of their entries. Ranges are cut from
+/// the scratch with `split_at_mut`, so no two ranges share a cache entry.
+struct RangeCache<'a> {
+    lo: usize,
+    hi: usize,
+    /// The scratch's full `offsets`; this range's entries start at
+    /// `offsets[lo]`.
+    offsets: &'a [usize],
+    strat_cost: &'a mut [f64],
+    entry_dirty: &'a mut [bool],
+    cur_cost: &'a mut [f64],
+    cur_dirty: &'a mut [bool],
+    best_s: &'a mut [usize],
+    best_cost: &'a mut [f64],
+    player_dirty: &'a mut [bool],
+}
+
+/// A range's MaxGain candidate for one iteration.
+#[derive(Debug, Clone, Copy, Default)]
+struct Candidate {
+    /// The range's max-gap `(player, strategy)` (the first player on a
+    /// tie); `None` when no player in it improves by more than λ.
+    mover: Option<(usize, usize)>,
+    /// That mover's gap `T_i(z) − min T_i(·, z_{−i})` (0 without one).
+    gap: f64,
+    /// Cost evaluations the phase spent.
+    probes: u64,
+}
+
+impl Candidate {
+    /// Folds in the candidate of a *later* range: it wins only on a
+    /// strictly larger gap — the serial scan's tie-break.
+    fn merge(&mut self, later: Candidate) {
+        if later.gap > self.gap {
+            self.mover = later.mover;
+            self.gap = later.gap;
+        }
+        self.probes += later.probes;
+    }
+}
+
+impl<'a> RangeCache<'a> {
+    /// The whole scratch as one range.
+    fn whole(scratch: &'a mut CgbaScratch) -> Self {
+        Self {
+            lo: 0,
+            hi: scratch.offsets.len() - 1,
+            offsets: &scratch.offsets,
+            strat_cost: &mut scratch.strat_cost,
+            entry_dirty: &mut scratch.entry_dirty,
+            cur_cost: &mut scratch.cur_cost,
+            cur_dirty: &mut scratch.cur_dirty,
+            best_s: &mut scratch.best_s,
+            best_cost: &mut scratch.best_cost,
+            player_dirty: &mut scratch.player_dirty,
+        }
+    }
+
+    /// Cuts the range into `width` non-empty contiguous ranges with about
+    /// equal entry counts, in player order.
+    fn split(mut self, width: usize) -> Vec<Self> {
+        let n = self.hi - self.lo;
+        debug_assert!((2..=n).contains(&width), "width {width} for {n} players");
+        let total = self.offsets[self.hi] - self.offsets[self.lo];
+        let mut cuts = Vec::with_capacity(width - 1);
+        let mut prev = self.lo;
+        for k in 1..width {
+            let target = self.offsets[self.lo] + total * k / width;
+            let at = self.offsets.partition_point(|&o| o < target);
+            prev = at.clamp(prev + 1, self.hi - (width - k));
+            cuts.push(prev);
+        }
+        let mut ranges: Vec<Self> = cuts.into_iter().rev().map(|at| self.split_off(at)).collect();
+        ranges.push(self);
+        ranges.reverse();
+        ranges
+    }
+
+    /// Splits players `at..hi` off into their own range, keeping `lo..at`.
+    fn split_off(&mut self, at: usize) -> Self {
+        fn tail<'b, T>(slice: &mut &'b mut [T], at: usize) -> &'b mut [T] {
+            let (head, tail) = std::mem::take(slice).split_at_mut(at);
+            *slice = head;
+            tail
+        }
+        let players = at - self.lo;
+        let entries = self.offsets[at] - self.offsets[self.lo];
+        let split = Self {
+            lo: at,
+            hi: self.hi,
+            offsets: self.offsets,
+            strat_cost: tail(&mut self.strat_cost, entries),
+            entry_dirty: tail(&mut self.entry_dirty, entries),
+            cur_cost: tail(&mut self.cur_cost, players),
+            cur_dirty: tail(&mut self.cur_dirty, players),
+            best_s: tail(&mut self.best_s, players),
+            best_cost: tail(&mut self.best_cost, players),
+            player_dirty: tail(&mut self.player_dirty, players),
+        };
+        self.hi = at;
+        split
+    }
+
+    /// One phase: marks what the last move invalidated in this range,
+    /// refreshes the range's dirty entries against the profile, and
+    /// returns its candidate. Disallowed entries are never probed; their
+    /// cached cost is `+∞`.
+    fn phase<G: GameRef>(
+        &mut self,
+        game: &G,
+        state: &MoveState,
+        lambda: f64,
+        filter: Option<&StrategyFilter>,
+    ) -> Candidate {
+        let MoveState { profile, last, changed } = state;
+        let Self {
+            lo,
+            hi,
+            offsets,
+            strat_cost,
+            entry_dirty,
+            cur_cost,
+            cur_dirty,
+            best_s,
+            best_cost,
+            player_dirty,
+        } = self;
+        let (lo, hi, offsets) = (*lo, *hi, *offsets);
+        let base = offsets[lo];
+        // The mover's own entries all change (its `own` contribution term
+        // follows its current choice), as do its cost and best response.
+        if let Some((i, _)) = last.filter(|&(i, _)| (lo..hi).contains(&i)) {
+            entry_dirty[offsets[i] - base..offsets[i + 1] - base].fill(true);
+            player_dirty[i - lo] = true;
+            cur_dirty[i - lo] = true;
+        }
+        let structure = game.structure();
+        for &(r, _) in changed {
+            // `touching` is in ascending player order: this range's pairs
+            // are one contiguous run.
+            let touching = structure.touching(r);
+            let start = touching.partition_point(|&(p, _)| (p as usize) < lo);
+            for &(p, ps) in &touching[start..] {
                 let (p, ps) = (p as usize, ps as usize);
-                self.entry_dirty[self.offsets[p] + ps] = true;
-                self.player_dirty[p] = true;
+                if p >= hi {
+                    break;
+                }
+                entry_dirty[offsets[p] + ps - base] = true;
+                player_dirty[p - lo] = true;
                 // A player's *current* cost only moves if its chosen
                 // strategy uses the touched resource.
                 if ps == profile.choices[p] {
-                    self.cur_dirty[p] = true;
+                    cur_dirty[p - lo] = true;
                 }
             }
+        }
+
+        let mut found = Candidate::default();
+        for i in lo..hi {
+            let k = i - lo;
+            if cur_dirty[k] {
+                cur_cost[k] = profile.player_cost(game, i);
+                cur_dirty[k] = false;
+                found.probes += 1;
+            }
+            if player_dirty[k] {
+                let entries = offsets[i] - base..offsets[i + 1] - base;
+                let mut best = (profile.choices[i], f64::INFINITY);
+                for (s, (cost, dirty)) in strat_cost[entries.clone()]
+                    .iter_mut()
+                    .zip(&mut entry_dirty[entries])
+                    .enumerate()
+                {
+                    if *dirty {
+                        *cost = if filter.is_none_or(|f| f.is_allowed(i, s)) {
+                            found.probes += 1;
+                            profile.strategy_cost(game, i, s)
+                        } else {
+                            f64::INFINITY
+                        };
+                        *dirty = false;
+                    }
+                    if *cost < best.1 {
+                        best = (s, *cost);
+                    }
+                }
+                best_s[k] = best.0;
+                best_cost[k] = best.1;
+                player_dirty[k] = false;
+            }
+            let cost = cur_cost[k];
+            let br = best_cost[k];
+            if (1.0 - lambda) * cost > br {
+                let gap = cost - br;
+                if gap > found.gap {
+                    found.gap = gap;
+                    found.mover = Some((i, best_s[k]));
+                }
+            }
+        }
+        found
+    }
+}
+
+/// Spins, then yields, until `ready()` holds. Phases last tens of
+/// microseconds, shorter than parking and waking a thread; yielding after
+/// [`SPIN_LIMIT`] keeps an oversubscribed host making progress.
+fn wait_for(ready: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    while !ready() {
+        if spins < SPIN_LIMIT {
+            spins += 1;
+            std::hint::spin_loop();
+        } else {
+            std::thread::yield_now();
+        }
+    }
+}
+
+/// One range of a split solve, with the claim that hands it to exactly one
+/// thread per phase.
+struct Range<'a> {
+    /// The last phase this range was claimed for. Claiming phase `e`
+    /// swaps `e − 1` for `e`, so one thread wins and a thread that wakes
+    /// after the phase is over wins nothing.
+    claimed: AtomicUsize,
+    /// The range's caches and its candidate from the last phase.
+    slot: Mutex<(RangeCache<'a>, Candidate)>,
+}
+
+/// The threads of a split solve — the caller and its helpers — over
+/// [`RANGES_PER_THREAD`] ranges per thread. Phase `e` starts when the
+/// caller bumps `epoch` to `e`. Every thread then claims ranges — its own
+/// block first, then any still unclaimed — and runs the claimed ranges'
+/// phases under one read lock of the [`MoveState`]; `done` counts finished
+/// ranges. A helper the host has not scheduled yet thus never stalls a
+/// phase: the caller runs its ranges instead. Once every range is done,
+/// the caller alone takes the write lock to make the move, and no helper
+/// reads the state again before the next bump.
+struct Team<'a> {
+    ranges: Vec<Range<'a>>,
+    epoch: AtomicUsize,
+    done: AtomicUsize,
+    /// Set once the caller leaves the move loop, by return or unwinding.
+    quit: AtomicBool,
+    /// Set when a helper unwinds.
+    failed: AtomicBool,
+}
+
+impl<'a> Team<'a> {
+    fn new(ranges: Vec<RangeCache<'a>>) -> Self {
+        Self {
+            ranges: ranges
+                .into_iter()
+                .map(|cache| Range {
+                    claimed: AtomicUsize::new(0),
+                    slot: Mutex::new((cache, Candidate::default())),
+                })
+                .collect(),
+            epoch: AtomicUsize::new(0),
+            done: AtomicUsize::new(0),
+            quit: AtomicBool::new(false),
+            failed: AtomicBool::new(false),
+        }
+    }
+
+    /// Claims and runs every range of phase `epoch` no thread has claimed
+    /// yet, starting from range `first` and wrapping around.
+    fn work<G: GameRef>(
+        &self,
+        epoch: usize,
+        first: usize,
+        state: &RwLock<MoveState>,
+        game: &G,
+        lambda: f64,
+        filter: Option<&StrategyFilter>,
+    ) {
+        let mut read = None;
+        let mut ran = 0;
+        for range in self.ranges[first..].iter().chain(&self.ranges[..first]) {
+            if range
+                .claimed
+                .compare_exchange(epoch - 1, epoch, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
+            {
+                continue;
+            }
+            let state = read.get_or_insert_with(|| state.read().expect("CGBA move state poisoned"));
+            let mut slot = range.slot.lock().expect("CGBA range poisoned");
+            let (cache, found) = &mut *slot;
+            *found = cache.phase(game, state, lambda, filter);
+            ran += 1;
+        }
+        // Count the ranges only once the read lock is released, so the
+        // caller's write lock never waits on it.
+        drop(read);
+        if ran > 0 {
+            self.done.fetch_add(ran, Ordering::Release);
+        }
+    }
+
+    /// Caller: runs one phase over every range and returns the combined
+    /// candidate, folded in range order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a helper panicked.
+    fn phase<G: GameRef>(
+        &self,
+        state: &RwLock<MoveState>,
+        game: &G,
+        lambda: f64,
+        filter: Option<&StrategyFilter>,
+    ) -> Candidate {
+        // Every range of the previous phase was counted before the caller
+        // got here, so no stale increment can race this reset.
+        self.done.store(0, Ordering::Relaxed);
+        let epoch = self.epoch.fetch_add(1, Ordering::Release) + 1;
+        self.work(epoch, 0, state, game, lambda, filter);
+        wait_for(|| {
+            self.done.load(Ordering::Acquire) == self.ranges.len()
+                || self.failed.load(Ordering::Acquire)
+        });
+        assert!(!self.failed.load(Ordering::Acquire), "a CGBA range thread panicked");
+        let mut found = Candidate::default();
+        for range in &self.ranges {
+            found.merge(range.slot.lock().expect("CGBA range poisoned").1);
+        }
+        found
+    }
+
+    /// A helper's loop: waits for each phase and works it, starting from
+    /// range `first` (its own block), until the caller quits.
+    fn serve<G: GameRef>(
+        &self,
+        first: usize,
+        state: &RwLock<MoveState>,
+        game: &G,
+        lambda: f64,
+        filter: Option<&StrategyFilter>,
+    ) {
+        let _flag = FlagUnwind(&self.failed);
+        let mut seen = 0;
+        loop {
+            wait_for(|| {
+                self.quit.load(Ordering::Acquire) || self.epoch.load(Ordering::Acquire) != seen
+            });
+            if self.quit.load(Ordering::Acquire) {
+                return;
+            }
+            seen = self.epoch.load(Ordering::Acquire);
+            self.work(seen, first, state, game, lambda, filter);
+        }
+    }
+}
+
+/// Releases the helpers when the caller leaves the move loop — also by
+/// unwinding, so a panicking `should_stop` or `naive-check` assert cannot
+/// leave them spinning in a scope that waits to join them.
+struct ReleaseHelpers<'t, 'a>(&'t Team<'a>);
+
+impl Drop for ReleaseHelpers<'_, '_> {
+    fn drop(&mut self) {
+        self.0.quit.store(true, Ordering::Release);
+    }
+}
+
+/// Raises its flag if the owning helper unwinds, so the caller stops
+/// waiting for it and panics too.
+struct FlagUnwind<'a>(&'a AtomicBool);
+
+impl Drop for FlagUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
         }
     }
 }
@@ -427,87 +874,96 @@ fn run_kernel<G: GameRef>(
 }
 
 /// Incremental MaxGain loop: refresh dirty cache entries, pick the max-gap
-/// mover from the caches, dirty only what the move invalidates.
-/// Disallowed entries are never probed; their cached cost is `+∞`.
+/// mover from the caches, dirty only what the move invalidates — on one
+/// thread, or split over the scratch's player ranges (see the module docs).
 fn cgba_max_gain<G: GameRef>(
     game: &G,
     initial: Profile,
     config: &CgbaConfig,
     filter: Option<&StrategyFilter>,
-    mut should_stop: impl FnMut() -> bool,
+    should_stop: impl FnMut() -> bool,
     scratch: &mut CgbaScratch,
 ) -> CgbaReport {
-    let mut profile = initial;
-    let initial_cost = profile.total_cost(game);
-    let mut iterations = 0;
-    let mut converged = false;
-    let n = game.structure().num_players();
-
-    while iterations < config.max_iterations {
-        if should_stop() {
-            break;
-        }
-        let mut mover: Option<(usize, usize)> = None; // (player, strategy)
-        let mut best_gap = 0.0;
-        for i in 0..n {
-            if scratch.cur_dirty[i] {
-                scratch.cur_cost[i] = profile.player_cost(game, i);
-                scratch.cur_dirty[i] = false;
-                scratch.probes += 1;
+    let initial_cost = initial.total_cost(game);
+    let width = scratch.threads.clamp(1, game.structure().num_players());
+    let mut changed = std::mem::take(&mut scratch.changed);
+    changed.clear();
+    let state = RwLock::new(MoveState { profile: initial, last: None, changed });
+    let moves = std::mem::take(&mut scratch.moves);
+    let mut mover = MoveLoop { game, config, filter, state: &state, moves, probes: 0 };
+    let lambda = config.lambda;
+    let mut whole = RangeCache::whole(scratch);
+    let (iterations, converged) = if width == 1 {
+        mover.run(should_stop, || {
+            whole.phase(game, &state.read().expect("CGBA move state poisoned"), lambda, filter)
+        })
+    } else {
+        let ranges = (width * RANGES_PER_THREAD).min(game.structure().num_players());
+        let team = Team::new(whole.split(ranges));
+        std::thread::scope(|scope| {
+            for t in 1..width {
+                let (team, state, first) = (&team, &state, t * ranges / width);
+                scope.spawn(move || team.serve(first, state, game, lambda, filter));
             }
-            if scratch.player_dirty[i] {
-                let off = scratch.offsets[i];
-                let mut best = (profile.choices[i], f64::INFINITY);
-                for s in 0..(scratch.offsets[i + 1] - off) {
-                    if scratch.entry_dirty[off + s] {
-                        scratch.strat_cost[off + s] = if filter.is_none_or(|f| f.is_allowed(i, s)) {
-                            scratch.probes += 1;
-                            profile.strategy_cost(game, i, s)
-                        } else {
-                            f64::INFINITY
-                        };
-                        scratch.entry_dirty[off + s] = false;
-                    }
-                    let cost = scratch.strat_cost[off + s];
-                    if cost < best.1 {
-                        best = (s, cost);
-                    }
-                }
-                scratch.best_s[i] = best.0;
-                scratch.best_cost[i] = best.1;
-                scratch.player_dirty[i] = false;
-            }
-            let cost = scratch.cur_cost[i];
-            let br = scratch.best_cost[i];
-            if (1.0 - config.lambda) * cost > br {
-                let gap = cost - br;
-                if gap > best_gap {
-                    best_gap = gap;
-                    mover = Some((i, scratch.best_s[i]));
-                }
-            }
-        }
-        #[cfg(any(test, feature = "naive-check"))]
-        assert_eq!(
-            mover,
-            naive_max_gain_mover(game, &profile, config, filter),
-            "incremental MaxGain diverged from naive rescan at iteration {iterations}"
-        );
-        match mover {
-            Some((i, s)) => {
-                scratch.apply_move(game, &mut profile, i, s);
-                scratch.moves.push((i, s));
-                iterations += 1;
-            }
-            None => {
-                converged = true;
-                break;
-            }
-        }
-    }
-
+            let _release = ReleaseHelpers(&team);
+            mover.run(should_stop, || team.phase(&state, game, lambda, filter))
+        })
+    };
+    let MoveLoop { moves, probes, .. } = mover;
+    let MoveState { profile, changed, .. } = state.into_inner().expect("CGBA move state poisoned");
+    scratch.probes += probes;
+    scratch.moves = moves;
+    scratch.changed = changed;
     let total_cost = profile.total_cost(game);
     CgbaReport { profile, total_cost, initial_cost, iterations, converged }
+}
+
+/// The calling thread's side of a MaxGain solve: the move loop. Only it
+/// writes the [`MoveState`], and only between phases.
+struct MoveLoop<'a, G> {
+    game: &'a G,
+    config: &'a CgbaConfig,
+    /// Read only by the `naive-check` oracle.
+    #[cfg_attr(not(any(test, feature = "naive-check")), allow(dead_code))]
+    filter: Option<&'a StrategyFilter>,
+    state: &'a RwLock<MoveState>,
+    moves: Vec<(usize, usize)>,
+    probes: u64,
+}
+
+impl<G: GameRef> MoveLoop<'_, G> {
+    /// Moves until no player improves by more than λ (converged), until
+    /// `should_stop` fires, or up to the iteration cap. `scan` runs one
+    /// phase over every range and returns the combined candidate. Returns
+    /// `(iterations, converged)`.
+    fn run(
+        &mut self,
+        mut should_stop: impl FnMut() -> bool,
+        mut scan: impl FnMut() -> Candidate,
+    ) -> (usize, bool) {
+        let mut iterations = 0;
+        while iterations < self.config.max_iterations {
+            if should_stop() {
+                break;
+            }
+            let found = scan();
+            self.probes += found.probes;
+            let mut state = self.state.write().expect("CGBA move state poisoned");
+            #[cfg(any(test, feature = "naive-check"))]
+            assert_eq!(
+                found.mover,
+                naive_max_gain_mover(self.game, &state.profile, self.config, self.filter),
+                "incremental MaxGain diverged from naive rescan at iteration {iterations}"
+            );
+            let Some(m) = found.mover else {
+                return (iterations, true);
+            };
+            state.advance(self.game, m);
+            self.moves.push(m);
+            iterations += 1;
+        }
+        (iterations, false)
+    }
 }
 
 /// Player `i`'s best response over the strategies `filter` allows (all of

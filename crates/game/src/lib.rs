@@ -63,6 +63,7 @@ mod shard;
 pub use cgba::{
     brute_force_optimum, cgba, cgba_from, cgba_from_reference, cgba_reference,
     empirical_price_of_anarchy, CgbaConfig, CgbaReport, CgbaScratch, SchedulingRule,
+    MIN_SPLIT_ENTRIES,
 };
 pub use mask::StrategyFilter;
 pub use profile::Profile;
@@ -128,7 +129,9 @@ impl std::error::Error for GameError {}
 pub struct GameStructure {
     num_resources: usize,
     players: Vec<Vec<Strategy>>,
-    /// `touching[r]` = every `(player, strategy)` whose strategy uses `r`.
+    /// `touching[r]` = every `(player, strategy)` whose strategy uses `r`,
+    /// in ascending `(player, strategy)` order (players are only ever
+    /// appended), so a player range's pairs are one contiguous run.
     /// `u32` halves the footprint; player/strategy counts stay far below
     /// `u32::MAX`.
     touching: Vec<Vec<(u32, u32)>>,
@@ -213,12 +216,14 @@ impl GameStructure {
     ///
     /// Returns the first [`GameError`] found.
     pub fn validate(&self) -> Result<(), GameError> {
+        // One duplicate-detection buffer for the whole check: each strategy
+        // clears exactly the marks it set before the next one starts.
+        let mut seen = vec![false; self.num_resources];
         for (i, strategies) in self.players.iter().enumerate() {
             if strategies.is_empty() {
                 return Err(GameError::NoStrategies { player: i });
             }
             for s in strategies {
-                let mut seen = vec![false; self.num_resources];
                 for &(r, w) in s {
                     if r >= self.num_resources {
                         return Err(GameError::DanglingResource { player: i, resource: r });
@@ -232,6 +237,10 @@ impl GameStructure {
                             context: format!("player {i} resource {r} weight {w}"),
                         });
                     }
+                }
+                // Every resource of `s` passed the range check above.
+                for &(r, _) in s {
+                    seen[r] = false;
                 }
             }
         }
@@ -312,7 +321,9 @@ impl ResourceWeights {
 /// Read access to the two halves of a congestion game. [`Profile`] and the
 /// CGBA solvers are generic over this, so they work both on an owned
 /// [`CongestionGame`] and on separately borrowed halves ([`SplitGame`]).
-pub trait GameRef {
+/// `Sync` because a split MaxGain solve reads the game from several
+/// threads ([`CgbaScratch::set_threads`]).
+pub trait GameRef: Sync {
     /// The immutable-shape half: players, strategies, `touching` index.
     fn structure(&self) -> &GameStructure;
     /// The mutable half: the resource weights `m_r`.
@@ -703,6 +714,22 @@ mod tests {
         let mut g = CongestionGame::new(vec![1.0]);
         g.add_player(vec![vec![(0, 0.0)]]);
         assert!(matches!(g.validate(), Err(GameError::BadWeight { .. })));
+    }
+
+    #[test]
+    fn duplicate_check_reuses_one_buffer_per_validation() {
+        // Clean strategies that share resources across strategies and
+        // players must not leave marks behind for the next strategy...
+        let clean = vec![
+            vec![vec![(0, 1.0), (1, 1.0)], vec![(1, 1.0), (2, 1.0)]],
+            vec![vec![(2, 1.0), (0, 1.0)], vec![(0, 1.0), (1, 1.0), (2, 1.0)]],
+        ];
+        assert!(GameStructure::new(3, clean.clone()).is_ok());
+        // ...and a duplicate in a later strategy, on a resource those clean
+        // strategies already used, is still caught and attributed.
+        let mut dup = clean;
+        dup.push(vec![vec![(1, 1.0)], vec![(2, 1.0), (0, 1.0), (2, 0.5)]]);
+        assert_eq!(GameStructure::new(3, dup), Err(GameError::DuplicateResource { player: 2 }));
     }
 
     #[test]

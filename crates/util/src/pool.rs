@@ -22,12 +22,19 @@
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Process-wide default worker count; 0 means "auto" (available
 /// parallelism).
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Set on every thread a [`WorkerPool`] spawns (see
+    /// [`WorkerPool::in_worker`]).
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Sets the process-wide default worker count used by
 /// [`WorkerPool::with_default`]. Passing 0 restores auto-detection.
@@ -74,6 +81,15 @@ impl WorkerPool {
         self.workers
     }
 
+    /// Whether the calling thread is a worker some pool spawned — so the
+    /// pool's other workers already claim the cores, and code sizing its
+    /// own parallelism from [`default_workers`] should stay on one thread.
+    /// Jobs a single-worker batch runs inline on the caller's thread are
+    /// not marked.
+    pub fn in_worker() -> bool {
+        IN_WORKER.with(Cell::get)
+    }
+
     /// Applies `f` to every item, returning results in item order.
     pub fn map<T, U, F>(&self, items: &[T], f: F) -> Vec<U>
     where
@@ -118,7 +134,14 @@ impl WorkerPool {
             work();
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            IN_WORKER.with(|w| w.set(true));
+                            work()
+                        })
+                    })
+                    .collect();
                 for handle in handles {
                     handle.join().expect("worker thread panicked");
                 }
@@ -209,6 +232,21 @@ mod tests {
     fn more_workers_than_jobs_is_fine() {
         let out = WorkerPool::new(64).map_indexed(2, |i| i + 1);
         assert_eq!(out, vec![1, 2]);
+    }
+
+    #[test]
+    fn spawned_workers_are_marked_and_inline_jobs_are_not() {
+        assert!(!WorkerPool::in_worker());
+        let spawned = WorkerPool::new(2).map_indexed(4, |_| WorkerPool::in_worker());
+        assert_eq!(spawned, vec![true; 4]);
+        // One effective worker runs inline on the caller's thread.
+        assert_eq!(WorkerPool::new(1).map_indexed(3, |_| WorkerPool::in_worker()), vec![false; 3]);
+        assert_eq!(WorkerPool::new(8).map_indexed(1, |_| WorkerPool::in_worker()), vec![false]);
+        // A batch nested inside a worker's job sees the mark either way.
+        let nested = WorkerPool::new(2)
+            .map_indexed(2, |_| WorkerPool::new(1).map_indexed(2, |_| WorkerPool::in_worker()));
+        assert_eq!(nested, vec![vec![true; 2]; 2]);
+        assert!(!WorkerPool::in_worker(), "the calling thread is never marked");
     }
 
     #[test]
