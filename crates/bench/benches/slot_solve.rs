@@ -47,6 +47,9 @@
 //! must be decision-identical (asserted); `shard_speedup` is the
 //! sequential p50 over the sharded p50, and each row records the worker
 //! count so the CI guard can skip the speedup requirement on small boxes.
+//! The sequential arm runs with the process worker count at 1, so its
+//! CGBA kernel stays serial (asserted) and `shard_speedup` keeps comparing
+//! sharding against one thread.
 //!
 //! p50/p95 per-slot solve times and the speedups land in
 //! `BENCH_slot_solve.json` at the repo root (or
@@ -405,6 +408,11 @@ fn bench_shard_scale(devices: usize, islands: usize, horizon: u64) -> ShardScale
     let states = record_states(&system, horizon);
     let bdma = BdmaConfig { rounds: 1, ..Default::default() };
 
+    // The sequential arm is the serial baseline `shard_speedup` divides:
+    // with the process worker count at 1 its kernel scans on one thread
+    // too, as every shard of the sharded arm does inside its pool job.
+    let workers = eotora_util::pool::default_workers();
+    eotora_util::pool::set_default_workers(1);
     let mut seq_engine = Engine::new(bdma.clone(), CgbaSolver::default());
     let [seq_run] = run_loop(
         &system,
@@ -413,6 +421,8 @@ fn bench_shard_scale(devices: usize, islands: usize, horizon: u64) -> ShardScale
             seq_engine.solve(sys, state, queue, slot, rng, &eotora_obs::NoopRecorder)
         }],
     );
+    eotora_util::pool::set_default_workers(workers);
+    assert_eq!(seq_engine.solver.kernel_threads(), 1, "the sequential arm must stay serial");
     let mut seq_times = seq_run.times;
 
     let mut sharded_engine = Engine::new(bdma.clone(), CgbaSolver::new(0.0, 0));
@@ -440,7 +450,7 @@ fn bench_shard_scale(devices: usize, islands: usize, horizon: u64) -> ShardScale
         devices,
         islands,
         horizon,
-        workers: eotora_util::pool::default_workers(),
+        workers,
         sequential_p50_s,
         sharded_p50_s,
         shard_speedup: sequential_p50_s / sharded_p50_s.max(1e-12),

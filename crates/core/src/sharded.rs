@@ -48,11 +48,12 @@
 //! ([`CgbaScratch::set_threads`]; decisions never depend on it). The width
 //! takes no knob of its own: it is the process worker count
 //! ([`pool::default_workers`], the CLI's `--jobs`) divided by the plan's
-//! shard count, and 1 when the solve runs inside a [`WorkerPool`] job
-//! (`run_many`, the sweeps, the ablations — their sibling jobs hold the
-//! cores) or when a shard has fewer than [`MIN_SPLIT_ENTRIES`] entries. So
-//! the paper's 100-device solve uses both workers of a 2-core host, while
-//! a 4-shard plan on 2 workers and every nested solve stay serial.
+//! shard count, at most `MAX_KERNEL_THREADS` (2), and 1 when the solve runs
+//! inside a [`WorkerPool`] job (`run_many`, the sweeps, the ablations —
+//! their sibling jobs hold the cores). The kernel itself keeps a shard
+//! under its entry-count cutoff serial. So the paper's 100-device solve
+//! uses both workers of a 2-core host, while a 4-shard plan on 2 workers
+//! and every nested solve stay serial.
 //!
 //! # Seed, filter and deadline
 //!
@@ -63,12 +64,11 @@
 //! reconcile move; a shard the deadline cuts short merges its best-so-far
 //! profile while the others still converge.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use eotora_game::{
     cgba_from, CgbaConfig, CgbaScratch, CongestionGame, GameRef, GameStructure, Profile,
-    ResourceWeights, ShardPlan, SplitGame, StrategyFilter, MIN_SPLIT_ENTRIES,
+    ResourceWeights, ShardPlan, SplitGame, StrategyFilter,
 };
 use eotora_obs::Recorder;
 use eotora_util::pool::{self, WorkerPool};
@@ -85,21 +85,22 @@ use crate::p2a::P2aProblem;
 /// the whole game.
 pub const RECONCILE_PASSES: usize = 4;
 
+/// Most threads one shard's CGBA kernel splits its scan over. Every split
+/// measurement so far — the kernel's entry-count cutoff, its ranges per
+/// thread and spin limit, and the perfbench pairs — was taken at width 2
+/// on a 2-vCPU host; nothing shows wider splits gain on a larger one, and
+/// each extra helper is a spinning thread per solve. Raise this only with
+/// pairs measured on a host with more cores.
+const MAX_KERNEL_THREADS: usize = 2;
+
 /// One shard's solver state: the remapped local game (`None` under a
 /// trivial plan, which solves on the global game directly) plus the cold
 /// and warm CGBA scratches.
 #[derive(Debug)]
 struct ShardState {
     local: Option<(GameStructure, ResourceWeights)>,
-    /// `(player, strategy)` entries of the shard's game.
-    entries: usize,
     scratch: CgbaScratch,
     warm_scratch: CgbaScratch,
-}
-
-/// `(player, strategy)` entries of `structure` — the MaxGain scan's size.
-fn entries(structure: &GameStructure) -> usize {
-    (0..structure.num_players()).map(|i| structure.strategies(i).len()).sum()
 }
 
 /// What one shard's CGBA run reports back to the merge.
@@ -108,6 +109,8 @@ struct ShardRun {
     iterations: usize,
     probes: u64,
     converged: bool,
+    /// Threads the shard's kernel scanned on.
+    threads: usize,
 }
 
 /// Runs one shard's CGBA on `game` from `initial` on `scratch`.
@@ -128,6 +131,7 @@ fn run_shard<G: GameRef>(
         iterations: report.iterations,
         probes: scratch.probes() - before,
         converged: report.converged,
+        threads: scratch.last_threads(),
     }
 }
 
@@ -203,11 +207,8 @@ impl CgbaSolver {
             .shards()
             .iter()
             .map(|spec| {
-                let local = (!trivial).then(|| spec.build_local(structure, game.weights()));
-                let entries = entries(local.as_ref().map_or(structure, |(local, _)| local));
                 Mutex::new(ShardState {
-                    local,
-                    entries,
+                    local: (!trivial).then(|| spec.build_local(structure, game.weights())),
                     scratch: CgbaScratch::default(),
                     warm_scratch: CgbaScratch::default(),
                 })
@@ -249,16 +250,13 @@ impl CgbaSolver {
         let width = if WorkerPool::in_worker() {
             1
         } else {
-            (pool::default_workers() / plan.num_shards()).max(1)
+            (pool::default_workers() / plan.num_shards()).clamp(1, MAX_KERNEL_THREADS)
         };
-        let threads = AtomicUsize::new(1);
         let runs: Vec<ShardRun> = WorkerPool::with_default().map_indexed(plan.num_shards(), |s| {
             let state = &mut *shards[s].lock().expect("shard state poisoned");
-            let ShardState { local, entries, scratch, warm_scratch } = state;
+            let ShardState { local, scratch, warm_scratch } = state;
             let scratch = if warm { warm_scratch } else { scratch };
-            let shard_threads = if *entries < MIN_SPLIT_ENTRIES { 1 } else { width };
-            scratch.set_threads(shard_threads);
-            threads.fetch_max(shard_threads, Ordering::Relaxed);
+            scratch.set_threads(width);
             let initial = locals[s].clone();
             match local {
                 // A trivial plan solves on the global game: no local copy,
@@ -276,7 +274,7 @@ impl CgbaSolver {
             }
         });
 
-        self.kernel_threads = threads.into_inner();
+        self.kernel_threads = runs.iter().map(|r| r.threads).max().unwrap_or(1);
         let mut merged = initial_choices;
         let choice_vecs: Vec<Vec<usize>> = runs.iter().map(|r| r.choices.clone()).collect();
         plan.merge_choices(&choice_vecs, &mut merged);
@@ -569,7 +567,7 @@ mod tests {
     }
 
     /// The paper's 100-device P2-A game (4,800 entries, far above
-    /// `MIN_SPLIT_ENTRIES`) through a few BDMA slots on a 2-worker pool:
+    /// the kernel's split cutoff) through a few BDMA slots on a 2-worker pool:
     /// the kernel splits in two, plain and under a robust mask, and every
     /// decision and CGBA counter equals the 1-worker serial run. Under the
     /// `naive-check` feature each split iteration is also checked against

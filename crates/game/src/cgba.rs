@@ -47,10 +47,13 @@
 //! each claimed per phase by whichever thread gets to it first: every
 //! thread starts on its own block and then takes any range still
 //! unclaimed, so a helper that is descheduled, still starting or slower
-//! this phase never stalls it. A drop guard on each side turns a panic on
-//! either into a panic of the solve instead of a hang. The warm-start
-//! bookkeeping, RoundRobin and [`cgba_from_reference`] stay serial, and
-//! callers give nested solves (inside a `WorkerPool` job) width 1.
+//! this phase never stalls it — nor does a helper the host refused to
+//! start. A drop guard on each side, armed before the first spawn, turns
+//! a panic on either into a panic of the solve instead of a hang. A game
+//! under `MIN_SPLIT_ENTRIES` entries runs serially whatever width was
+//! allowed. The warm-start bookkeeping, RoundRobin and
+//! [`cgba_from_reference`] stay serial, and callers give nested solves
+//! (inside a `WorkerPool` job) width 1.
 //!
 //! [`cgba_from_reference`] keeps the pre-refactor rescan loop verbatim as
 //! the equivalence oracle and benchmark baseline.
@@ -65,17 +68,18 @@ use eotora_util::rng::Pcg32;
 use crate::{validate_parts, GameRef, GameStructure, Profile, StrategyFilter};
 
 /// Entry count (`Σ_i |Z_i|` over all players) below which a MaxGain solve
-/// is not worth splitting across threads: per-iteration scan work that
-/// small is on the order of the phase hand-off, and the per-solve thread
-/// spawn and join add sporadic millisecond stalls. Callers choosing a
-/// width for [`CgbaScratch::set_threads`] keep smaller games serial.
+/// runs serially whatever [`CgbaScratch::set_threads`] allows: per-iteration
+/// scan work that small is on the order of the phase hand-off, and the
+/// per-solve thread spawn and join add sporadic millisecond stalls.
 ///
 /// Measured on a 2-vCPU VM, cold CGBA(0) solves of the paper's P2-A game
 /// (48 entries per device) alternating with the serial kernel in one
 /// process: width 2 took 1.16× the serial time in total at 960 entries,
 /// 1.06× at 1,440, 0.77–1.18× at 1,920, 0.78–0.79× at 2,400, 0.83× at
-/// 2,880 and 0.65–0.72× at 4,800.
-pub const MIN_SPLIT_ENTRIES: usize = 1_600;
+/// 2,880 and 0.65–0.72× at 4,800. Every figure here, [`RANGES_PER_THREAD`]
+/// and [`SPIN_LIMIT`] were measured at width 2 only, so the production
+/// width rule (`eotora_core::sharded`) also caps the width at 2.
+const MIN_SPLIT_ENTRIES: usize = 1_600;
 
 /// Ranges per thread of a split solve. Each thread starts on its own block
 /// of ranges and then takes any range still unclaimed, so finer ranges let
@@ -159,8 +163,12 @@ pub struct CgbaScratch {
     moves: Vec<(usize, usize)>,
     /// Reused buffer for [`MoveState`]'s changed-resource list.
     changed: Vec<(usize, u64)>,
-    /// Threads each MaxGain iteration is split over (0 and 1: serial).
+    /// Most threads each MaxGain iteration may be split over (0 and 1:
+    /// serial).
     threads: usize,
+    /// Threads the most recent solve on this scratch scanned on (0 before
+    /// the first solve).
+    last_threads: usize,
     /// Warm-start snapshot of the last converged warm run (see
     /// [`cgba_from`]'s `warm` flag): when the next warm call starts from
     /// the snapshotted profile, only entries whose inputs changed bit
@@ -336,15 +344,37 @@ impl CgbaScratch {
         self.probes
     }
 
-    /// Splits each iteration of every later MaxGain solve on this scratch
-    /// across `threads` threads: the calling thread plus `threads − 1`
-    /// helpers spawned per solve, scanning contiguous player ranges. The
-    /// width is clamped to the player count, and 0 or 1 (the default) is
-    /// the serial scan. The report, [`CgbaScratch::moves`] and
+    /// Lets each iteration of every later MaxGain solve on this scratch
+    /// split across up to `threads` threads: the calling thread plus
+    /// helpers spawned per solve, scanning contiguous player ranges. A solve
+    /// runs serially on a game under the split cutoff (1,600 entries), and the
+    /// width is clamped to the player count; 0 or 1 (the default) is the
+    /// serial scan. The report, [`CgbaScratch::moves`] and
     /// [`CgbaScratch::probes`] never depend on it (see the module docs);
-    /// RoundRobin ignores it.
+    /// RoundRobin ignores it. [`CgbaScratch::last_threads`] reports the
+    /// width a solve actually used.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
+    }
+
+    /// Threads the most recent solve on this scratch scanned on: 1 for a
+    /// serial scan (RoundRobin, a game under the split cutoff, width 1)
+    /// and before any solve. Fewer than the split width when the host
+    /// refused a helper thread.
+    pub fn last_threads(&self) -> usize {
+        self.last_threads.max(1)
+    }
+
+    /// The width a MaxGain solve on the game this scratch was last sized
+    /// for ([`CgbaScratch::reset`] or a matching warm start) splits over.
+    fn split_width(&self) -> usize {
+        let players = self.offsets.len() - 1;
+        let entries = self.offsets[players];
+        if entries < MIN_SPLIT_ENTRIES {
+            1
+        } else {
+            self.threads.clamp(1, players)
+        }
     }
 }
 
@@ -885,7 +915,8 @@ fn cgba_max_gain<G: GameRef>(
     scratch: &mut CgbaScratch,
 ) -> CgbaReport {
     let initial_cost = initial.total_cost(game);
-    let width = scratch.threads.clamp(1, game.structure().num_players());
+    let width = scratch.split_width();
+    let mut threads = 1;
     let mut changed = std::mem::take(&mut scratch.changed);
     changed.clear();
     let state = RwLock::new(MoveState { profile: initial, last: None, changed });
@@ -901,21 +932,44 @@ fn cgba_max_gain<G: GameRef>(
         let ranges = (width * RANGES_PER_THREAD).min(game.structure().num_players());
         let team = Team::new(whole.split(ranges));
         std::thread::scope(|scope| {
+            // Armed before the first spawn, so helpers already running are
+            // released however the caller leaves the scope.
+            let _release = ReleaseHelpers(&team);
             for t in 1..width {
                 let (team, state, first) = (&team, &state, t * ranges / width);
-                scope.spawn(move || team.serve(first, state, game, lambda, filter));
+                // A refused thread's ranges go to the threads already
+                // running: each range is claimed by whoever reaches it.
+                if spawn_helper(scope, move || team.serve(first, state, game, lambda, filter))
+                    .is_err()
+                {
+                    break;
+                }
+                threads += 1;
             }
-            let _release = ReleaseHelpers(&team);
             mover.run(should_stop, || team.phase(&state, game, lambda, filter))
         })
     };
     let MoveLoop { moves, probes, .. } = mover;
     let MoveState { profile, changed, .. } = state.into_inner().expect("CGBA move state poisoned");
+    scratch.last_threads = threads;
     scratch.probes += probes;
     scratch.moves = moves;
     scratch.changed = changed;
     let total_cost = profile.total_cost(game);
     CgbaReport { profile, total_cost, initial_cost, iterations, converged }
+}
+
+/// Starts one helper of a split solve. An error means the host refused the
+/// thread (e.g. a process or pids limit).
+fn spawn_helper<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    work: impl FnOnce() + Send + 'scope,
+) -> std::io::Result<()> {
+    #[cfg(test)]
+    if tests::refuse_spawn() {
+        return Err(std::io::Error::other("helper thread refused"));
+    }
+    std::thread::Builder::new().spawn_scoped(scope, work).map(drop)
 }
 
 /// The calling thread's side of a MaxGain solve: the move loop. Only it
@@ -995,6 +1049,7 @@ fn cgba_round_robin<G: GameRef>(
     let mut converged = false;
     let mut rr_cursor = 0usize;
     let n = game.structure().num_players();
+    scratch.last_threads = 1;
 
     while iterations < config.max_iterations {
         if should_stop() {
@@ -1226,4 +1281,92 @@ pub fn empirical_price_of_anarchy<G: GameRef>(
         }
     }
     Ok(worst)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+    use crate::CongestionGame;
+
+    thread_local! {
+        /// Helper spawns the calling thread may still make before
+        /// [`spawn_helper`] reports the host refusing the thread.
+        static SPAWNS_LEFT: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+
+    /// Whether the next helper spawn on this thread is refused.
+    pub(super) fn refuse_spawn() -> bool {
+        SPAWNS_LEFT.with(|left| match left.get() {
+            0 => true,
+            n => {
+                left.set(n - 1);
+                false
+            }
+        })
+    }
+
+    /// `players` players with `strategies` one- or two-resource strategies
+    /// each over 12 resources.
+    fn game(players: usize, strategies: usize, seed: u64) -> CongestionGame {
+        let mut rng = Pcg32::seed(seed);
+        let mut game = CongestionGame::new((0..12).map(|_| rng.uniform_in(0.2, 3.0)).collect());
+        for _ in 0..players {
+            game.add_player(
+                (0..strategies)
+                    .map(|_| {
+                        let r = rng.below(12);
+                        let mut strategy = vec![(r, rng.uniform_in(0.1, 2.0))];
+                        if rng.below(2) == 0 {
+                            strategy.push(((r + 1 + rng.below(11)) % 12, rng.uniform_in(0.1, 2.0)));
+                        }
+                        strategy
+                    })
+                    .collect(),
+            );
+        }
+        game
+    }
+
+    fn solve(game: &CongestionGame, threads: usize) -> (CgbaReport, CgbaScratch) {
+        let initial = Profile::random(game, &mut Pcg32::seed(9));
+        let mut scratch = CgbaScratch::default();
+        scratch.set_threads(threads);
+        let report =
+            cgba_from(game, initial, &CgbaConfig::default(), None, || false, false, &mut scratch);
+        (report, scratch)
+    }
+
+    #[test]
+    fn games_under_the_cutoff_scan_serially() {
+        assert_eq!(MIN_SPLIT_ENTRIES % 40, 0);
+        let per_player = MIN_SPLIT_ENTRIES / 40;
+        for (strategies, threads) in [(per_player - 1, 1), (per_player, 2)] {
+            let game = game(40, strategies, 3);
+            let (serial, serial_scratch) = solve(&game, 1);
+            let (split, scratch) = solve(&game, 2);
+            assert_eq!(scratch.last_threads(), threads, "{} entries", 40 * strategies);
+            assert_eq!(split, serial);
+            assert_eq!(scratch.moves(), serial_scratch.moves());
+        }
+    }
+
+    /// A host that refuses a helper thread part-way through the spawns
+    /// must neither hang the solve nor change it: the helpers already
+    /// running and the caller share the refused helper's ranges.
+    #[test]
+    fn a_refused_helper_leaves_its_ranges_to_the_running_threads() {
+        let game = game(50, 48, 4);
+        let (serial, serial_scratch) = solve(&game, 1);
+        for allowed in [0, 1] {
+            SPAWNS_LEFT.with(|left| left.set(allowed));
+            let (split, scratch) = solve(&game, 3);
+            SPAWNS_LEFT.with(|left| left.set(usize::MAX));
+            assert_eq!(scratch.last_threads(), 1 + allowed);
+            assert_eq!(split, serial);
+            assert_eq!(scratch.moves(), serial_scratch.moves());
+            assert_eq!(scratch.probes(), serial_scratch.probes());
+        }
+    }
 }

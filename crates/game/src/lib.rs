@@ -63,7 +63,6 @@ mod shard;
 pub use cgba::{
     brute_force_optimum, cgba, cgba_from, cgba_from_reference, cgba_reference,
     empirical_price_of_anarchy, CgbaConfig, CgbaReport, CgbaScratch, SchedulingRule,
-    MIN_SPLIT_ENTRIES,
 };
 pub use mask::StrategyFilter;
 pub use profile::Profile;

@@ -5,23 +5,30 @@
 //! short by `should_stop`, cold or warm. Widths are set explicitly, so
 //! the tests split the same way on any host.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread::ThreadId;
+use std::time::Duration;
 
 use eotora_game::{
     cgba_from, CgbaConfig, CgbaReport, CgbaScratch, CongestionGame, GameRef, GameStructure,
-    Profile, ResourceWeights, StrategyFilter, MIN_SPLIT_ENTRIES,
+    Profile, ResourceWeights, StrategyFilter,
 };
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
 
-/// A random valid game with at least [`MIN_SPLIT_ENTRIES`] entries — the
-/// sizes a solver actually splits. Each strategy uses one to three
+/// Entries the test games have at least: the kernel's split cutoff (1,600).
+/// A game under it would scan serially at any width, which `solve_at`
+/// asserts against.
+const SPLIT_ENTRIES: usize = 1_600;
+
+/// A random valid game with at least [`SPLIT_ENTRIES`] entries — the
+/// sizes the kernel actually splits. Each strategy uses one to three
 /// distinct resources, like the P2-A game's (server, access, fronthaul)
 /// bundles.
 fn split_size_game(rng: &mut Pcg32, players: usize, resources: usize) -> CongestionGame {
     let weights: Vec<f64> = (0..resources).map(|_| rng.uniform_in(0.2, 3.0)).collect();
     let mut game = CongestionGame::new(weights);
-    let per_player = MIN_SPLIT_ENTRIES.div_ceil(players);
+    let per_player = SPLIT_ENTRIES.div_ceil(players);
     for _ in 0..players {
         let num_strats = per_player + rng.below(per_player / 2 + 1);
         let strategies = (0..num_strats)
@@ -60,6 +67,7 @@ fn solve_at(
         polls > stop_after
     };
     let report = cgba_from(game, initial.clone(), config, filter, should_stop, false, &mut scratch);
+    assert_eq!(scratch.last_threads(), width, "the solve must split as asked");
     (report, scratch.moves().to_vec(), scratch.probes())
 }
 
@@ -126,6 +134,7 @@ proptest! {
             prop_assert_eq!(&a, &b);
             prop_assert_eq!(serial.moves(), split.moves());
             prop_assert_eq!(serial.probes(), split.probes());
+            prop_assert_eq!(split.last_threads(), 2);
             profile = a.profile;
             let r = rng.below(resources);
             game.set_resource_weight(r, rng.uniform_in(0.2, 3.0));
@@ -160,15 +169,25 @@ fn panicking_should_stop_propagates_out_of_a_split_solve() {
 }
 
 /// A game that panics when read from any thread but `home` — a stand-in
-/// for a fault inside a range thread's phase.
+/// for a fault inside a range thread's phase. Until that fault, every
+/// read on `home` sleeps: ranges go to whichever thread claims them
+/// first, so a caller at full speed could scan every range before its
+/// helper starts, and the fault would never happen.
 struct HomeThreadOnly<'a> {
     game: &'a CongestionGame,
     home: ThreadId,
+    faulted: AtomicBool,
 }
 
 impl GameRef for HomeThreadOnly<'_> {
     fn structure(&self) -> &GameStructure {
-        assert_eq!(std::thread::current().id(), self.home, "range thread fault");
+        if std::thread::current().id() != self.home {
+            self.faulted.store(true, Ordering::Release);
+            panic!("range thread fault");
+        }
+        if !self.faulted.load(Ordering::Acquire) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         self.game.structure()
     }
     fn weights(&self) -> &ResourceWeights {
@@ -179,12 +198,17 @@ impl GameRef for HomeThreadOnly<'_> {
 #[test]
 fn panicking_range_thread_propagates_out_of_a_split_solve() {
     let inner = split_size_game(&mut Pcg32::seed(7), 64, 12);
-    let game = HomeThreadOnly { game: &inner, home: std::thread::current().id() };
+    let game = HomeThreadOnly {
+        game: &inner,
+        home: std::thread::current().id(),
+        faulted: AtomicBool::new(false),
+    };
     let initial = Profile::random(&inner, &mut Pcg32::seed(8));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut scratch = CgbaScratch::default();
         scratch.set_threads(2);
         cgba_from(&game, initial, &CgbaConfig::default(), None, || false, false, &mut scratch)
     }));
+    assert!(game.faulted.load(Ordering::Acquire), "the helper never scanned a range");
     assert!(outcome.is_err(), "a range thread's panic must fail the solve, not hang or vanish");
 }
