@@ -190,7 +190,9 @@ echo "==> durability smoke (kill at slot 57, resume, bit-for-bit CSV diff)"
 # A 100-slot run checkpointed every 10 slots is killed mid-flight at slot 57
 # and resumed from its checkpoint directory. Gate: the resumed run's per-slot
 # CSV matches the uninterrupted reference exactly once wall-clock columns
-# (solve_time_s, stage_*_s) and the durability.* counter columns are dropped.
+# (solve_time_s, stage_*_s) and the durability.* counter columns are dropped,
+# and its header is the reference's, every stage_* and ctr_* name included,
+# followed by exactly the durability.* counters only a resumed run has.
 DUR_DIR="$(mktemp -d)"
 trap 'rm -rf "$CHAOS_DIR" "$TEL_DIR" "$DUR_DIR"' EXIT
 ./target/release/eotora template --devices 8 --seed 23 \
@@ -218,6 +220,19 @@ def decisions(path):
 ref, resumed = decisions("ref"), decisions("resumed")
 assert len(ref) == 101, f"reference CSV has {len(ref) - 1} slots, expected 100"
 assert ref == resumed, "resumed run diverged from the uninterrupted reference"
+ref_header = open(sys.argv[1]).readline().rstrip("\n").split(",")
+resumed_header = open(sys.argv[2]).readline().rstrip("\n").split(",")
+durable = [name for name in resumed_header if name.startswith("ctr_durability.")]
+assert resumed_header == ref_header + durable, (
+    f"resumed header {resumed_header} is not the reference's {ref_header} plus durability counters"
+)
+assert durable == [
+    "ctr_durability.frames_discarded",
+    "ctr_durability.frames_journaled",
+    "ctr_durability.resumed_slots",
+    "ctr_durability.snapshots_written",
+], f"unexpected durability columns {durable}"
+assert any(name.startswith("stage_") for name in ref_header), "no stage columns to compare"
 print("OK: durability smoke — kill at 57, resume, 100 slots bit-identical")
 EOF
 

@@ -602,15 +602,15 @@ mod tests {
         let system = MecSystem::random(&SystemConfig::paper_defaults(8), 11);
         let mut states = StateProvider::paper(system.topology(), &PaperStateConfig::default(), 11);
         let mut dpp = EotoraDpp::new(system, DppConfig { bdma_rounds: 2, ..Default::default() });
-        let rec = eotora_obs::MetricsRecorder::new();
+        let rec = eotora_obs::LiveRegistry::new();
         for t in 0..4 {
             let beta = states.observe(t, dpp.system().topology());
             dpp.step_with(&beta, &rec);
         }
         // 4 slots × 2 BDMA rounds each.
-        assert_eq!(rec.span_count(eotora_obs::SPAN_P2A), 8);
-        assert_eq!(rec.span_count(eotora_obs::SPAN_P2B), 8);
-        assert_eq!(rec.span_count(eotora_obs::SPAN_QUEUE_UPDATE), 4);
+        assert_eq!(rec.span_histogram(eotora_obs::SPAN_P2A).count(), 8);
+        assert_eq!(rec.span_histogram(eotora_obs::SPAN_P2B).count(), 8);
+        assert_eq!(rec.span_histogram(eotora_obs::SPAN_QUEUE_UPDATE).count(), 4);
         assert_eq!(rec.counter(eotora_obs::COUNTER_BDMA_ROUNDS), 8);
         assert!(rec.counter(eotora_obs::COUNTER_BDMA_ACCEPTED) >= 4);
     }
@@ -622,7 +622,7 @@ mod tests {
             let mut states =
                 StateProvider::paper(system.topology(), &PaperStateConfig::default(), 12);
             let mut dpp = EotoraDpp::new(system, DppConfig { seed: 3, ..Default::default() });
-            let rec = eotora_obs::MetricsRecorder::new();
+            let rec = eotora_obs::LiveRegistry::new();
             let mut out = Vec::new();
             for t in 0..6 {
                 let beta = states.observe(t, dpp.system().topology());
@@ -697,7 +697,7 @@ mod tests {
         let mask = AvailabilityMask::default();
         let down = mask.down_server_flags(dpp.system().topology().num_servers());
         let lifeboat = crate::robust::lifeboat_report(dpp.system(), &beta, config.v, 0.0, &down);
-        let rec = eotora_obs::MetricsRecorder::new();
+        let rec = eotora_obs::LiveRegistry::new();
         let (step, report) = dpp.step_robust(&beta, &mask, &RobustConfig::default(), &rec);
         assert_eq!(report, lifeboat);
         assert_eq!(rec.counter(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS), 1);

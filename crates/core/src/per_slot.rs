@@ -249,13 +249,13 @@ mod tests {
         let sys = system(10, 95, 0.9);
         let mut states = StateProvider::paper(sys.topology(), &PaperStateConfig::default(), 95);
         let mut ctl = PerSlotController::new(sys, 95);
-        let rec = eotora_obs::MetricsRecorder::new();
+        let rec = eotora_obs::LiveRegistry::new();
         for t in 0..3 {
             let beta = states.observe(t, ctl.system().topology());
             ctl.step_with(&beta, &rec);
         }
-        assert_eq!(rec.span_count(eotora_obs::SPAN_P2A), 3);
-        assert_eq!(rec.span_count(eotora_obs::SPAN_P2B), 3);
+        assert_eq!(rec.span_histogram(eotora_obs::SPAN_P2A).count(), 3);
+        assert_eq!(rec.span_histogram(eotora_obs::SPAN_P2B).count(), 3);
         // At least the μ = 0 probe every slot.
         assert!(rec.counter(eotora_obs::COUNTER_PER_SLOT_PROBES) >= 3);
     }

@@ -260,7 +260,7 @@ mod tests {
     use crate::sharded::CgbaSolver;
     use crate::system::SystemConfig;
     use crate::workspace::SlotWorkspace;
-    use eotora_obs::{MetricsRecorder, NoopRecorder, Recorder};
+    use eotora_obs::{LiveRegistry, NoopRecorder, Recorder};
     use eotora_states::{PaperStateConfig, StateProvider};
     use eotora_util::rng::Pcg32;
 
@@ -374,7 +374,7 @@ mod tests {
     fn zero_deadline_returns_the_seed_incumbent_immediately() {
         let (system, state) = setup(20, 54);
         let mut controller = Controller { deadline: Some(Duration::ZERO), ..Controller::new() };
-        let rec = MetricsRecorder::new();
+        let rec = LiveRegistry::new();
         let none = AvailabilityMask::default();
         let r = controller.solve((&system, &state), 0.0, &none, 0, &rec).unwrap();
         assert!(r.deadline_expired);
@@ -397,7 +397,7 @@ mod tests {
     fn no_deadline_runs_all_rounds_and_counts_nothing() {
         let (system, state) = setup(10, 55);
         let mut controller = Controller { rounds: 3, ..Controller::new() };
-        let rec = MetricsRecorder::new();
+        let rec = LiveRegistry::new();
         let none = AvailabilityMask::default();
         let r = controller.solve((&system, &state), 0.0, &none, 0, &rec).unwrap();
         assert!(!r.deadline_expired);
@@ -416,7 +416,7 @@ mod tests {
     #[test]
     fn fault_counters_are_emitted() {
         let (system, state) = setup(8, 56);
-        let rec = MetricsRecorder::new();
+        let rec = LiveRegistry::new();
         let mask = AvailabilityMask {
             down_servers: vec![1],
             down_stations: vec![],
@@ -449,7 +449,7 @@ mod tests {
             severed_links: vec![],
         };
         for mask in [AvailabilityMask::default(), server_down] {
-            let rec = MetricsRecorder::new();
+            let rec = LiveRegistry::new();
             let auto = run(0, &mask, &rec);
             assert_eq!(run(1, &mask, &NoopRecorder), auto);
             let rounds = auto.solution.rounds_used as u64;

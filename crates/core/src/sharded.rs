@@ -512,7 +512,7 @@ mod tests {
         let reference =
             cgba_from(game, initial.clone(), &config, Some(&filter), || false, false, &mut scratch);
         let mut sharded = auto_sharded();
-        let rec = eotora_obs::MetricsRecorder::new();
+        let rec = eotora_obs::LiveRegistry::new();
         let choices = sharded.solve_split(
             &problem,
             initial.choices().to_vec(),
@@ -536,7 +536,7 @@ mod tests {
         let filter = StrategyFilter::allow_all(game.structure());
         let initial = Profile::random(game, &mut Pcg32::seed(4));
         let mut sharded = auto_sharded();
-        let rec = eotora_obs::MetricsRecorder::new();
+        let rec = eotora_obs::LiveRegistry::new();
         let choices = sharded.solve_split(
             &problem,
             initial.choices().to_vec(),
@@ -558,7 +558,7 @@ mod tests {
         let freqs = system.min_frequencies();
         let problem = P2aProblem::build(&system, &state, &freqs);
         let mut sharded = auto_sharded();
-        let rec = eotora_obs::MetricsRecorder::new();
+        let rec = eotora_obs::LiveRegistry::new();
         unfiltered(&mut sharded, &problem, None, &mut Pcg32::seed(6), &rec);
         let shards = sharded.plan().unwrap().num_shards() as u64;
         assert_eq!(rec.counter(eotora_obs::COUNTER_SHARD_SOLVES), shards);
@@ -591,7 +591,7 @@ mod tests {
             let mut solver = CgbaSolver::default();
             let mut ws = SlotWorkspace::new();
             let mut rng = Pcg32::seed(5);
-            let rec = eotora_obs::MetricsRecorder::new();
+            let rec = eotora_obs::LiveRegistry::new();
             let solutions: Vec<_> = (0..states.len())
                 .map(|t| {
                     let hooks = mask.map(|mask| RobustHooks { mask, deadline: None });

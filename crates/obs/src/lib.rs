@@ -2,22 +2,25 @@
 //!
 //! This crate provides the recording side of the pipeline's
 //! instrumentation: a [`Recorder`] trait that the solvers and the
-//! simulation runner emit into, plus three implementations —
+//! simulation runner emit into, plus its implementations —
 //!
 //! * [`NoopRecorder`]: recording disabled; every hook is a no-op and
 //!   [`SpanGuard`]s skip the clock reads entirely, so instrumented code
 //!   costs nothing when tracing is off.
-//! * [`MetricsRecorder`]: in-memory aggregation — per-span log-linear
-//!   [`Histogram`]s with quantile readout, monotonic counters, and
-//!   per-slot per-stage solve-time series for
-//!   `SimulationResult::per_stage_solve_time`.
+//! * [`LiveRegistry`]: lock-free live aggregation — per-span log-linear
+//!   [`Histogram`]s with quantile readout, counters and gauges, exported
+//!   as Prometheus text or JSONL snapshots; [`TelemetrySession`] wraps it
+//!   with health rules and a postmortem [`FlightRecorder`].
 //! * [`JsonlRecorder`]: a structured JSONL sink writing one
 //!   [`TraceRecord`] per line (`slot`, `span`, `counter`,
 //!   `queue_update`, `bdma_iteration` events with sequence numbers and
 //!   wall-clock nanos), replayable with [`trace::TraceAnalysis`].
 //!
 //! [`TeeRecorder`] fans a single event stream out to two recorders, so
-//! a run can aggregate metrics and stream JSONL simultaneously.
+//! a run can feed live telemetry and stream JSONL simultaneously. The
+//! per-slot stage times behind `SimulationResult::per_stage_solve_time`
+//! are not kept here: the step driver writes them into each slot's
+//! journal record.
 
 mod event;
 mod flight;
@@ -25,7 +28,6 @@ pub mod health;
 mod histogram;
 mod jsonl;
 mod live;
-mod metrics;
 pub mod names;
 mod recorder;
 mod session;
@@ -39,7 +41,6 @@ pub use health::{
 pub use histogram::Histogram;
 pub use jsonl::JsonlRecorder;
 pub use live::{prometheus_name, LiveRegistry, RegistrySnapshot, ShardedHistogram, SpanStats};
-pub use metrics::MetricsRecorder;
 pub use recorder::{NoopRecorder, Recorder, SpanGuard, TeeRecorder};
 pub use session::{TelemetryConfig, TelemetrySession};
 pub use trace::TraceAnalysis;

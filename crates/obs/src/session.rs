@@ -181,9 +181,9 @@ impl TelemetrySession {
     /// watchdog): dumps a flight-recorder postmortem bundle now, under
     /// the same per-run cap and same-slot dedup as the robust-ladder
     /// triggers. Returns `true` if a bundle was written.
-    pub fn force_postmortem(&self, reason: &str) -> bool {
+    pub fn force_postmortem(&self) -> bool {
         let before = self.postmortems();
-        self.maybe_postmortem(reason);
+        self.maybe_postmortem();
         self.postmortems() > before
     }
 
@@ -246,7 +246,7 @@ impl TelemetrySession {
         inner.prev_snapshot = Some(snapshot);
     }
 
-    fn maybe_postmortem(&self, reason: &str) {
+    fn maybe_postmortem(&self) {
         let Some(dir) = self.config.postmortem_dir.as_deref() else {
             return;
         };
@@ -267,7 +267,6 @@ impl TelemetrySession {
                 self.inner.borrow_mut().io_error.get_or_insert(e);
             }
         }
-        let _ = reason;
     }
 
     fn observe_slot(&self, slot: u64, latency: f64, cost: f64, queue: f64) {
@@ -346,7 +345,7 @@ impl Recorder for TelemetrySession {
         self.registry.add(name, delta);
         self.flight.add(name, delta);
         if POSTMORTEM_TRIGGERS.contains(&name) {
-            self.maybe_postmortem(name);
+            self.maybe_postmortem();
         }
     }
 

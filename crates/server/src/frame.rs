@@ -274,18 +274,19 @@ pub struct DecisionRecord {
 impl DecisionRecord {
     /// Builds the record from an engine step report.
     pub fn from_report(report: &StepReport) -> Self {
+        let record = &report.record;
         Self {
-            slot: report.slot,
-            latency_s: report.latency_s,
-            cost_usd: report.cost_usd,
-            queue: report.queue,
-            price: report.price,
-            solve_time_s: report.solve_time_s,
-            fairness: report.fairness,
-            handover_rate: report.handover_rate,
-            mean_clock_ghz: report.mean_clock_ghz,
-            bdma_rounds: report.rounds_used,
-            stations: report.stations.clone(),
+            slot: record.slot,
+            latency_s: record.latency_s,
+            cost_usd: record.cost_usd,
+            queue: record.queue,
+            price: record.price,
+            solve_time_s: record.solve_time_s,
+            fairness: record.fairness,
+            handover_rate: record.handover_rate,
+            mean_clock_ghz: record.mean_clock_ghz,
+            bdma_rounds: record.rounds_used,
+            stations: record.stations.clone(),
         }
     }
 

@@ -237,11 +237,7 @@ pub fn serve(
                         watchdog_streak = 0;
                     }
                     if watchdog_streak >= config.watchdog_expirations {
-                        telemetry.force_postmortem(&format!(
-                            "watchdog: {watchdog_streak} consecutive slots hit the deadline \
-                             ladder (last slot {})",
-                            report.slot
-                        ));
+                        telemetry.force_postmortem();
                         bump(
                             &mut server_counters,
                             &telemetry,
@@ -253,7 +249,7 @@ pub fn serve(
                             &encode_event(
                                 "watchdog_trip",
                                 &[
-                                    ("slot", Value::U64(report.slot)),
+                                    ("slot", Value::U64(report.record.slot)),
                                     ("streak", Value::U64(watchdog_streak)),
                                 ],
                             ),

@@ -1,23 +1,29 @@
 //! The reusable per-slot step driver shared by every engine front-end.
 //!
 //! [`StepDriver`] owns one controller's complete solving state — the DPP
-//! controller, sanitizer, corruption RNG, metrics recorder, and optional
+//! controller, sanitizer, corruption RNG, counter tally, and optional
 //! durable session — and exposes a single [`StepDriver::step`]: feed it
-//! the observed `β_t`, get back the slot's decision summary. The batch
+//! the observed `β_t`, get back the slot's [`SlotRecord`]. The batch
 //! `run_engine` loop drives it for `scenario.horizon` slots from a
 //! `StateProvider`; the `eotora-server` daemon drives the *same* driver
 //! from a JSONL stream with no horizon (`DriverTuning::horizon =
 //! u64::MAX`), which is what makes the server's decision stream
 //! bit-identical to the batch CSV by construction.
 //!
+//! Each slot exists once, as the journal's [`SlotRecord`]: `step` returns
+//! it, journals it, and an unbounded driver keeps it (without its
+//! per-device stations) in one list — the replayed journal head, then
+//! every live slot — which [`StepDriver::finish`] folds into every
+//! per-slot series of the [`SimulationResult`].
+//!
 //! The per-slot sequencing inside [`StepDriver::step`] — mode dispatch,
-//! counter/event emission, series pushes, journal append, snapshot
-//! cadence, kill hook — is the exact order the pre-extraction `run_engine`
-//! used; the kill–resume chaos tests pin that order (a snapshot is counted
+//! counter/event emission, journal append, snapshot cadence, kill hook —
+//! is pinned by the kill–resume chaos tests (a snapshot is counted
 //! *before* its counters are captured, the journal is synced *before* the
 //! snapshot lands).
 
-use std::collections::BTreeMap;
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, BTreeSet};
 
 use eotora_core::dpp::EotoraDpp;
 use eotora_core::fault::FaultSchedule;
@@ -26,7 +32,7 @@ use eotora_core::robust::RobustConfig;
 use eotora_core::sanitize::StateSanitizer;
 use eotora_core::system::MecSystem;
 use eotora_durability::{DurabilityError, SlotRecord};
-use eotora_obs::{MetricsRecorder, Recorder, SpanGuard, TeeRecorder, TraceEvent};
+use eotora_obs::{Recorder, SpanGuard, TraceEvent};
 use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
 use eotora_util::series::TimeSeries;
@@ -34,6 +40,7 @@ use eotora_util::series::TimeSeries;
 use crate::durable::{
     open_session, DurabilityConfig, DurableSession, ResumeState, RunManifest, RunSnapshot,
 };
+use crate::runner::SimulationResult;
 use crate::scenario::Scenario;
 
 /// Which per-slot pipeline the driver runs — the one option a batch caller
@@ -65,44 +72,89 @@ pub struct DriverTuning {
     /// server passes `Some(u64::MAX)` so the driver never self-terminates
     /// while the manifest keeps the scenario's real horizon.
     pub horizon: Option<u64>,
-    /// Bounded-memory mode for long-running processes: the metrics
-    /// recorder keeps only the last slot's per-slot series
-    /// ([`MetricsRecorder::bounded`]) and the driver skips accumulating
-    /// the whole-run `TimeSeries`. [`StepDriver::finish`] then returns
-    /// empty series — the server never calls it.
+    /// Bounded-memory mode for long-running processes: the driver keeps
+    /// no slot records — neither the replayed journal head nor the live
+    /// slots — only the last slot's stations for the handover rate.
+    /// [`StepDriver::finish`] then returns empty series — the server never
+    /// calls it.
     pub bounded: bool,
 }
 
-/// One completed slot, as the caller sees it: everything needed to emit
-/// a decision record or a CSV row. All fields are decision-derived and
-/// deterministic except `solve_time_s` (wall clock).
+/// One completed slot, as the caller sees it.
 #[derive(Debug, Clone)]
 pub struct StepReport {
-    /// The slot just solved.
-    pub slot: u64,
-    /// Fleet latency `T_t` (seconds).
-    pub latency_s: f64,
-    /// Energy cost `C_t` (dollars).
-    pub cost_usd: f64,
-    /// Virtual-queue backlog `Q(t+1)` after the slot.
-    pub queue: f64,
-    /// Electricity price `p_t` observed ($/kWh).
-    pub price: f64,
-    /// Wall-clock solve time (seconds; not deterministic).
-    pub solve_time_s: f64,
-    /// Jain's fairness index of per-device latencies.
-    pub fairness: f64,
-    /// Fraction of devices that changed base station vs the previous slot.
-    pub handover_rate: f64,
-    /// Fleet mean clock frequency (GHz).
-    pub mean_clock_ghz: f64,
-    /// BDMA alternation rounds executed (0 if BDMA never ran).
-    pub rounds_used: f64,
-    /// Chosen base station per device.
-    pub stations: Vec<u32>,
+    /// The slot's record — exactly what was journaled. Every field is
+    /// decision-derived and deterministic except the wall-clock
+    /// `solve_time_s` and `stages`.
+    pub record: SlotRecord,
     /// Whether the durable session's kill hook fired after this slot
     /// (the slot itself is fully committed; the driver must be dropped).
     pub interrupted: bool,
+}
+
+/// The driver's own recorder: it tallies every counter (starting from a
+/// resume snapshot's totals) and the open slot's stage nanoseconds and
+/// BDMA rounds, and forwards every call to the optional sink.
+#[derive(Default)]
+struct SlotTally<'s> {
+    sink: Option<&'s dyn Recorder>,
+    counters: RefCell<BTreeMap<String, u64>>,
+    stage_nanos: RefCell<BTreeMap<String, u64>>,
+    rounds: Cell<u64>,
+}
+
+impl SlotTally<'_> {
+    /// Closes the open slot: the seconds spent in each stage that ran
+    /// (the whole-slot span excluded) and the BDMA rounds it executed.
+    fn close_slot(&self) -> (Vec<(String, f64)>, f64) {
+        let stages = std::mem::take(&mut *self.stage_nanos.borrow_mut())
+            .into_iter()
+            .filter(|(name, _)| name != eotora_obs::SPAN_SLOT_SOLVE)
+            .map(|(name, nanos)| (name, nanos as f64 / 1e9))
+            .collect();
+        (stages, self.rounds.take() as f64)
+    }
+}
+
+fn bump(map: &RefCell<BTreeMap<String, u64>>, name: &str, delta: u64) {
+    let mut map = map.borrow_mut();
+    match map.get_mut(name) {
+        Some(total) => *total += delta,
+        None => {
+            map.insert(name.to_owned(), delta);
+        }
+    }
+}
+
+impl Recorder for SlotTally<'_> {
+    fn span_ns(&self, name: &str, nanos: u64) {
+        bump(&self.stage_nanos, name, nanos);
+        if let Some(sink) = self.sink {
+            sink.span_ns(name, nanos);
+        }
+    }
+
+    fn add(&self, name: &str, delta: u64) {
+        bump(&self.counters, name, delta);
+        if let Some(sink) = self.sink {
+            sink.add(name, delta);
+        }
+    }
+
+    fn gauge(&self, name: &str, value: f64) {
+        if let Some(sink) = self.sink {
+            sink.gauge(name, value);
+        }
+    }
+
+    fn record(&self, event: &TraceEvent) {
+        if let TraceEvent::BdmaIteration { .. } = event {
+            self.rounds.set(self.rounds.get() + 1);
+        }
+        if let Some(sink) = self.sink {
+            sink.record(event);
+        }
+    }
 }
 
 /// The engine behind every entry point: batch loops and the server
@@ -112,38 +164,29 @@ pub struct StepDriver<'s> {
     horizon: u64,
     v: f64,
     budget: f64,
-    metrics: MetricsRecorder,
-    sink: Option<&'s dyn Recorder>,
+    tally: SlotTally<'s>,
     dpp: EotoraDpp,
     sanitizer: StateSanitizer,
     mode: DriverMode,
     corrupt_rng: Pcg32,
     session: Option<DurableSession>,
-    base_counters: BTreeMap<String, u64>,
-    head: Vec<SlotRecord>,
     cursor: u64,
     journal_frames: u64,
     last_snapshot_slots: u64,
-    previous_stations: Option<Vec<usize>>,
-    retain_series: bool,
-    latency: TimeSeries,
-    cost: TimeSeries,
-    queue: TimeSeries,
-    price: TimeSeries,
-    solve_time: TimeSeries,
-    fairness: TimeSeries,
-    handover_rate: TimeSeries,
-    mean_clock_ghz: TimeSeries,
+    previous_stations: Option<Vec<u32>>,
+    /// Every slot so far, replayed head first, stations dropped; `None`
+    /// on a bounded driver.
+    records: Option<Vec<SlotRecord>>,
 }
 
 impl<'s> StepDriver<'s> {
     /// Builds a driver, performing the resume bootstrap if `session`
-    /// carries resume state: the controller, sanitizer, and corruption
-    /// RNG restore from the snapshot, the journal head replays into the
-    /// series, and [`StepDriver::cursor`] starts past the restored slots.
-    /// The caller owns fast-forwarding its state *source* to the cursor
-    /// (batch re-observes the replayed slots; the server's clients resend
-    /// from the cursor).
+    /// carries resume state: the controller, sanitizer, corruption RNG and
+    /// counters restore from the snapshot, the journal head becomes the
+    /// first slot records, and [`StepDriver::cursor`] starts past the
+    /// restored slots. The caller owns fast-forwarding its state *source*
+    /// to the cursor (batch re-observes the replayed slots; the server's
+    /// clients resend from the cursor).
     pub fn new(
         scenario: &Scenario,
         system: MecSystem,
@@ -154,12 +197,10 @@ impl<'s> StepDriver<'s> {
     ) -> Self {
         let budget = system.budget_per_slot();
         let horizon = tuning.horizon.unwrap_or(scenario.horizon);
-        let retain_series = !tuning.bounded;
-        let metrics =
-            if tuning.bounded { MetricsRecorder::bounded() } else { MetricsRecorder::new() };
+        let tally = SlotTally { sink, ..SlotTally::default() };
 
         // Resume bootstrap: restore controller + sanitizer + corruption
-        // RNG from the snapshot and replay the journal head.
+        // RNG + counters from the snapshot and take over the journal head.
         let resume = session.as_mut().and_then(DurableSession::take_resume);
         let dpp = match resume.as_ref().and_then(|state| state.snapshot.as_ref()) {
             Some(snapshot) => EotoraDpp::resume_full(system, &snapshot.controller),
@@ -169,17 +210,8 @@ impl<'s> StepDriver<'s> {
         let mut corrupt_rng = Pcg32::seed_stream(scenario.seed, 0xFA117);
         let mut cursor = 0u64;
         let mut journal_frames = 0u64;
-        let mut base_counters: BTreeMap<String, u64> = BTreeMap::new();
         let mut head: Vec<SlotRecord> = Vec::new();
         if let Some(state) = resume {
-            let tee;
-            let recorder: &dyn Recorder = match sink {
-                Some(sink) => {
-                    tee = TeeRecorder::new(&metrics, sink);
-                    &tee
-                }
-                None => &metrics,
-            };
             let ResumeState { snapshot, head: records, torn_frames_dropped, frames_discarded } =
                 state;
             if let Some(RunSnapshot {
@@ -195,68 +227,41 @@ impl<'s> StepDriver<'s> {
                 corrupt_rng = rng;
                 cursor = slots;
                 journal_frames = frames;
-                base_counters = counters;
+                *tally.counters.borrow_mut() = counters;
                 head = records;
-                recorder.add(eotora_obs::COUNTER_DURABILITY_RESUMED, cursor);
+                tally.add(eotora_obs::COUNTER_DURABILITY_RESUMED, cursor);
             }
             if torn_frames_dropped > 0 {
-                recorder.add(eotora_obs::COUNTER_DURABILITY_TORN, torn_frames_dropped);
+                tally.add(eotora_obs::COUNTER_DURABILITY_TORN, torn_frames_dropped);
             }
             if frames_discarded > 0 {
-                recorder.add(eotora_obs::COUNTER_DURABILITY_DISCARDED, frames_discarded);
+                tally.add(eotora_obs::COUNTER_DURABILITY_DISCARDED, frames_discarded);
             }
         }
-
-        let mut latency = TimeSeries::new("latency_s");
-        let mut cost = TimeSeries::new("cost_usd");
-        let mut queue = TimeSeries::new("queue_backlog");
-        let mut price = TimeSeries::new("price_usd_per_kwh");
-        let mut solve_time = TimeSeries::new("solve_time_s");
-        let mut fairness = TimeSeries::new("jains_index");
-        let mut handover_rate = TimeSeries::new("handover_rate");
-        let mut mean_clock_ghz = TimeSeries::new("mean_clock_ghz");
-        if retain_series {
-            for rec in &head {
-                latency.push(rec.latency_s);
-                cost.push(rec.cost_usd);
-                queue.push(rec.queue);
-                price.push(rec.price);
-                solve_time.push(rec.solve_time_s);
-                fairness.push(rec.fairness);
-                handover_rate.push(rec.handover_rate);
-                mean_clock_ghz.push(rec.mean_clock_ghz);
+        let previous_stations = head.last().map(|rec| rec.stations.clone());
+        let records = (!tuning.bounded).then(|| {
+            for rec in &mut head {
+                rec.stations = Vec::new();
             }
-        }
-        let previous_stations: Option<Vec<usize>> =
-            head.last().map(|rec| rec.stations.iter().map(|&s| s as usize).collect());
+            head
+        });
 
         StepDriver {
             label: scenario.label.clone(),
             horizon,
             v: scenario.dpp.v,
             budget,
-            metrics,
-            sink,
+            tally,
             dpp,
             sanitizer,
             mode,
             corrupt_rng,
             session,
-            base_counters,
             last_snapshot_slots: cursor,
-            head,
             cursor,
             journal_frames,
             previous_stations,
-            retain_series,
-            latency,
-            cost,
-            queue,
-            price,
-            solve_time,
-            fairness,
-            handover_rate,
-            mean_clock_ghz,
+            records,
         }
     }
 
@@ -312,15 +317,12 @@ impl<'s> StepDriver<'s> {
         self.dpp.queue_backlog()
     }
 
-    /// Bumps a monotonic counter through the driver's recorder stack
-    /// (metrics plus any external sink), so out-of-band orchestration
+    /// Bumps a monotonic counter through the driver's recorder (its
+    /// tally plus any external sink), so out-of-band orchestration
     /// events — federation gossip, rebalances — land in the same counter
     /// exports as the solve pipeline's own.
     pub fn add_counter(&self, name: &str, delta: u64) {
-        self.metrics.add(name, delta);
-        if let Some(sink) = self.sink {
-            sink.add(name, delta);
-        }
+        self.tally.add(name, delta);
     }
 
     /// The topology the controller runs on (for observing states).
@@ -328,19 +330,10 @@ impl<'s> StepDriver<'s> {
         self.dpp.system().topology()
     }
 
-    /// The in-memory metrics recorder (counters, spans, last-slot stats).
-    pub fn metrics(&self) -> &MetricsRecorder {
-        &self.metrics
-    }
-
     /// Every monotonic counter's current total, including counters
     /// restored from a resume snapshot.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        let mut counters = self.base_counters.clone();
-        for (name, value) in self.metrics.counters() {
-            *counters.entry(name).or_insert(0) += value;
-        }
-        counters
+        self.tally.counters.borrow().clone()
     }
 
     /// Advances the cursor past unsolved slots — the server's overload
@@ -373,19 +366,12 @@ impl<'s> StepDriver<'s> {
     }
 
     /// Solves one slot: the full committed pipeline — mode dispatch,
-    /// metrics, series, journal append, due snapshot, kill hook.
-    /// `input.slot` is trusted to equal [`StepDriver::cursor`] (the
-    /// front-ends normalize or reject).
+    /// counters and events, journal append, due snapshot, kill hook — and
+    /// returns its record. `input.slot` is trusted to equal
+    /// [`StepDriver::cursor`] (the front-ends normalize or reject).
     pub fn step(&mut self, input: SystemState) -> Result<StepReport, DurabilityError> {
         let slot = self.cursor;
-        let tee;
-        let recorder: &dyn Recorder = match self.sink {
-            Some(sink) => {
-                tee = TeeRecorder::new(&self.metrics, sink);
-                &tee
-            }
-            None => &self.metrics,
-        };
+        let recorder: &dyn Recorder = &self.tally;
 
         let beta;
         let dpp_step;
@@ -430,11 +416,16 @@ impl<'s> StepDriver<'s> {
             cost: dpp_step.outcome.constraint_excess + self.budget,
             queue: dpp_step.queue_after,
         });
+        let (stages, rounds_used) = self.tally.close_slot();
         let breakdown = latency_under(self.dpp.system(), &beta, &dpp_step.outcome.decision);
-        let fair = eotora_util::stats::jains_index(&breakdown.per_device).unwrap_or(1.0);
-        let stations: Vec<usize> =
-            dpp_step.outcome.decision.assignments.iter().map(|a| a.base_station.index()).collect();
-        let handover = match &self.previous_stations {
+        let stations: Vec<u32> = dpp_step
+            .outcome
+            .decision
+            .assignments
+            .iter()
+            .map(|a| a.base_station.index() as u32)
+            .collect();
+        let handover_rate = match &self.previous_stations {
             Some(prev) => {
                 prev.iter().zip(&stations).filter(|(a, b)| a != b).count() as f64
                     / stations.len() as f64
@@ -442,58 +433,27 @@ impl<'s> StepDriver<'s> {
             None => 0.0,
         };
         let freqs = &dpp_step.outcome.decision.frequencies_hz;
-        let clock = freqs.iter().sum::<f64>() / freqs.len() as f64 / 1e9;
-        if self.retain_series {
-            self.solve_time.push(slot_nanos as f64 / 1e9);
-            self.latency.push(dpp_step.outcome.objective);
-            self.cost.push(dpp_step.outcome.constraint_excess + self.budget);
-            self.queue.push(dpp_step.queue_after);
-            self.price.push(beta.price_per_kwh);
-            self.fairness.push(fair);
-            self.handover_rate.push(handover);
-            self.mean_clock_ghz.push(clock);
-        }
-        let mut report = StepReport {
+        let record = SlotRecord {
             slot,
             latency_s: dpp_step.outcome.objective,
             cost_usd: dpp_step.outcome.constraint_excess + self.budget,
             queue: dpp_step.queue_after,
             price: beta.price_per_kwh,
             solve_time_s: slot_nanos as f64 / 1e9,
-            fairness: fair,
-            handover_rate: handover,
-            mean_clock_ghz: clock,
-            rounds_used: self.metrics.last_slot_rounds().unwrap_or(0.0),
-            stations: stations.iter().map(|&s| s as u32).collect(),
-            interrupted: false,
+            fairness: eotora_util::stats::jains_index(&breakdown.per_device).unwrap_or(1.0),
+            handover_rate,
+            mean_clock_ghz: freqs.iter().sum::<f64>() / freqs.len() as f64 / 1e9,
+            rounds_used,
+            stations,
+            stages,
         };
 
+        let mut interrupted = false;
         if let Some(session) = self.session.as_mut() {
-            // The Slot event above closed the slot in the metrics recorder,
-            // so the last-slot stage and rounds readouts are this slot's.
-            let record = SlotRecord {
-                slot,
-                latency_s: report.latency_s,
-                cost_usd: report.cost_usd,
-                queue: report.queue,
-                price: report.price,
-                solve_time_s: report.solve_time_s,
-                fairness: report.fairness,
-                handover_rate: report.handover_rate,
-                mean_clock_ghz: report.mean_clock_ghz,
-                rounds_used: report.rounds_used,
-                stations: report.stations.clone(),
-                stages: self
-                    .metrics
-                    .last_slot_stages()
-                    .into_iter()
-                    .filter(|(name, _)| name != eotora_obs::SPAN_SLOT_SOLVE)
-                    .collect(),
-            };
             // Journal latency spans go to the *sink only*: routing them
-            // through the aggregating recorder would perturb per-stage
-            // series and resumed-run counter identity.
-            match self.sink {
+            // through the tally would book them as a stage of the next
+            // slot.
+            match self.tally.sink {
                 Some(sink) => {
                     let span = SpanGuard::new(sink, eotora_obs::SPAN_JOURNAL_APPEND);
                     session.journal_slot(&record)?;
@@ -504,35 +464,36 @@ impl<'s> StepDriver<'s> {
                 }
                 None => session.journal_slot(&record)?,
             }
-            recorder.add(eotora_obs::COUNTER_DURABILITY_FRAMES, 1);
+            self.tally.add(eotora_obs::COUNTER_DURABILITY_FRAMES, 1);
             self.journal_frames += 1;
             let completed = slot + 1;
             if session.checkpoint_due(completed, self.horizon) {
                 // Count the snapshot *before* capturing counters so resumed
                 // totals match the uninterrupted run's.
-                recorder.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
+                self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
                 write_checkpoint(
                     session,
-                    self.sink,
+                    &self.tally,
                     completed,
                     self.journal_frames,
                     &self.dpp,
                     &self.sanitizer,
                     &self.corrupt_rng,
-                    &self.base_counters,
-                    &self.metrics,
                 )?;
                 self.last_snapshot_slots = completed;
             }
-            if session.should_kill(slot) {
-                self.cursor = slot + 1;
-                report.interrupted = true;
-                return Ok(report);
-            }
+            interrupted = session.should_kill(slot);
         }
-        self.previous_stations = Some(stations);
+        if let Some(records) = self.records.as_mut() {
+            records.push(SlotRecord {
+                stations: Vec::new(),
+                stages: record.stages.clone(),
+                ..record
+            });
+        }
+        self.previous_stations = Some(record.stations.clone());
         self.cursor = slot + 1;
-        Ok(report)
+        Ok(StepReport { record, interrupted })
     }
 
     /// Writes a snapshot of the current state *now*, outside the regular
@@ -549,159 +510,106 @@ impl<'s> StepDriver<'s> {
         let Some(session) = self.session.as_mut() else {
             return Ok(false);
         };
-        let tee;
-        let recorder: &dyn Recorder = match self.sink {
-            Some(sink) => {
-                tee = TeeRecorder::new(&self.metrics, sink);
-                &tee
-            }
-            None => &self.metrics,
-        };
-        recorder.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
+        self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
         write_checkpoint(
             session,
-            self.sink,
+            &self.tally,
             self.cursor,
             self.journal_frames,
             &self.dpp,
             &self.sanitizer,
             &self.corrupt_rng,
-            &self.base_counters,
-            &self.metrics,
         )?;
         self.last_snapshot_slots = self.cursor;
         Ok(true)
     }
 
-    /// Folds the driver into a [`SimulationResult`](crate::runner::SimulationResult): stitches the
-    /// replayed journal head with the live slots so per-stage series,
-    /// `rounds_used`, and the BDMA-round mean are bit-identical to an
-    /// uninterrupted run.
-    pub fn finish(self) -> crate::runner::SimulationResult {
-        use std::collections::BTreeSet;
-
-        let metrics = &self.metrics;
-        let head = &self.head;
-        // Stitch per-stage series: replayed head first, then the live run.
-        // Stages absent on one side zero-pad, keeping every series aligned
-        // (one entry per slot).
-        let live_stages: BTreeMap<String, Vec<f64>> = metrics
-            .stage_series()
-            .into_iter()
-            .filter(|(name, _)| name != eotora_obs::SPAN_SLOT_SOLVE)
-            .collect();
-        let live_len = metrics.slots() as usize;
-        let mut stage_names: BTreeSet<String> = live_stages.keys().cloned().collect();
-        for rec in head {
-            for (name, _) in &rec.stages {
-                stage_names.insert(name.clone());
-            }
-        }
-        let per_stage_solve_time = stage_names
-            .into_iter()
-            .map(|name| {
-                let mut series = TimeSeries::new(&name);
-                for rec in head {
-                    series
-                        .push(rec.stages.iter().find(|(n, _)| n == &name).map_or(0.0, |&(_, v)| v));
-                }
-                match live_stages.get(&name) {
-                    Some(values) => {
-                        for &v in values {
-                            series.push(v);
-                        }
-                    }
-                    None => {
-                        for _ in 0..live_len {
-                            series.push(0.0);
-                        }
-                    }
-                }
-                (name, series)
-            })
-            .collect();
-
-        let mut rounds_used = TimeSeries::new("bdma_rounds");
-        for rec in head {
-            rounds_used.push(rec.rounds_used);
-        }
-        for r in metrics.bdma_rounds_series() {
-            rounds_used.push(r);
-        }
-        let mean_bdma_rounds = if head.is_empty() {
-            metrics.mean_bdma_rounds().unwrap_or(0.0)
-        } else {
-            // Recompute over the stitched series with the histogram's exact
-            // integer arithmetic (u128 sum of integral round counts over
-            // BDMA-active slots), so a resumed run's mean matches the
-            // uninterrupted run bit-for-bit.
-            let mut sum: u128 = 0;
-            let mut count: u64 = 0;
-            for &r in rounds_used.values() {
-                if r > 0.0 {
-                    sum += r as u128;
-                    count += 1;
-                }
-            }
-            if count > 0 {
-                sum as f64 / count as f64
-            } else {
-                0.0
-            }
-        };
-
-        let counters = self.counters();
-
-        crate::runner::SimulationResult {
+    /// Folds the driver's slot records — replayed head and live slots
+    /// alike — into a [`SimulationResult`], so a resumed run's series are
+    /// bit-identical to an uninterrupted run's.
+    pub fn finish(self) -> SimulationResult {
+        SimulationResult {
             label: self.label,
+            counters: self.tally.counters.into_inner(),
+            budget: self.budget,
             average_latency: self.dpp.average_latency(),
             average_cost: self.dpp.average_cost(),
-            latency: self.latency,
-            cost: self.cost,
-            queue: self.queue,
-            price: self.price,
-            solve_time: self.solve_time,
-            fairness: self.fairness,
-            handover_rate: self.handover_rate,
-            mean_clock_ghz: self.mean_clock_ghz,
-            per_stage_solve_time,
-            rounds_used,
-            mean_bdma_rounds,
-            counters,
-            budget: self.budget,
+            ..fold_records(self.records.as_deref().unwrap_or_default())
         }
+    }
+}
+
+/// Folds slot records into a result's per-slot series: one entry per
+/// record in each, stage series over the union of the stage names with
+/// 0.0 where a stage did not run, and the BDMA-round mean as the exact
+/// integer sum over BDMA-active slots divided by their count. Label,
+/// counters, budget and averages are left empty for the caller.
+fn fold_records(records: &[SlotRecord]) -> SimulationResult {
+    let series = |name: &str, value: fn(&SlotRecord) -> f64| {
+        let mut series = TimeSeries::new(name);
+        for rec in records {
+            series.push(value(rec));
+        }
+        series
+    };
+    let stage_names: BTreeSet<&str> =
+        records.iter().flat_map(|rec| rec.stages.iter().map(|(name, _)| name.as_str())).collect();
+    let per_stage_solve_time = stage_names
+        .into_iter()
+        .map(|name| {
+            let mut series = TimeSeries::new(name);
+            for rec in records {
+                series.push(rec.stages.iter().find(|(n, _)| n == name).map_or(0.0, |&(_, v)| v));
+            }
+            (name.to_owned(), series)
+        })
+        .collect();
+    let (sum, count) = records
+        .iter()
+        .filter(|rec| rec.rounds_used > 0.0)
+        .fold((0u128, 0u64), |(sum, count), rec| (sum + rec.rounds_used as u128, count + 1));
+    SimulationResult {
+        label: String::new(),
+        latency: series("latency_s", |rec| rec.latency_s),
+        cost: series("cost_usd", |rec| rec.cost_usd),
+        queue: series("queue_backlog", |rec| rec.queue),
+        price: series("price_usd_per_kwh", |rec| rec.price),
+        solve_time: series("solve_time_s", |rec| rec.solve_time_s),
+        fairness: series("jains_index", |rec| rec.fairness),
+        handover_rate: series("handover_rate", |rec| rec.handover_rate),
+        mean_clock_ghz: series("mean_clock_ghz", |rec| rec.mean_clock_ghz),
+        per_stage_solve_time,
+        rounds_used: series("bdma_rounds", |rec| rec.rounds_used),
+        mean_bdma_rounds: if count > 0 { sum as f64 / count as f64 } else { 0.0 },
+        counters: BTreeMap::new(),
+        budget: 0.0,
+        average_latency: 0.0,
+        average_cost: 0.0,
     }
 }
 
 /// Syncs the journal and atomically rewrites the snapshot with the
 /// driver's state as of `completed` slots (the caller counts the
-/// snapshot in the recorder *before* calling, so the captured counters
+/// snapshot in the tally *before* calling, so the captured counters
 /// include it).
-#[allow(clippy::too_many_arguments)]
 fn write_checkpoint(
     session: &mut DurableSession,
-    sink: Option<&dyn Recorder>,
+    tally: &SlotTally<'_>,
     completed: u64,
     frames: u64,
     dpp: &EotoraDpp,
     sanitizer: &StateSanitizer,
     corrupt_rng: &Pcg32,
-    base_counters: &BTreeMap<String, u64>,
-    metrics: &MetricsRecorder,
 ) -> Result<(), DurabilityError> {
-    let mut counters = base_counters.clone();
-    for (name, value) in metrics.counters() {
-        *counters.entry(name).or_insert(0) += value;
-    }
     let snapshot = RunSnapshot {
         slots: completed,
         frames,
         controller: dpp.checkpoint_full(),
         sanitizer: sanitizer.snapshot(),
         corrupt_rng: corrupt_rng.clone(),
-        counters,
+        counters: tally.counters.borrow().clone(),
     };
-    match sink {
+    match tally.sink {
         Some(sink) => {
             let span = SpanGuard::new(sink, eotora_obs::SPAN_SNAPSHOT_WRITE);
             session.write_snapshot(&snapshot)?;
@@ -732,5 +640,197 @@ fn corrupt_state(state: &mut SystemState, rng: &mut Pcg32) {
             }
             _ => state.price_per_kwh = f64::NAN,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eotora_states::StateProvider;
+    use proptest::prelude::*;
+
+    fn record(slot: u64, stages: &[(&str, f64)], rounds_used: f64) -> SlotRecord {
+        SlotRecord {
+            slot,
+            latency_s: 1.0 + slot as f64,
+            cost_usd: 0.5,
+            queue: slot as f64,
+            price: 0.1,
+            solve_time_s: 0.01,
+            fairness: 0.9,
+            handover_rate: 0.0,
+            mean_clock_ghz: 2.0,
+            rounds_used,
+            stations: Vec::new(),
+            stages: stages.iter().map(|&(name, v)| (name.to_owned(), v)).collect(),
+        }
+    }
+
+    fn bdma_iteration(round: u64) -> TraceEvent {
+        TraceEvent::BdmaIteration {
+            slot: 0,
+            round,
+            objective: 0.0,
+            accepted: true,
+            p2a_nanos: 0,
+            p2b_nanos: 0,
+        }
+    }
+
+    #[test]
+    fn tally_closes_each_slot() {
+        let tally = SlotTally::default();
+        tally.span_ns("p2a", 500_000_000);
+        tally.span_ns("p2a", 500_000_000);
+        tally.span_ns("p2b", 3_000_000_000);
+        tally.span_ns(eotora_obs::SPAN_SLOT_SOLVE, 5_000_000_000);
+        for round in 1..=3 {
+            tally.record(&bdma_iteration(round));
+        }
+        let (stages, rounds) = tally.close_slot();
+        assert_eq!(stages, vec![("p2a".to_owned(), 1.0), ("p2b".to_owned(), 3.0)]);
+        assert_eq!(rounds, 3.0);
+        // The next slot starts empty: nothing carries over.
+        assert_eq!(tally.close_slot(), (Vec::new(), 0.0));
+    }
+
+    #[test]
+    fn stage_series_align_per_slot() {
+        // Slot 0: only p2a runs; slot 1: p2a and p2b; slot 2: neither.
+        let records = [
+            record(0, &[("p2a", 2.0)], 1.0),
+            record(1, &[("p2a", 1.0), ("p2b", 3.0)], 1.0),
+            record(2, &[], 0.0),
+        ];
+        let result = fold_records(&records);
+        assert_eq!(result.per_stage_solve_time["p2a"].values(), [2.0, 1.0, 0.0]);
+        assert_eq!(result.per_stage_solve_time["p2b"].values(), [0.0, 3.0, 0.0]);
+        assert_eq!(result.per_stage_solve_time.len(), 2);
+        assert_eq!(result.latency.values(), [1.0, 2.0, 3.0]);
+        assert_eq!(result.queue.values(), [0.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn bdma_rounds_average_over_active_slots() {
+        let records = [record(0, &[], 3.0), record(1, &[], 0.0), record(2, &[], 1.0)];
+        let result = fold_records(&records);
+        assert_eq!(result.rounds_used.values(), [3.0, 0.0, 1.0]);
+        // Slot 1 never ran BDMA, so it does not dilute the mean.
+        assert_eq!(result.mean_bdma_rounds, 2.0);
+        assert_eq!(fold_records(&records[1..2]).mean_bdma_rounds, 0.0);
+    }
+
+    /// Slot records of a stage pattern, each listing only the stages that
+    /// ran, except that the first `cut` records take the older journal
+    /// form, which lists every stage seen so far (0.0 when idle) — what a
+    /// run resumed from such a journal replays as its head.
+    fn pattern_records(pattern: &[(bool, bool)], cut: usize) -> Vec<SlotRecord> {
+        let mut seen: BTreeSet<&str> = BTreeSet::new();
+        pattern
+            .iter()
+            .enumerate()
+            .map(|(i, &(run_a, run_b))| {
+                let mut stages = Vec::new();
+                if run_a {
+                    stages.push(("p2a", 1e-8));
+                }
+                if run_b {
+                    stages.push(("p2b", 2e-8));
+                }
+                seen.extend(stages.iter().map(|&(name, _)| name));
+                if i < cut {
+                    stages = seen
+                        .iter()
+                        .map(|&name| {
+                            (name, stages.iter().find(|s| s.0 == name).map_or(0.0, |s| s.1))
+                        })
+                        .collect();
+                }
+                record(i as u64, &stages, if run_a { 2.0 } else { 0.0 })
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// Counters only ever increase, regardless of interleaving.
+        #[test]
+        fn counters_never_decrease(deltas in prop::collection::vec(0u64..1000, 1..50)) {
+            let tally = SlotTally::default();
+            let mut prev = 0;
+            for &d in &deltas {
+                tally.add("bdma_rounds", d);
+                let now = tally.counters.borrow()["bdma_rounds"];
+                prop_assert_eq!(now, prev + d);
+                prev = now;
+            }
+        }
+
+        /// Every stage series has exactly one entry per slot, and cutting
+        /// the records anywhere into a replayed head and live slots folds
+        /// to the same result.
+        #[test]
+        fn stage_series_lengths_match_slots(
+            pattern in prop::collection::vec((prop::bool::ANY, prop::bool::ANY), 1..20),
+        ) {
+            let live = fold_records(&pattern_records(&pattern, 0));
+            for series in live.per_stage_solve_time.values() {
+                prop_assert_eq!(series.len(), pattern.len());
+            }
+            prop_assert_eq!(live.rounds_used.len(), pattern.len());
+            for cut in 1..=pattern.len() {
+                prop_assert_eq!(&fold_records(&pattern_records(&pattern, cut)), &live);
+            }
+        }
+    }
+
+    /// Runs `scenario` to its horizon into a fresh checkpoint directory
+    /// and returns the journaled records, read back through a resume.
+    fn journaled(scenario: &Scenario, bounded: bool) -> Vec<SlotRecord> {
+        let dir = std::env::temp_dir().join(format!(
+            "eotora-engine-{}-{bounded}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durability = DurabilityConfig::new(&dir);
+        let manifest = RunManifest::new(scenario, &DriverMode::Plain, &durability).unwrap();
+        let system = MecSystem::random(&scenario.system, scenario.seed);
+        let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
+        let session = open_session(&durability, &manifest).unwrap();
+        let tuning = DriverTuning { horizon: None, bounded };
+        let mut driver =
+            StepDriver::new(scenario, system, DriverMode::Plain, Some(session), None, tuning);
+        while driver.cursor() < driver.horizon() {
+            let beta = states.observe(driver.cursor(), driver.topology());
+            assert!(!driver.step(beta).unwrap().interrupted);
+        }
+        drop(driver);
+        let mut session = open_session(&durability, &manifest).unwrap();
+        let head = session.take_resume().expect("a finished run resumes").head;
+        let _ = std::fs::remove_dir_all(&dir);
+        head
+    }
+
+    #[test]
+    fn bounded_and_unbounded_drivers_journal_the_same_stages() {
+        // Warm starts vary the BDMA rounds from slot to slot.
+        let scenario = Scenario::paper(8, 7)
+            .with_horizon(6)
+            .with_bdma_rounds(3)
+            .with_start_policy(eotora_core::bdma::StartPolicy::Warm);
+        let bounded = journaled(&scenario, true);
+        let unbounded = journaled(&scenario, false);
+        assert_eq!(bounded.len(), 6);
+        assert_eq!(unbounded.len(), 6);
+        for (b, u) in bounded.iter().zip(&unbounded) {
+            let names =
+                |rec: &SlotRecord| rec.stages.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+            assert_eq!(names(b), names(u), "slot {}", b.slot);
+            assert!(names(b).iter().any(|n| n == eotora_obs::SPAN_P2A), "slot {}", b.slot);
+            assert_eq!(b.rounds_used, u.rounds_used, "slot {}", b.slot);
+            assert!(b.rounds_used >= 1.0, "slot {}", b.slot);
+            assert_eq!(b.stations, u.stations, "slot {}", b.slot);
+        }
+        assert!(bounded.iter().any(|rec| rec.rounds_used != bounded[0].rounds_used));
     }
 }

@@ -160,12 +160,20 @@ pub fn p2a_comparison(config: &P2aComparisonConfig) -> Vec<P2aComparisonRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The small comparison every test reads, computed once per test
+    /// binary: each run takes tens of seconds in a debug build.
+    fn small_rows() -> &'static [P2aComparisonRow] {
+        static ROWS: OnceLock<Vec<P2aComparisonRow>> = OnceLock::new();
+        ROWS.get_or_init(|| p2a_comparison(&P2aComparisonConfig::small()))
+    }
 
     #[test]
     fn ordering_matches_paper() {
-        let rows = p2a_comparison(&P2aComparisonConfig::small());
+        let rows = small_rows();
         assert_eq!(rows.len(), 2);
-        for r in &rows {
+        for r in rows {
             // Fig. 4 ordering: OPT ≤ CGBA ≤ MCBA ≤ ROPT at paper scale. On
             // these scaled-down instances MCMC can out-search a Nash
             // equilibrium (small profile space), so the CGBA-vs-MCBA leg is
@@ -186,15 +194,14 @@ mod tests {
 
     #[test]
     fn objectives_grow_with_devices() {
-        let rows = p2a_comparison(&P2aComparisonConfig::small());
+        let rows = small_rows();
         assert!(rows[1].cgba.objective > rows[0].cgba.objective);
         assert!(rows[1].ropt.objective > rows[0].ropt.objective);
     }
 
     #[test]
     fn ropt_is_fastest() {
-        let rows = p2a_comparison(&P2aComparisonConfig::small());
-        for r in &rows {
+        for r in small_rows() {
             assert!(r.ropt.time_s <= r.cgba.time_s);
             assert!(r.ropt.time_s <= r.mcba.time_s);
         }

@@ -1,8 +1,8 @@
 //! Executes scenarios and collects per-slot metrics.
 //!
-//! Every run is instrumented: an in-memory
-//! [`MetricsRecorder`](eotora_obs::MetricsRecorder) aggregates the
-//! pipeline's spans into [`SimulationResult::per_stage_solve_time`].
+//! Every run is instrumented: the step driver times each solver stage
+//! into the slot's record, and the records fold into
+//! [`SimulationResult::per_stage_solve_time`].
 //! [`run_mode`] is the one batch entry point: its [`DriverMode`] selects
 //! the plain or the robust pipeline, and its optional
 //! [`Recorder`] sink additionally receives the event stream (e.g. a JSONL
@@ -160,7 +160,7 @@ pub(crate) fn run_engine(
         let beta = states.observe(driver.cursor(), driver.topology());
         let report = driver.step(beta)?;
         if report.interrupted {
-            return Ok(DurableRun::Interrupted { slot: report.slot });
+            return Ok(DurableRun::Interrupted { slot: report.record.slot });
         }
     }
     Ok(DurableRun::Completed(Box::new(driver.finish())))
