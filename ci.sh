@@ -23,7 +23,24 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
+echo "==> EXPERIMENTS.md commands (every cited figures flag, one --quick run; budget 30 s)"
+# Each `figures -- --<flag>` that EXPERIMENTS.md cites runs once here under
+# --quick, so a renamed or removed flag fails CI. The run takes ~4 s on a
+# 2-core host; over 30 s fails the step.
+mapfile -t FIG_FLAGS < <(grep -o 'figures -- --[a-z0-9-]*' EXPERIMENTS.md | sed 's/^figures -- //' | sort -u)
+if [ "${#FIG_FLAGS[@]}" -eq 0 ]; then echo "FAIL: EXPERIMENTS.md cites no figures command"; exit 1; fi
+fig_start=$SECONDS
+./target/release/figures --quick "${FIG_FLAGS[@]}" > /dev/null
+fig_elapsed=$((SECONDS - fig_start))
+if [ "$fig_elapsed" -gt 30 ]; then
+  echo "FAIL: figures --quick ${FIG_FLAGS[*]} took ${fig_elapsed} s > 30 s"; exit 1
+fi
+echo "OK: figures --quick ${FIG_FLAGS[*]} ran in ${fig_elapsed} s"
+
 echo "==> slot_solve bench smoke (quick mode)"
+# The guards below read only this run's file: a bench binary that writes
+# its JSON elsewhere (the path is fixed at compile time) fails them.
+rm -f target/BENCH_slot_solve.quick.json
 EOTORA_QUICK=1 cargo bench -p eotora-bench --bench slot_solve
 
 echo "==> slot_solve regression guard (engine p50 speedup >= 1.5x at 30 devices)"

@@ -1,4 +1,5 @@
-//! Regenerates the data behind every figure of the paper's evaluation (§VI).
+//! Regenerates the data behind every figure of the paper's evaluation (§VI)
+//! and every ablation EXPERIMENTS.md reports.
 //!
 //! ```text
 //! cargo run -p eotora-bench --release --bin figures -- --all
@@ -7,41 +8,68 @@
 //! ```
 //!
 //! `--quick` runs the scaled-down configurations (useful for smoke tests);
-//! without it the paper-scale settings of each experiment run. Each figure
-//! prints the rows/series the paper plots; `--svg <dir>` additionally writes
-//! SVG plots of the line-chart figures (2, 7, 8) into `<dir>`; `--jobs N`
-//! caps the worker pool the sweep experiments fan out on (default: all
-//! cores). EXPERIMENTS.md records the paper-vs-measured comparison.
+//! without it the paper-scale settings of each experiment run. With no
+//! figure flag every figure runs, as under `--all`. Each figure prints the
+//! rows/series the paper plots; `--ablations` adds the studies beyond the
+//! paper and `--federation` the multi-region A/B table. `--svg <dir>`
+//! additionally writes SVG plots of the line-chart figures (2, 7, 8) into
+//! `<dir>`; `--jobs N` caps the worker pool the sweep experiments fan out on
+//! (default: all cores). An unknown flag or a value flag without its value
+//! is an error. EXPERIMENTS.md records the paper-vs-measured comparison.
 
+use std::process::ExitCode;
+
+use eotora_cli::{flag_value, require_known_flags};
+use eotora_core::p1::hardness_witness;
+use eotora_obs::{
+    COUNTER_FAULT_MASKED_RESOURCES, COUNTER_FAULT_REPAIRED_PLAYERS,
+    COUNTER_FAULT_STATE_SUBSTITUTIONS, COUNTER_FED_BUDGET_REBALANCES, COUNTER_FED_GOSSIP_DROPPED,
+    COUNTER_FED_PARTITIONS, COUNTER_FED_ROUNDS_PROMOTED, COUNTER_FED_STALE_EPOCHS,
+};
 use eotora_sim::experiments::ablations::{
     bdma_rounds, energy_families, per_slot_vs_dpp, scheduling_rules,
 };
 use eotora_sim::experiments::beta_only_gap::{beta_only_gap, BetaOnlyGapConfig};
 use eotora_sim::experiments::budget_sweep::{budget_sweep, BudgetSweepConfig};
+use eotora_sim::experiments::chaos::chaos_default;
 use eotora_sim::experiments::energy_fit::energy_fit;
 use eotora_sim::experiments::fairness::{fairness, FairnessConfig};
+use eotora_sim::experiments::federation::federation_default;
 use eotora_sim::experiments::lambda_sweep::{lambda_sweep, LambdaSweepConfig};
 use eotora_sim::experiments::p2a_comparison::{p2a_comparison, P2aComparisonConfig};
 use eotora_sim::experiments::queue_trace::{queue_trace, QueueTraceConfig};
 use eotora_sim::experiments::traces::traces;
 use eotora_sim::experiments::v_sweep::{v_sweep, VSweepConfig};
+use eotora_sim::experiments::warm_ab::warm_vs_cold;
 use eotora_sim::report::{ascii_table, num};
 use eotora_sim::svg::{render_line_chart, SvgChart, SvgSeries};
 
-fn main() {
+/// The flags that each select one figure or table.
+const FIGURES: [&str; 10] = [
+    "--fig2",
+    "--fig3",
+    "--fig4",
+    "--fig5",
+    "--fig6",
+    "--fig7",
+    "--fig8",
+    "--fig9",
+    "--ablations",
+    "--federation",
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let svg_dir = match parse_args(&args) {
+        Ok(svg_dir) => svg_dir,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::FAILURE;
+        }
+    };
     let quick = args.iter().any(|a| a == "--quick");
-    let all = args.iter().any(|a| a == "--all") || args.iter().all(|a| a == "--quick");
+    let all = args.iter().any(|a| a == "--all") || !args.iter().any(|a| FIGURES.contains(&&**a));
     let want = |flag: &str| all || args.iter().any(|a| a == flag);
-    let svg_dir: Option<String> = args.windows(2).find(|w| w[0] == "--svg").map(|w| w[1].clone());
-    if let Some(dir) = &svg_dir {
-        std::fs::create_dir_all(dir).expect("cannot create --svg directory");
-    }
-    if let Some(raw) = args.windows(2).find(|w| w[0] == "--jobs").map(|w| w[1].as_str()) {
-        let jobs: usize = raw.parse().expect("--jobs expects a positive integer");
-        assert!(jobs >= 1, "--jobs must be at least 1");
-        eotora_util::pool::set_default_workers(jobs);
-    }
 
     if want("--fig2") {
         fig2(quick, svg_dir.as_deref());
@@ -67,6 +95,35 @@ fn main() {
     if want("--ablations") {
         ablations(quick);
     }
+    if want("--federation") {
+        federation(quick);
+    }
+    ExitCode::SUCCESS
+}
+
+/// Checks `args` against the known flags, applies `--jobs`, creates the
+/// `--svg` directory and returns it.
+fn parse_args(args: &[String]) -> Result<Option<String>, String> {
+    let switches: Vec<&str> = FIGURES.iter().copied().chain(["--all", "--quick"]).collect();
+    require_known_flags(args, "figures", &["--svg", "--jobs"], &switches)?;
+    // Past the flag check every argument is a flag or a value flag's value.
+    if let Some(stray) = args.iter().enumerate().find_map(|(i, arg)| {
+        let is_value = i > 0 && matches!(args[i - 1].as_str(), "--svg" | "--jobs");
+        (!arg.starts_with("--") && !is_value).then_some(arg)
+    }) {
+        return Err(format!("unexpected argument `{stray}` for `figures`"));
+    }
+    if let Some(raw) = flag_value(args, "--jobs") {
+        match raw.parse::<usize>() {
+            Ok(jobs) if jobs >= 1 => eotora_util::pool::set_default_workers(jobs),
+            _ => return Err(format!("--jobs expects a positive integer, got `{raw}`")),
+        }
+    }
+    let svg_dir = flag_value(args, "--svg").map(str::to_owned);
+    if let Some(dir) = &svg_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("cannot create --svg {dir}: {e}"))?;
+    }
+    Ok(svg_dir)
 }
 
 fn ablations(quick: bool) {
@@ -132,6 +189,132 @@ fn ablations(quick: bool) {
         .map(|&(v, lat, cost, ratio)| vec![num(v), num(lat), num(cost), format!("{ratio:.4}")])
         .collect();
     println!("{}", ascii_table(&["V", "DPP latency (s)", "DPP cost ($)", "latency ratio"], &rows));
+
+    println!("\n=== Ablation G: P1 hardness witness (Theorem 1) ===");
+    let sizes: &[usize] = if quick { &[6, 12] } else { &[6, 8, 10, 12, 14] };
+    let rows: Vec<Vec<String>> = hardness_witness(sizes, 5)
+        .iter()
+        .map(|r| {
+            vec![
+                r.devices.to_string(),
+                r.exact_nodes.to_string(),
+                num(r.optimum),
+                num(r.cgba_cost),
+                format!("{:.4}", r.cgba_cost / r.optimum),
+                r.cgba_moves.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        ascii_table(&["n", "B&B nodes", "OPT", "CGBA", "CGBA/OPT", "CGBA moves"], &rows)
+    );
+
+    let horizon = if quick { 120 } else { 500 };
+    println!("\n=== Ablation H: chaos (fault injection), I = 10, {horizon} slots ===");
+    let c = chaos_default(10, horizon, 99);
+    let counter = |name: &str| c.faulted.counters.get(name).copied().unwrap_or(0).to_string();
+    let rows: Vec<Vec<String>> = [&c.baseline, &c.faulted]
+        .iter()
+        .map(|arm| {
+            vec![
+                arm.label.clone(),
+                num(arm.average_latency),
+                num(arm.average_cost),
+                num(arm.converged_queue),
+                num(arm.max_queue),
+                arm.health.clone(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        ascii_table(
+            &["arm", "avg latency (s)", "avg cost ($)", "converged Q", "max Q", "worst health"],
+            &rows
+        )
+    );
+    println!(
+        "faulted vs baseline: latency {:+.1}%, cost {:+.1}%, converged queue {:+.1}%; \
+         {} slot-resources masked, {} players repaired, {} state substitutions",
+        100.0 * c.latency_degradation_rel,
+        100.0 * c.cost_degradation_rel,
+        100.0 * c.queue_growth_rel,
+        counter(COUNTER_FAULT_MASKED_RESOURCES),
+        counter(COUNTER_FAULT_REPAIRED_PLAYERS),
+        counter(COUNTER_FAULT_STATE_SUBSTITUTIONS),
+    );
+
+    let (devices, horizon) = if quick { (10, 96) } else { (30, 500) };
+    println!("\n=== Ablation I: warm vs cold start, I = {devices}, {horizon} slots ===");
+    let ab = warm_vs_cold(devices, horizon, 4242);
+    let rows: Vec<Vec<String>> = [&ab.cold, &ab.warm]
+        .iter()
+        .map(|arm| {
+            vec![
+                arm.policy.clone(),
+                num(arm.average_latency),
+                num(arm.average_cost),
+                format!("{:.2}", arm.mean_rounds_used),
+                if arm.budget_satisfied { "yes" } else { "NO" }.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        ascii_table(
+            &["start", "avg latency (s)", "avg cost ($)", "BDMA rounds/slot", "under budget"],
+            &rows
+        )
+    );
+    println!(
+        "warm vs cold gap: latency {:.3}%, cost {:.3}%",
+        100.0 * ab.latency_gap_rel,
+        100.0 * ab.cost_gap_rel
+    );
+}
+
+fn federation(quick: bool) {
+    let (devices, horizon, seed) = if quick { (12, 60, 5) } else { (24, 200, 11) };
+    println!(
+        "\n=== Federation A/B: 3 regions, {devices} devices, {horizon} slots, sync every 10 ==="
+    );
+    let report = federation_default(3, devices, horizon, seed);
+    let rows: Vec<Vec<String>> = report
+        .arms()
+        .iter()
+        .map(|arm| {
+            let counter = |name: &str| match arm.label.as_str() {
+                "global" => "-".to_string(),
+                _ => arm.counters.get(name).copied().unwrap_or(0).to_string(),
+            };
+            vec![
+                arm.label.clone(),
+                num(arm.fleet_average_cost),
+                counter(COUNTER_FED_GOSSIP_DROPPED),
+                counter(COUNTER_FED_STALE_EPOCHS),
+                counter(COUNTER_FED_PARTITIONS),
+                counter(COUNTER_FED_BUDGET_REBALANCES),
+                counter(COUNTER_FED_ROUNDS_PROMOTED),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        ascii_table(
+            &[
+                "arm",
+                "fleet avg cost ($)",
+                "gossip dropped",
+                "stale epochs",
+                "partitions",
+                "rebalances",
+                "rounds promoted",
+            ],
+            &rows
+        )
+    );
+    println!("fleet budget: ${:.2}/slot", report.total_budget);
 }
 
 fn write_svg(dir: &str, name: &str, chart: &SvgChart, series: &[SvgSeries]) {

@@ -3,14 +3,14 @@
 //! Per slot: observe `β_t`, call BDMA to get `(x̄, ȳ, Ω̄)` for the
 //! drift-plus-penalty objective `V·T_t + Q(t)·Θ`, recover the Lemma 1
 //! allocation `(Φ*, Ψ*)`, execute, and update the virtual queue
-//! `Q(t+1) = max{Q(t) + C_t − C̄, 0}`. The queue/averaging machinery comes
-//! from `eotora-lyapunov`; this module supplies the EOTORA-specific slot
-//! solver and wires in the pluggable P2-A algorithm (giving the paper's
-//! *BDMA-based*, *ROPT-based*, and *MCBA-based* DPP variants).
+//! `Q(t+1) = max{Q(t) + C_t − C̄, 0}`. The virtual queue and step types come
+//! from `eotora-lyapunov`; this module is the loop itself, with the
+//! pluggable P2-A algorithm (giving the paper's *BDMA-based*, *ROPT-based*,
+//! and *MCBA-based* DPP variants).
 
 use std::fmt;
 
-use eotora_lyapunov::{ControllerCheckpoint, DppStep, SlotOutcome, SlotSolver, VirtualQueue};
+use eotora_lyapunov::{ControllerCheckpoint, DppStep, SlotOutcome, VirtualQueue};
 use eotora_obs::{NoopRecorder, Recorder, SpanGuard, TraceEvent};
 use eotora_states::SystemState;
 use eotora_util::rng::Pcg32;
@@ -130,11 +130,11 @@ impl Default for DppConfig {
     }
 }
 
-/// The EOTORA-specific slot solver handed to the generic DPP controller.
-/// Owns a [`SlotWorkspace`] so steady-state slots refresh the P2-A game in
-/// place instead of rebuilding it (see [`crate::workspace`]), and the one
-/// P2-A solver both the plain and the robust step run.
-pub struct EotoraSlotSolver {
+/// The per-slot P2 solve [`EotoraDpp`] steps through. Owns a
+/// [`SlotWorkspace`] so steady-state slots refresh the P2-A game in place
+/// instead of rebuilding it (see [`crate::workspace`]), and the one P2-A
+/// solver both the plain and the robust step run.
+struct EotoraSlotSolver {
     system: MecSystem,
     bdma: BdmaConfig,
     p2a: Box<dyn P2aSolver>,
@@ -189,15 +189,6 @@ impl EotoraSlotSolver {
             objective: sol.latency,
             constraint_excess: sol.energy_cost - self.system.budget_per_slot(),
         }
-    }
-}
-
-impl SlotSolver for EotoraSlotSolver {
-    type State = SystemState;
-    type Decision = SlotDecision;
-
-    fn solve(&mut self, state: &SystemState, v: f64, q: f64) -> SlotOutcome<SlotDecision> {
-        self.solve_recorded(state, v, q, 0, &NoopRecorder)
     }
 }
 

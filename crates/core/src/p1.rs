@@ -18,7 +18,8 @@
 //! * [`P1Instance::partition_family`] — the PARTITION-shaped instances used
 //!   as a hardness witness: exact search cost grows exponentially while CGBA
 //!   stays polynomial (exercised in the tests and benches),
-//! * exact solving via the same branch-and-bound as P2-A.
+//! * exact solving via the same branch-and-bound as P2-A,
+//! * [`hardness_witness`] — the rows `figures -- --ablations` prints.
 
 use eotora_game::{cgba, CgbaConfig, CongestionGame};
 use eotora_optim::branch_bound::{BnbOutcome, BranchAndBound, SequentialProblem};
@@ -122,6 +123,50 @@ impl P1Instance {
         let eff = vec![vec![1.0, 1.0]; n];
         Self::new(vec![1.0, 1.0], data, eff)
     }
+}
+
+/// One row of the Theorem 1 hardness witness: exact search effort against
+/// CGBA on one PARTITION-shaped instance.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HardnessRow {
+    /// Devices `n` split over the two stations.
+    pub devices: usize,
+    /// Branch-and-bound nodes expanded to prove the optimum.
+    pub exact_nodes: usize,
+    /// The proven optimum.
+    pub optimum: f64,
+    /// CGBA(0)'s cost from a random start.
+    pub cgba_cost: f64,
+    /// CGBA best-response moves to equilibrium.
+    pub cgba_moves: usize,
+}
+
+/// Solves one [`P1Instance::partition_family`] instance per size in `sizes`
+/// exactly (to proof, under the default node budget) and by CGBA(0). Each
+/// size draws from its own stream of `seed`, so a size's row does not
+/// depend on which other sizes run.
+///
+/// # Panics
+///
+/// Panics if the node budget runs out before an optimum is proven.
+pub fn hardness_witness(sizes: &[usize], seed: u64) -> Vec<HardnessRow> {
+    sizes
+        .iter()
+        .map(|&n| {
+            let mut rng = Pcg32::seed_stream(seed, n as u64);
+            let p = P1Instance::partition_family(n, &mut rng);
+            let exact = BranchAndBound::new().solve(&P1Sequential { instance: &p });
+            assert_eq!(exact.outcome, BnbOutcome::Optimal, "n = {n}: optimum not proven");
+            let report = cgba(&p.as_game(), &CgbaConfig::default(), &mut rng);
+            HardnessRow {
+                devices: n,
+                exact_nodes: exact.nodes_expanded,
+                optimum: exact.best_cost,
+                cgba_cost: report.total_cost,
+                cgba_moves: report.iterations,
+            }
+        })
+        .collect()
 }
 
 struct P1Sequential<'a> {

@@ -201,21 +201,6 @@ impl P2aProblem {
         choices.iter().enumerate().map(|(i, &s)| self.strategy_map[i][s]).collect()
     }
 
-    /// Converts per-device assignments into strategy indices.
-    ///
-    /// Returns `None` if some assignment is not a feasible strategy of the
-    /// corresponding player.
-    pub fn choices_from_assignments(&self, assignments: &[Assignment]) -> Option<Vec<usize>> {
-        if assignments.len() != self.strategy_map.len() {
-            return None;
-        }
-        assignments
-            .iter()
-            .enumerate()
-            .map(|(i, a)| self.strategy_map[i].iter().position(|m| m == a))
-            .collect()
-    }
-
     /// Total latency `T_t` of the given strategy profile (the game's social
     /// cost).
     pub fn total_latency(&self, choices: &[usize]) -> f64 {
@@ -234,7 +219,6 @@ mod tests {
     use crate::latency::optimal_latency;
     use crate::system::SystemConfig;
     use eotora_states::{PaperStateConfig, StateProvider};
-    use eotora_topology::{BaseStationId, ServerId};
     use eotora_util::assert_close;
 
     fn setup(devices: usize, seed: u64) -> (MecSystem, SystemState) {
@@ -281,19 +265,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(p2a.num_strategies(i), 48);
         }
-    }
-
-    #[test]
-    fn choices_assignments_roundtrip() {
-        let (system, state) = setup(9, 24);
-        let p2a = P2aProblem::build(&system, &state, &system.min_frequencies());
-        let mut rng = Pcg32::seed(8);
-        let choices: Vec<usize> = (0..9).map(|i| rng.below(p2a.num_strategies(i))).collect();
-        let assignments = p2a.assignments_from_choices(&choices);
-        assert_eq!(p2a.choices_from_assignments(&assignments), Some(choices));
-        // Foreign assignment (unreachable pair) maps to None.
-        let bad = vec![Assignment { base_station: BaseStationId(0), server: ServerId(0) }; 8];
-        assert_eq!(p2a.choices_from_assignments(&bad), None); // wrong length
     }
 
     #[test]

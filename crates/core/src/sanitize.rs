@@ -101,16 +101,6 @@ impl StateSanitizer {
         Self::default()
     }
 
-    /// A sanitizer with custom limits (and the default cold-start means).
-    pub fn with_limits(limits: SanitizeLimits) -> Self {
-        Self { limits, ..Self::default() }
-    }
-
-    /// A sanitizer with custom limits and cold-start defaults.
-    pub fn with_limits_and_defaults(limits: SanitizeLimits, defaults: SanitizeDefaults) -> Self {
-        Self { limits, defaults, last_good: None, total_substitutions: 0 }
-    }
-
     /// Total substitutions made over the sanitizer's lifetime.
     pub fn total_substitutions(&self) -> u64 {
         self.total_substitutions

@@ -133,15 +133,6 @@ impl SlotWorkspace {
         self.probe_hot = hot;
     }
 
-    /// Drops any retained warm-start state (the next warm slot falls back
-    /// to a cold start). Used when the controlled system changes shape.
-    pub fn clear_retained(&mut self) {
-        self.retained_choices.clear();
-        self.has_retained_choices = false;
-        self.retained_freqs.clear();
-        self.probe_hot = false;
-    }
-
     /// Serializable image of the cross-slot state (retained incumbent +
     /// probe heat). The cached `P2aProblem` is excluded: it is rebuilt from
     /// the system and the next observation with identical numerics.
@@ -214,9 +205,6 @@ mod tests {
         ws.retain_solution(&[1, 0, 2], &[2.0e9, 3.0e9]);
         assert_eq!(ws.retained_choices(), Some(&[1usize, 0, 2][..]));
         assert_eq!(ws.retained_freqs(), Some(&[2.0e9, 3.0e9][..]));
-        ws.clear_retained();
-        assert!(ws.retained_choices().is_none());
-        assert!(ws.retained_freqs().is_none());
     }
 
     #[test]

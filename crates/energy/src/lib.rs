@@ -13,7 +13,6 @@
 //!   ([`perturbed_fleet`]).
 //! * [`LinearEnergy`] — the linear model of Yang et al. (paper ref. \[8\]).
 //! * [`CubicEnergy`] — the classical `P ∝ f³` DVFS model.
-//! * [`PiecewiseLinearEnergy`] — direct use of measured points.
 //! * [`Scaled`] — multi-socket/core scaling of any base model.
 //!
 //! All models report power in **watts** as a function of frequency in **Hz**,
@@ -176,67 +175,6 @@ impl EnergyModel for CubicEnergy {
     fn power_derivative(&self, freq_hz: f64) -> f64 {
         let f = freq_hz / 1e9;
         3.0 * self.k * f * f / 1e9
-    }
-}
-
-/// Convex piecewise-linear interpolation of measured `(frequency, power)`
-/// points — for servers whose measured curve should be used directly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PiecewiseLinearEnergy {
-    /// Breakpoints as `(freq_hz, watts)`, strictly increasing in frequency.
-    points: Vec<(f64, f64)>,
-}
-
-impl PiecewiseLinearEnergy {
-    /// Creates a piecewise-linear model from measured points.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error message if fewer than two points are given, the
-    /// frequencies are not strictly increasing, or the segment slopes are not
-    /// non-decreasing (which would break convexity).
-    pub fn new(points: Vec<(f64, f64)>) -> Result<Self, String> {
-        if points.len() < 2 {
-            return Err("need at least two breakpoints".into());
-        }
-        for w in points.windows(2) {
-            if w[1].0 <= w[0].0 {
-                return Err("frequencies must be strictly increasing".into());
-            }
-        }
-        let slopes: Vec<f64> =
-            points.windows(2).map(|w| (w[1].1 - w[0].1) / (w[1].0 - w[0].0)).collect();
-        for s in slopes.windows(2) {
-            if s[1] < s[0] - 1e-15 {
-                return Err("segment slopes must be non-decreasing (convexity)".into());
-            }
-        }
-        Ok(Self { points })
-    }
-
-    fn segment(&self, freq_hz: f64) -> usize {
-        // Clamp outside the measured range to the boundary segments.
-        match self.points.iter().position(|&(f, _)| f > freq_hz) {
-            Some(0) => 0,
-            Some(i) => i - 1,
-            None => self.points.len() - 2,
-        }
-    }
-}
-
-impl EnergyModel for PiecewiseLinearEnergy {
-    fn power_watts(&self, freq_hz: f64) -> f64 {
-        let s = self.segment(freq_hz);
-        let (f0, p0) = self.points[s];
-        let (f1, p1) = self.points[s + 1];
-        p0 + (p1 - p0) * (freq_hz - f0) / (f1 - f0)
-    }
-
-    fn power_derivative(&self, freq_hz: f64) -> f64 {
-        let s = self.segment(freq_hz);
-        let (f0, p0) = self.points[s];
-        let (f1, p1) = self.points[s + 1];
-        (p1 - p0) / (f1 - f0)
     }
 }
 
@@ -407,28 +345,6 @@ mod tests {
         for m in &models {
             assert!(validate_convexity(m.as_ref(), 1.8e9, 3.6e9));
         }
-    }
-
-    #[test]
-    fn piecewise_linear_interpolates_and_clamps() {
-        let m =
-            PiecewiseLinearEnergy::new(vec![(1.0e9, 10.0), (2.0e9, 20.0), (3.0e9, 40.0)]).unwrap();
-        assert_close!(m.power_watts(1.5e9), 15.0, 1e-9);
-        assert_close!(m.power_watts(2.5e9), 30.0, 1e-9);
-        // Outside range: linear extension of boundary segments.
-        assert_close!(m.power_watts(0.5e9), 5.0, 1e-9);
-        assert_close!(m.power_watts(3.5e9), 50.0, 1e-9);
-        assert!(m.power_derivative(2.5e9) > m.power_derivative(1.5e9));
-    }
-
-    #[test]
-    fn piecewise_linear_rejects_nonconvex() {
-        let err = PiecewiseLinearEnergy::new(vec![(1.0e9, 10.0), (2.0e9, 30.0), (3.0e9, 35.0)]);
-        assert!(err.is_err());
-        let err = PiecewiseLinearEnergy::new(vec![(1.0e9, 10.0)]);
-        assert!(err.is_err());
-        let err = PiecewiseLinearEnergy::new(vec![(2.0e9, 10.0), (1.0e9, 20.0)]);
-        assert!(err.is_err());
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Lyapunov stochastic optimization: virtual queues and the generic
-//! drift-plus-penalty (DPP) loop of paper §V.
+//! Lyapunov stochastic optimization: the virtual queues of paper §V.
 //!
 //! The paper converts the time-average energy-cost constraint
 //! `lim (1/T) Σ E[Θ(Ω_t, p_t)] ≤ 0` into a **virtual queue**
@@ -11,37 +10,25 @@
 //!
 //! Queue stability then implies the constraint holds on time average, and
 //! Theorem 4 gives an `O(1/V)` optimality gap growing with the state period
-//! `D`. The machinery is problem-agnostic, so this crate exposes it
-//! generically:
+//! `D`. This crate holds the problem-agnostic pieces of that loop; the loop
+//! itself (paper Algorithm 1) is `eotora_core::dpp::EotoraDpp`:
 //!
 //! * [`VirtualQueue`] — the scalar queue with its update rule.
-//! * [`SlotSolver`] — "given state, `V`, and `Q(t)`, return a decision with
-//!   its objective value and constraint excess." The paper's BDMA is one
-//!   implementation (in `eotora-core`); test doubles are trivial to write.
-//! * [`DppController`] — drives observe → solve → update-queue and keeps
-//!   running time averages of both metrics.
+//! * [`SlotOutcome`] / [`DppStep`] — one slot's decision and metrics, and
+//!   the queue backlog before and after it.
+//! * [`ControllerCheckpoint`] — the loop's serializable dynamic state.
 //! * [`MultiQueue`] — the multi-constraint generalization (one queue per
 //!   constraint), the extension hook DESIGN.md lists.
 //!
 //! # Examples
 //!
 //! ```
-//! use eotora_lyapunov::{DppController, SlotOutcome, SlotSolver};
+//! use eotora_lyapunov::VirtualQueue;
 //!
-//! /// A toy solver: pay `state` latency, overspend by `state - 1`.
-//! struct Toy;
-//! impl SlotSolver for Toy {
-//!     type State = f64;
-//!     type Decision = ();
-//!     fn solve(&mut self, state: &f64, _v: f64, _q: f64) -> SlotOutcome<()> {
-//!         SlotOutcome { decision: (), objective: *state, constraint_excess: state - 1.0 }
-//!     }
-//! }
-//!
-//! let mut ctl = DppController::new(Toy, 50.0);
-//! ctl.step(&2.0);
-//! assert_eq!(ctl.queue_backlog(), 1.0); // max(0 + (2-1), 0)
-//! assert_eq!(ctl.average_objective(), 2.0);
+//! // One slot overspends the budget by 1, the next underspends it by 0.4.
+//! let mut q = VirtualQueue::new(0.0);
+//! assert_eq!(q.update(1.0), 1.0); // max(0 + 1, 0)
+//! assert_eq!(q.update(-0.4), 0.6);
 //! ```
 
 use serde::{Deserialize, Serialize};
@@ -88,7 +75,7 @@ impl VirtualQueue {
     }
 }
 
-/// Decision plus per-slot metrics returned by a [`SlotSolver`].
+/// Decision plus per-slot metrics of one solved slot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SlotOutcome<D> {
     /// The decision `α_t` to execute this slot.
@@ -98,23 +85,6 @@ pub struct SlotOutcome<D> {
     /// The constraint excess `θ(t)` (the paper's `C_t − C̄`); negative when
     /// under budget.
     pub constraint_excess: f64,
-}
-
-/// A per-slot oracle for the DPP subproblem P2.
-///
-/// Implementations should (approximately) minimize
-/// `V·objective + Q·constraint_excess` over feasible decisions. The
-/// controller treats the solver as a black box — Theorem 4's guarantee
-/// degrades gracefully to the solver's approximation ratio `R`.
-pub trait SlotSolver {
-    /// The observed state `β_t`.
-    type State;
-    /// The decision `α_t`.
-    type Decision;
-
-    /// Solves (approximately) the slot problem for `state` under the given
-    /// penalty weight `v` and queue backlog `q`.
-    fn solve(&mut self, state: &Self::State, v: f64, q: f64) -> SlotOutcome<Self::Decision>;
 }
 
 /// Result of one controller step.
@@ -130,98 +100,9 @@ pub struct DppStep<D> {
     pub outcome: SlotOutcome<D>,
 }
 
-/// Drives the DPP loop (paper Algorithm 1, minus the problem-specific parts).
-#[derive(Debug, Clone)]
-pub struct DppController<S> {
-    solver: S,
-    v: f64,
-    queue: VirtualQueue,
-    slots: u64,
-    objective_avg: Welford,
-    excess_avg: Welford,
-}
-
-impl<S: SlotSolver> DppController<S> {
-    /// Creates a controller with penalty weight `V` and `Q(1) = 0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not positive.
-    pub fn new(solver: S, v: f64) -> Self {
-        Self::with_initial_queue(solver, v, 0.0)
-    }
-
-    /// Creates a controller with an explicit initial backlog.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is not positive or `q0` is negative.
-    pub fn with_initial_queue(solver: S, v: f64, q0: f64) -> Self {
-        assert!(v > 0.0, "penalty weight V must be positive");
-        Self {
-            solver,
-            v,
-            queue: VirtualQueue::new(q0),
-            slots: 0,
-            objective_avg: Welford::new(),
-            excess_avg: Welford::new(),
-        }
-    }
-
-    /// The penalty weight `V`.
-    pub fn v(&self) -> f64 {
-        self.v
-    }
-
-    /// Current backlog `Q(t)`.
-    pub fn queue_backlog(&self) -> f64 {
-        self.queue.backlog()
-    }
-
-    /// Number of slots executed so far.
-    pub fn slots(&self) -> u64 {
-        self.slots
-    }
-
-    /// Running time-average of the objective, `(1/T) Σ T_t`.
-    pub fn average_objective(&self) -> f64 {
-        self.objective_avg.mean()
-    }
-
-    /// Running time-average of the constraint excess, `(1/T) Σ θ(t)`;
-    /// `≤ 0` means the budget is honoured on average.
-    pub fn average_excess(&self) -> f64 {
-        self.excess_avg.mean()
-    }
-
-    /// Borrow the underlying solver (e.g. to inspect adaptive state).
-    pub fn solver(&self) -> &S {
-        &self.solver
-    }
-
-    /// Mutably borrow the underlying solver (e.g. to restore RNG state when
-    /// resuming from a checkpoint).
-    pub fn solver_mut(&mut self) -> &mut S {
-        &mut self.solver
-    }
-
-    /// Executes one slot: solve P2 at the current backlog, then update the
-    /// queue with the realized excess.
-    pub fn step(&mut self, state: &S::State) -> DppStep<S::Decision> {
-        let queue_before = self.queue.backlog();
-        let outcome = self.solver.solve(state, self.v, queue_before);
-        let queue_after = self.queue.update(outcome.constraint_excess);
-        self.objective_avg.push(outcome.objective);
-        self.excess_avg.push(outcome.constraint_excess);
-        let slot = self.slots;
-        self.slots += 1;
-        DppStep { slot, queue_before, queue_after, outcome }
-    }
-}
-
-/// Serializable snapshot of a [`DppController`]'s dynamic state (queue,
-/// slot count, running averages) — everything needed to resume a run after
-/// a restart, given the same solver and states.
+/// Serializable snapshot of a DPP loop's dynamic state (queue, slot
+/// count, running averages) — everything needed to resume a run after a
+/// restart, given the same solver and states.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ControllerCheckpoint {
     /// Queue backlog `Q(t)` at checkpoint time.
@@ -232,34 +113,6 @@ pub struct ControllerCheckpoint {
     pub objective_avg: Welford,
     /// Running constraint-excess average state.
     pub excess_avg: Welford,
-}
-
-impl<S: SlotSolver> DppController<S> {
-    /// Snapshots the controller's dynamic state.
-    pub fn checkpoint(&self) -> ControllerCheckpoint {
-        ControllerCheckpoint {
-            queue: self.queue.backlog(),
-            slots: self.slots,
-            objective_avg: self.objective_avg,
-            excess_avg: self.excess_avg,
-        }
-    }
-
-    /// Restores a previously captured snapshot.
-    ///
-    /// The caller is responsible for resuming the *solver* and the state
-    /// stream at the matching slot; the controller itself is memoryless
-    /// beyond this snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint carries a negative queue backlog.
-    pub fn restore(&mut self, checkpoint: &ControllerCheckpoint) {
-        self.queue = VirtualQueue::new(checkpoint.queue);
-        self.slots = checkpoint.slots;
-        self.objective_avg = checkpoint.objective_avg;
-        self.excess_avg = checkpoint.excess_avg;
-    }
 }
 
 /// One virtual queue per constraint — the multi-budget generalization
@@ -340,142 +193,15 @@ mod tests {
         VirtualQueue::new(-1.0);
     }
 
-    /// A solvable toy problem with a closed-form DPP behaviour: each slot we
-    /// choose x ∈ [0, 1]; objective = 1/x (want x big), constraint excess =
-    /// x − budget (want x small). The slot problem min V/x + Q(x − b) has
-    /// solution x = min(1, sqrt(V/Q)).
-    struct ToySolver {
-        budget: f64,
-    }
-
-    impl SlotSolver for ToySolver {
-        type State = ();
-        type Decision = f64;
-        fn solve(&mut self, _: &(), v: f64, q: f64) -> SlotOutcome<f64> {
-            let x = if q <= 0.0 { 1.0 } else { (v / q).sqrt().min(1.0) };
-            SlotOutcome { decision: x, objective: 1.0 / x, constraint_excess: x - self.budget }
-        }
-    }
-
-    #[test]
-    fn controller_enforces_time_average_budget() {
-        let mut ctl = DppController::new(ToySolver { budget: 0.5 }, 100.0);
-        let mut tail_excess = 0.0;
-        for t in 0..20_000 {
-            let s = ctl.step(&());
-            if t >= 10_000 {
-                tail_excess += s.outcome.constraint_excess;
-            }
-        }
-        // Time-average excess approaches ≤ 0 at rate O(V/T) (Theorem 4,
-        // eq. 29): the full-horizon average still carries the queue-filling
-        // transient (≈ Q*/T = +0.02 here), while the tail is converged.
-        assert!(ctl.average_excess() < 0.03, "excess {}", ctl.average_excess());
-        assert!(tail_excess / 10_000.0 < 1e-3, "tail excess {}", tail_excess / 10_000.0);
-        // And the decision should hover near the budget, not collapse to 0.
-        assert!(ctl.average_objective() < 2.5, "objective {}", ctl.average_objective());
-    }
-
-    #[test]
-    fn larger_v_gives_better_objective_and_bigger_queue() {
-        let run = |v: f64| {
-            let mut ctl = DppController::new(ToySolver { budget: 0.5 }, v);
-            let mut q_tail = 0.0;
-            for t in 0..20_000 {
-                let s = ctl.step(&());
-                if t >= 15_000 {
-                    q_tail += s.queue_after;
-                }
-            }
-            (ctl.average_objective(), q_tail / 5_000.0)
-        };
-        let (obj_small, q_small) = run(10.0);
-        let (obj_large, q_large) = run(200.0);
-        assert!(obj_large <= obj_small + 1e-9, "objective should improve with V");
-        assert!(q_large > q_small, "queue should grow with V (O(V) backlog)");
-    }
-
-    #[test]
-    fn queue_scales_linearly_in_v() {
-        // For the toy problem the fixed point is Q* = V/(x*)² = V/b² — check
-        // the measured tail backlog tracks V linearly (paper Fig. 8 left).
-        let tail_backlog = |v: f64| {
-            let mut ctl = DppController::new(ToySolver { budget: 0.5 }, v);
-            let mut acc = 0.0;
-            for t in 0..30_000 {
-                let s = ctl.step(&());
-                if t >= 25_000 {
-                    acc += s.queue_after;
-                }
-            }
-            acc / 5_000.0
-        };
-        let q1 = tail_backlog(50.0);
-        let q2 = tail_backlog(100.0);
-        assert!((q2 / q1 - 2.0).abs() < 0.2, "ratio {}", q2 / q1);
-    }
-
-    #[test]
-    fn step_reports_queue_before_and_after() {
-        let mut ctl = DppController::new(ToySolver { budget: 0.0 }, 10.0);
-        let s0 = ctl.step(&());
-        assert_eq!(s0.slot, 0);
-        assert_eq!(s0.queue_before, 0.0);
-        assert!(s0.queue_after > 0.0); // x > 0 with zero budget always overspends
-        let s1 = ctl.step(&());
-        assert_eq!(s1.slot, 1);
-        assert_eq!(s1.queue_before, s0.queue_after);
-    }
-
-    #[test]
-    fn averages_track_welford() {
-        let mut ctl = DppController::new(ToySolver { budget: 0.5 }, 100.0);
-        let mut objs = Vec::new();
-        for _ in 0..100 {
-            objs.push(ctl.step(&()).outcome.objective);
-        }
-        let mean: f64 = objs.iter().sum::<f64>() / objs.len() as f64;
-        assert_close!(ctl.average_objective(), mean, 1e-9);
-        assert_eq!(ctl.slots(), 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn non_positive_v_panics() {
-        DppController::new(ToySolver { budget: 1.0 }, 0.0);
-    }
-
-    #[test]
-    fn checkpoint_resume_is_seamless() {
-        // 30 continuous slots == 15 slots + checkpoint/restore + 15 slots.
-        let mut continuous = DppController::new(ToySolver { budget: 0.5 }, 80.0);
-        for _ in 0..30 {
-            continuous.step(&());
-        }
-
-        let mut first = DppController::new(ToySolver { budget: 0.5 }, 80.0);
-        for _ in 0..15 {
-            first.step(&());
-        }
-        let cp = first.checkpoint();
-        let mut resumed = DppController::new(ToySolver { budget: 0.5 }, 80.0);
-        resumed.restore(&cp);
-        for _ in 0..15 {
-            resumed.step(&());
-        }
-        assert_eq!(resumed.slots(), continuous.slots());
-        assert!((resumed.queue_backlog() - continuous.queue_backlog()).abs() < 1e-12);
-        assert!((resumed.average_objective() - continuous.average_objective()).abs() < 1e-12);
-        assert!((resumed.average_excess() - continuous.average_excess()).abs() < 1e-12);
-    }
-
     #[test]
     fn checkpoint_serde_roundtrip() {
-        let mut ctl = DppController::new(ToySolver { budget: 0.5 }, 80.0);
-        for _ in 0..5 {
-            ctl.step(&());
+        let mut objective_avg = Welford::new();
+        let mut excess_avg = Welford::new();
+        for x in [1.5, 2.5, 4.0] {
+            objective_avg.push(x);
+            excess_avg.push(x - 2.0);
         }
-        let cp = ctl.checkpoint();
+        let cp = ControllerCheckpoint { queue: 3.5, slots: 3, objective_avg, excess_avg };
         let json = serde_json::to_string(&cp).unwrap();
         let back: ControllerCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cp);

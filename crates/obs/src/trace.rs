@@ -75,11 +75,6 @@ impl TraceAnalysis {
         }
         Ok(analysis)
     }
-
-    /// Span names in deterministic order.
-    pub fn span_names(&self) -> impl Iterator<Item = &str> {
-        self.spans.keys().map(String::as_str)
-    }
 }
 
 #[cfg(test)]

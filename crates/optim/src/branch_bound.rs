@@ -77,20 +77,6 @@ pub struct BnbResult {
     pub outcome: BnbOutcome,
 }
 
-impl BnbResult {
-    /// `best_cost / lower_bound` — the certified approximation ratio of the
-    /// incumbent (`1.0` when proven optimal, `+∞` if no bound).
-    pub fn certified_ratio(&self) -> f64 {
-        if self.lower_bound > 0.0 {
-            self.best_cost / self.lower_bound
-        } else if self.best_cost == 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
 struct Node<S> {
     bound: f64,
     stage: usize,
@@ -400,7 +386,7 @@ mod tests {
         assert_eq!(r.outcome, BnbOutcome::Optimal);
         assert_eq!(r.best_cost, 6.0);
         assert_eq!(r.best_choices, Some(vec![0, 1, 1]));
-        assert_eq!(r.certified_ratio(), 1.0);
+        assert_eq!(r.lower_bound, r.best_cost);
     }
 
     #[test]
@@ -442,7 +428,6 @@ mod tests {
         if r.outcome == BnbOutcome::BudgetExhausted {
             assert!(r.lower_bound <= r.best_cost);
             assert!(r.best_choices.is_some());
-            assert!(r.certified_ratio() >= 1.0);
         }
     }
 

@@ -33,16 +33,6 @@ impl PolyFit {
     pub fn eval(&self, x: f64) -> f64 {
         self.coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
     }
-
-    /// Evaluates the derivative of the polynomial at `x`.
-    pub fn eval_derivative(&self, x: f64) -> f64 {
-        self.coeffs
-            .iter()
-            .enumerate()
-            .skip(1)
-            .rev()
-            .fold(0.0, |acc, (k, &c)| acc * x + k as f64 * c)
-    }
 }
 
 /// Errors from [`polyfit`].
@@ -162,17 +152,8 @@ mod tests {
     }
 
     #[test]
-    fn derivative_eval() {
-        let fit = PolyFit { coeffs: vec![1.0, -2.0, 3.0], r_squared: 1.0 };
-        // d/dx (1 - 2x + 3x^2) = -2 + 6x
-        assert_close!(fit.eval_derivative(0.0), -2.0, 1e-12);
-        assert_close!(fit.eval_derivative(2.0), 10.0, 1e-12);
-    }
-
-    #[test]
-    fn constant_polynomial_derivative_is_zero() {
+    fn constant_polynomial_evaluates_to_its_constant() {
         let fit = PolyFit { coeffs: vec![7.0], r_squared: 1.0 };
-        assert_eq!(fit.eval_derivative(123.0), 0.0);
         assert_eq!(fit.eval(123.0), 7.0);
     }
 

@@ -113,13 +113,6 @@ impl Scenario {
         self.dpp.start = start;
         self
     }
-
-    /// Sets the relative BDMA early-termination threshold `ε` (only
-    /// consulted under warm starts).
-    pub fn with_bdma_epsilon(mut self, epsilon: f64) -> Self {
-        self.dpp.bdma_epsilon = epsilon;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +129,6 @@ mod tests {
             .with_solver(SolverKind::Ropt)
             .with_bdma_rounds(2)
             .with_start_policy(eotora_core::bdma::StartPolicy::Warm)
-            .with_bdma_epsilon(1e-6)
             .with_label("x");
         assert_eq!(s.horizon, 10);
         assert_eq!(s.dpp.v, 200.0);
@@ -144,7 +136,6 @@ mod tests {
         assert_eq!(s.dpp.solver, SolverKind::Ropt);
         assert_eq!(s.dpp.bdma_rounds, 2);
         assert_eq!(s.dpp.start, eotora_core::bdma::StartPolicy::Warm);
-        assert_eq!(s.dpp.bdma_epsilon, 1e-6);
         assert_eq!(s.label, "x");
     }
 

@@ -38,7 +38,6 @@ pub mod mobility;
 pub mod price;
 pub mod process;
 pub mod profiles;
-pub mod replay;
 pub mod workload;
 
 use serde::{Deserialize, Serialize};

@@ -1,7 +1,7 @@
 //! Per-device workload generation: task sizes `f_{i,t}` and data lengths
 //! `d_{i,t}`.
 //!
-//! Three modes are provided:
+//! Two modes are provided:
 //!
 //! * [`WorkloadModel::uniform_iid`] — the §VI-A evaluation setting: each slot
 //!   draws `f ~ U[50, 200] Mcycles` and `d ~ U[3, 10] Mb` independently per
@@ -9,8 +9,6 @@
 //! * [`WorkloadModel::diurnal`] — the §III-A *model*: a periodic diurnal
 //!   trend (`f̄_{i,t}`, `d̄_{i,t}`) plus iid noise, reproducing the
 //!   non-iid structure of the paper's Fig. 2 trace.
-//! * [`WorkloadModel::bursty`] — a Markov-modulated ON/OFF extension for
-//!   stress-testing with temporally correlated, heavy-tailed demand.
 
 use eotora_util::rng::Pcg32;
 use serde::{Deserialize, Serialize};
@@ -29,24 +27,8 @@ pub struct WorkloadSample {
 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 enum Mode {
-    UniformIid {
-        cycles_range: (f64, f64),
-        bits_range: (f64, f64),
-        rng: Pcg32,
-    },
-    Diurnal {
-        cycles: Vec<PeriodicProcess>,
-        bits: Vec<PeriodicProcess>,
-    },
-    Bursty {
-        cycles_range: (f64, f64),
-        bits_range: (f64, f64),
-        burst_multiplier: f64,
-        p_enter: f64,
-        p_exit: f64,
-        in_burst: Vec<bool>,
-        rng: Pcg32,
-    },
+    UniformIid { cycles_range: (f64, f64), bits_range: (f64, f64), rng: Pcg32 },
+    Diurnal { cycles: Vec<PeriodicProcess>, bits: Vec<PeriodicProcess> },
 }
 
 /// Generates `(f_t, d_t)` for successive slots.
@@ -124,48 +106,6 @@ impl WorkloadModel {
         Self { num_devices, mode: Mode::Diurnal { cycles, bits } }
     }
 
-    /// Markov-modulated (ON/OFF) bursty workloads: each device flips between
-    /// a baseline state (uniform draws as in the paper) and a *burst* state
-    /// where demand is multiplied by `burst_multiplier`. Transitions are a
-    /// two-state Markov chain with entry/exit probabilities per slot —
-    /// a heavier-tailed, temporally correlated alternative to the paper's
-    /// iid draws for stress-testing the controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics on empty/invalid ranges, `burst_multiplier < 1`, or
-    /// probabilities outside `[0, 1]`.
-    pub fn bursty(
-        num_devices: usize,
-        cycles_range: (f64, f64),
-        bits_range: (f64, f64),
-        burst_multiplier: f64,
-        p_enter: f64,
-        p_exit: f64,
-        rng: Pcg32,
-    ) -> Self {
-        assert!(num_devices > 0, "need at least one device");
-        assert!(0.0 < cycles_range.0 && cycles_range.0 <= cycles_range.1, "invalid cycles range");
-        assert!(0.0 < bits_range.0 && bits_range.0 <= bits_range.1, "invalid bits range");
-        assert!(burst_multiplier >= 1.0, "burst multiplier must be at least 1");
-        assert!(
-            (0.0..=1.0).contains(&p_enter) && (0.0..=1.0).contains(&p_exit),
-            "invalid probability"
-        );
-        Self {
-            num_devices,
-            mode: Mode::Bursty {
-                cycles_range,
-                bits_range,
-                burst_multiplier,
-                p_enter,
-                p_exit,
-                in_burst: vec![false; num_devices],
-                rng,
-            },
-        }
-    }
-
     /// Number of devices this model generates for.
     pub fn num_devices(&self) -> usize {
         self.num_devices
@@ -187,27 +127,6 @@ impl WorkloadModel {
                 task_cycles: cycles.iter_mut().map(|p| p.sample(slot)).collect(),
                 data_bits: bits.iter_mut().map(|p| p.sample(slot)).collect(),
             },
-            Mode::Bursty {
-                cycles_range,
-                bits_range,
-                burst_multiplier,
-                p_enter,
-                p_exit,
-                in_burst,
-                rng,
-            } => {
-                let mut task_cycles = Vec::with_capacity(self.num_devices);
-                let mut data_bits = Vec::with_capacity(self.num_devices);
-                for burst in in_burst.iter_mut() {
-                    // Markov transition, then draw at the state's scale.
-                    let u = rng.uniform();
-                    *burst = if *burst { u >= *p_exit } else { u < *p_enter };
-                    let mult = if *burst { *burst_multiplier } else { 1.0 };
-                    task_cycles.push(mult * rng.uniform_in(cycles_range.0, cycles_range.1));
-                    data_bits.push(mult * rng.uniform_in(bits_range.0, bits_range.1));
-                }
-                WorkloadSample { task_cycles, data_bits }
-            }
         }
     }
 }
@@ -261,44 +180,6 @@ mod tests {
         let s = w.sample(0);
         let all_same = s.task_cycles.windows(2).all(|p| p[0] == p[1]);
         assert!(!all_same, "devices should draw different base demands");
-    }
-
-    #[test]
-    fn bursty_state_persists_and_amplifies() {
-        // With p_exit = 0 a device that enters a burst stays bursting, and
-        // all its draws exceed the baseline maximum.
-        let mut w =
-            WorkloadModel::bursty(4, (100.0, 200.0), (10.0, 20.0), 10.0, 0.5, 0.0, Pcg32::seed(6));
-        let mut ever_burst = [false; 4];
-        for t in 0..50 {
-            let s = w.sample(t);
-            for (i, flag) in ever_burst.iter_mut().enumerate() {
-                let bursting_now = s.task_cycles[i] > 200.0;
-                if *flag {
-                    assert!(bursting_now, "device {i} left an absorbing burst at t={t}");
-                }
-                *flag |= bursting_now;
-            }
-        }
-        assert!(ever_burst.iter().all(|&b| b), "p_enter=0.5 over 50 slots must trigger bursts");
-    }
-
-    #[test]
-    fn bursty_occupancy_matches_chain_stationary_distribution() {
-        // Stationary P(burst) = p_enter / (p_enter + p_exit).
-        let (pe, px) = (0.1, 0.3);
-        let mut w = WorkloadModel::bursty(1, (1.0, 1.0), (1.0, 1.0), 5.0, pe, px, Pcg32::seed(7));
-        let n = 200_000;
-        let bursting = (0..n).filter(|&t| w.sample(t).task_cycles[0] > 1.5).count();
-        let expected = pe / (pe + px);
-        let measured = bursting as f64 / n as f64;
-        assert!((measured - expected).abs() < 0.01, "{measured} vs {expected}");
-    }
-
-    #[test]
-    #[should_panic(expected = "burst multiplier")]
-    fn bursty_rejects_shrinking_multiplier() {
-        WorkloadModel::bursty(1, (1.0, 2.0), (1.0, 2.0), 0.5, 0.1, 0.1, Pcg32::seed(0));
     }
 
     #[test]

@@ -186,11 +186,6 @@ impl Topology {
         &self.devices[i.index()]
     }
 
-    /// Mutable device access (for mobility updates).
-    pub fn device_mut(&mut self, i: DeviceId) -> &mut MobileDevice {
-        &mut self.devices[i.index()]
-    }
-
     /// Iterates over all base-station ids.
     pub fn base_station_ids(&self) -> impl Iterator<Item = BaseStationId> + '_ {
         (0..self.base_stations.len()).map(BaseStationId)

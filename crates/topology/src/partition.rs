@@ -113,11 +113,6 @@ impl ClusterPartition {
         self.device_home[i.index()]
     }
 
-    /// Home components for all devices, indexed by device.
-    pub fn device_homes(&self) -> &[usize] {
-        &self.device_home
-    }
-
     /// Devices whose coverage spans more than one component, ascending.
     pub fn cut_devices(&self) -> &[usize] {
         &self.cut_devices
@@ -132,11 +127,6 @@ impl ClusterPartition {
     /// Devices homed to each component, indexed by component id.
     pub fn component_device_counts(&self) -> &[usize] {
         &self.component_devices
-    }
-
-    /// Device count of the most populated component.
-    pub fn largest_component(&self) -> usize {
-        self.component_devices.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -180,7 +170,6 @@ mod tests {
         assert_eq!(p.device_home(DeviceId(0)), 0);
         assert_eq!(p.device_home(DeviceId(1)), 1);
         assert_eq!(p.component_device_counts(), &[1, 1]);
-        assert_eq!(p.largest_component(), 1);
     }
 
     #[test]
@@ -206,7 +195,7 @@ mod tests {
         let p = ClusterPartition::compute(&topo);
         assert_eq!(p.num_components(), 1);
         assert!(p.is_separable());
-        assert_eq!(p.largest_component(), 12);
+        assert_eq!(p.component_device_counts(), &[12]);
     }
 
     #[test]

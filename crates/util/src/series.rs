@@ -80,28 +80,6 @@ impl TimeSeries {
         tail.iter().sum::<f64>() / tail.len() as f64
     }
 
-    /// Running means: element `t` is the average of samples `0..=t`.
-    pub fn cumulative_average(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.values.len());
-        let mut sum = 0.0;
-        for (i, &v) in self.values.iter().enumerate() {
-            sum += v;
-            out.push(sum / (i as f64 + 1.0));
-        }
-        out
-    }
-
-    /// Non-overlapping block means of size `block`; the final partial block
-    /// (if any) is averaged over its actual length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `block == 0`.
-    pub fn block_averages(&self, block: usize) -> Vec<f64> {
-        assert!(block > 0, "block size must be positive");
-        self.values.chunks(block).map(|c| c.iter().sum::<f64>() / c.len() as f64).collect()
-    }
-
     /// Final sample, if any.
     pub fn last(&self) -> Option<f64> {
         self.values.last().copied()
@@ -167,31 +145,6 @@ mod tests {
         assert_eq!(s.time_average(), 0.0);
         assert_eq!(s.tail_average(5), 0.0);
         assert_eq!(s.last(), None);
-        assert!(s.cumulative_average().is_empty());
-    }
-
-    #[test]
-    fn cumulative_average_matches() {
-        let mut s = TimeSeries::new("x");
-        for v in [2.0, 4.0, 6.0] {
-            s.push(v);
-        }
-        assert_eq!(s.cumulative_average(), vec![2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn block_averages_partial_tail() {
-        let mut s = TimeSeries::new("x");
-        for v in [1.0, 3.0, 5.0, 7.0, 9.0] {
-            s.push(v);
-        }
-        assert_eq!(s.block_averages(2), vec![2.0, 6.0, 9.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "block size")]
-    fn block_zero_panics() {
-        TimeSeries::new("x").block_averages(0);
     }
 
     #[test]

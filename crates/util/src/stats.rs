@@ -58,18 +58,6 @@ impl Summary {
         }
         Self { count, mean, std_dev: var.sqrt(), min, max }
     }
-
-    /// Half-width of the asymptotic 95% confidence interval for the mean.
-    ///
-    /// Uses the normal approximation (`1.96·s/√n`), adequate for the sample
-    /// sizes in the experiment harnesses.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.count as f64).sqrt()
-        }
-    }
 }
 
 /// Returns the `q`-quantile (`0 ≤ q ≤ 1`) of `xs` by linear interpolation.
@@ -209,7 +197,6 @@ mod tests {
         let s = Summary::from_slice(&[3.0]);
         assert_eq!(s.mean, 3.0);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
