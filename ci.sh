@@ -218,6 +218,17 @@ trap 'rm -rf "$CHAOS_DIR" "$TEL_DIR" "$DUR_DIR"' EXIT
 ./target/release/eotora run "$DUR_DIR/scenario.json" \
   --checkpoint-dir "$DUR_DIR/ckpt" --checkpoint-every 10 --kill-at-slot 57 \
   | grep -q "interrupted after slot 57"
+# Snapshots land on a writer thread; the kill hook waits for the one in
+# flight, so the killed run leaves the slot-50 snapshot and no temp file.
+if [ -e "$DUR_DIR/ckpt/snapshot.tmp" ]; then echo "FAIL: the killed run left snapshot.tmp"; exit 1; fi
+python3 - "$DUR_DIR/ckpt/snapshot.bin" <<'EOF'
+import json, struct, sys
+data = open(sys.argv[1], "rb").read()
+assert data[:8] == b"EOTSNAP\0", "snapshot.bin has no snapshot header"
+(schema_len,) = struct.unpack_from("<I", data, 12)
+payload = json.loads(data[16 + schema_len + 12:])
+assert payload["slots"] == 50, f"killed at 57, the snapshot claims {payload['slots']} slots, expected 50"
+EOF
 ./target/release/eotora run --resume "$DUR_DIR/ckpt" --csv "$DUR_DIR/resumed" > /dev/null
 python3 - "$DUR_DIR/ref_slots.csv" "$DUR_DIR/resumed_slots.csv" <<'EOF'
 import sys
@@ -337,6 +348,7 @@ if [ "$reached" != 1 ]; then echo "FAIL: server never reached slot 120"; exit 1;
 kill -TERM "$SRV_PID"
 wait "$SRV_PID"
 kill "$HOLD_PID" 2> /dev/null || true
+if [ -e "$SRV_DIR/ckpt/snapshot.tmp" ]; then echo "FAIL: SIGTERM left snapshot.tmp"; exit 1; fi
 grep -q '"event":"reload_rejected"' "$SRV_DIR/ev1.log"
 grep -q '"event":"reload_applied"' "$SRV_DIR/ev1.log"
 ./target/release/eotora serve --config "$SRV_DIR/server.toml" \

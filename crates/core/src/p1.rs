@@ -96,22 +96,6 @@ impl P1Instance {
         game
     }
 
-    /// Solves with CGBA(0) from a random start; returns `(assignment, cost)`.
-    pub fn solve_cgba(&self, rng: &mut Pcg32) -> (Vec<usize>, f64) {
-        let game = self.as_game();
-        let report = cgba(&game, &CgbaConfig::default(), rng);
-        let cost = report.total_cost;
-        (report.profile.choices().to_vec(), cost)
-    }
-
-    /// Exact solve by branch-and-bound; `(assignment, cost, proven)`.
-    pub fn solve_exact(&self, node_budget: usize) -> (Vec<usize>, f64, bool) {
-        let seq = P1Sequential { instance: self };
-        let result = BranchAndBound::new().with_node_budget(node_budget).solve(&seq);
-        let choices = result.best_choices.expect("P1 always feasible");
-        (choices, result.best_cost, result.outcome == BnbOutcome::Optimal)
-    }
-
     /// PARTITION-shaped hardness witnesses: two identical stations, unit
     /// efficiencies, and `n` integer-ish weights drawn from a narrow band so
     /// that many near-ties exist. The optimal split is (near-)balanced, but
@@ -223,6 +207,24 @@ impl SequentialProblem for P1Sequential<'_> {
 mod tests {
     use super::*;
     use eotora_game::Profile;
+
+    impl P1Instance {
+        /// Solves with CGBA(0) from a random start; returns `(assignment, cost)`.
+        fn solve_cgba(&self, rng: &mut Pcg32) -> (Vec<usize>, f64) {
+            let game = self.as_game();
+            let report = cgba(&game, &CgbaConfig::default(), rng);
+            let cost = report.total_cost;
+            (report.profile.choices().to_vec(), cost)
+        }
+
+        /// Exact solve by branch-and-bound; `(assignment, cost, proven)`.
+        fn solve_exact(&self, node_budget: usize) -> (Vec<usize>, f64, bool) {
+            let seq = P1Sequential { instance: self };
+            let result = BranchAndBound::new().with_node_budget(node_budget).solve(&seq);
+            let choices = result.best_choices.expect("P1 always feasible");
+            (choices, result.best_cost, result.outcome == BnbOutcome::Optimal)
+        }
+    }
 
     fn brute_force(p: &P1Instance) -> f64 {
         let (i, k) = (p.num_devices(), p.num_stations());

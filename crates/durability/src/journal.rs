@@ -351,9 +351,36 @@ pub fn open_for_append_after(
         seg_path,
         seg_index,
         seg_bytes: boundary_offset,
-        unsynced: 0,
+        frames: keep,
+        durable: keep,
         last_sync_nanos: None,
     })
+}
+
+/// A journal sync detached from its [`JournalWriter`], to run on another
+/// thread: a handle on the segment being appended to and the frame count
+/// it covers. Obtained from [`JournalWriter::detach_sync`]; once
+/// [`run`](Self::run) returns, report its frame count back with
+/// [`JournalWriter::mark_durable`].
+#[derive(Debug)]
+pub struct DetachedSync {
+    file: fs::File,
+    path: PathBuf,
+    frames: u64,
+}
+
+impl DetachedSync {
+    /// Forces every frame appended before the detach to stable storage.
+    /// Returns the journal frame count now durable and the `sync_data`
+    /// duration in nanoseconds.
+    ///
+    /// Frames in segments the writer has since rotated away from are
+    /// covered too: rotation syncs the segment it closes.
+    pub fn run(self) -> Result<(u64, u64), DurabilityError> {
+        let start = std::time::Instant::now();
+        self.file.sync_data().map_err(|e| DurabilityError::io(&self.path, &e))?;
+        Ok((self.frames, u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)))
+    }
 }
 
 /// Appends checksummed frames to the journal in `dir`.
@@ -366,8 +393,12 @@ pub struct JournalWriter {
     seg_path: PathBuf,
     seg_index: u64,
     seg_bytes: u64,
-    /// Frames appended since the last sync (drives `EveryK`).
-    unsynced: u32,
+    /// Frames in the journal, those kept on reopen included.
+    frames: u64,
+    /// Frames known to be on stable storage; `frames - durable` drives
+    /// `EveryK`. A detached sync still running does not count until it is
+    /// reported through [`mark_durable`](Self::mark_durable).
+    durable: u64,
     /// Wall-clock duration of the most recent `sync_data`, if one has run
     /// since the last [`take_last_sync_nanos`](Self::take_last_sync_nanos).
     last_sync_nanos: Option<u64>,
@@ -402,7 +433,8 @@ impl JournalWriter {
             seg_path,
             seg_index: 0,
             seg_bytes: 0,
-            unsynced: 0,
+            frames: 0,
+            durable: 0,
             last_sync_nanos: None,
         })
     }
@@ -412,7 +444,7 @@ impl JournalWriter {
         // after rotation the old segment is never written again, which is
         // what lets the reader treat non-final segments as complete.
         self.file.sync_all().map_err(|e| DurabilityError::io(&self.seg_path, &e))?;
-        self.unsynced = 0;
+        self.durable = self.frames;
         self.seg_index += 1;
         self.seg_path = segment_path(&self.dir, self.seg_index);
         self.file = fs::File::create(&self.seg_path)
@@ -445,11 +477,11 @@ impl JournalWriter {
         frame.extend_from_slice(payload);
         self.file.write_all(&frame).map_err(|e| DurabilityError::io(&self.seg_path, &e))?;
         self.seg_bytes += frame_bytes;
-        self.unsynced += 1;
+        self.frames += 1;
         match self.policy {
             FsyncPolicy::EverySlot => self.sync()?,
             FsyncPolicy::EveryK(k) => {
-                if self.unsynced >= k {
+                if self.frames - self.durable >= u64::from(k) {
                     self.sync()?;
                 }
             }
@@ -459,11 +491,11 @@ impl JournalWriter {
     }
 
     /// Forces everything appended so far to stable storage, regardless of
-    /// policy. Called before every snapshot write.
+    /// policy.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         let start = std::time::Instant::now();
         self.file.sync_data().map_err(|e| DurabilityError::io(&self.seg_path, &e))?;
-        self.unsynced = 0;
+        self.durable = self.frames;
         self.last_sync_nanos = Some(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         Ok(())
     }
@@ -474,6 +506,22 @@ impl JournalWriter {
     /// journal knowing about recorders.
     pub fn take_last_sync_nanos(&mut self) -> Option<u64> {
         self.last_sync_nanos.take()
+    }
+
+    /// A sync of everything appended so far that another thread can run
+    /// (the snapshot writer does, before each snapshot lands). Until its
+    /// outcome comes back through [`mark_durable`](Self::mark_durable),
+    /// its frames still count as not durable, so `EveryK` keeps its bound
+    /// of at most `k − 1` frames not known durable.
+    pub fn detach_sync(&self) -> Result<DetachedSync, DurabilityError> {
+        let file = self.file.try_clone().map_err(|e| DurabilityError::io(&self.seg_path, &e))?;
+        Ok(DetachedSync { file, path: self.seg_path.clone(), frames: self.frames })
+    }
+
+    /// Records that a [`DetachedSync`] made the first `frames` frames
+    /// durable.
+    pub fn mark_durable(&mut self, frames: u64) {
+        self.durable = self.durable.max(frames.min(self.frames));
     }
 
     /// Segments written so far (current index + 1).
@@ -499,6 +547,40 @@ mod tests {
 
     fn payloads(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("frame-{i}-{}", "x".repeat(i % 7)).into_bytes()).collect()
+    }
+
+    #[test]
+    fn every_k_counts_a_detached_sync_in_flight_as_not_durable() {
+        let dir = temp_dir("detached");
+        let mut w =
+            JournalWriter::create(&dir, FsyncPolicy::EveryK(4), DEFAULT_SEGMENT_BYTES).unwrap();
+        for p in payloads(3) {
+            w.append(&p).unwrap();
+        }
+        assert_eq!(w.take_last_sync_nanos(), None);
+        let detached = w.detach_sync().unwrap();
+        // The detached sync has not reported back: the fourth frame is the
+        // fourth not known durable, so `append` syncs in line.
+        w.append(b"fourth").unwrap();
+        assert!(w.take_last_sync_nanos().is_some());
+        let (frames, _) = detached.run().unwrap();
+        assert_eq!(frames, 3);
+        w.mark_durable(frames);
+        for p in payloads(3) {
+            w.append(&p).unwrap();
+        }
+        assert_eq!(w.take_last_sync_nanos(), None, "a stale report must not lower the count");
+        // Reported before the next appends, it resets the count from 3.
+        let detached = w.detach_sync().unwrap();
+        w.mark_durable(detached.run().unwrap().0);
+        for p in payloads(3) {
+            w.append(&p).unwrap();
+        }
+        assert_eq!(w.take_last_sync_nanos(), None);
+        w.append(b"eleventh").unwrap();
+        assert!(w.take_last_sync_nanos().is_some());
+        assert_eq!(read_journal(&dir).unwrap().frames.len(), 11);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use crc::crc32;
 pub use error::DurabilityError;
 pub use frame::SlotRecord;
 pub use journal::{
-    open_for_append_after, read_journal, FsyncPolicy, JournalReadback, JournalWriter,
+    open_for_append_after, read_journal, DetachedSync, FsyncPolicy, JournalReadback, JournalWriter,
     DEFAULT_SEGMENT_BYTES, MAX_FRAME_BYTES,
 };
 pub use snapshot::{read_snapshot, write_atomic, write_snapshot, SNAPSHOT_VERSION};

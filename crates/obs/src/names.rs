@@ -24,10 +24,12 @@ pub const SPAN_P2B: &str = "p2b";
 pub const SPAN_QUEUE_UPDATE: &str = "queue_update";
 /// Span name for one slot-record append to the durability journal.
 pub const SPAN_JOURNAL_APPEND: &str = "journal.append";
-/// Span name for a journal fsync (only emitted when the journal runs
-/// with `fsync` durability).
+/// Span name for a journal fsync: an in-line `every-slot`/`every-K` sync,
+/// or the snapshot writer thread's journal sync or atomic snapshot write,
+/// recorded by the stepping thread when it collects the landed snapshot.
 pub const SPAN_JOURNAL_FSYNC: &str = "journal.fsync";
-/// Span name for writing one atomic checkpoint snapshot.
+/// Span name for the stepping thread's part of one checkpoint snapshot:
+/// state capture, JSON and the hand-off to the writer thread.
 pub const SPAN_SNAPSHOT_WRITE: &str = "journal.snapshot_write";
 
 /// Counter name for BDMA alternation rounds executed.
@@ -248,11 +250,16 @@ pub const ALL: &[MetricDef] = &[
     def(SPAN_P2B, MetricKind::Histogram, "wall time of one P2-B frequency solve (ns)"),
     def(SPAN_QUEUE_UPDATE, MetricKind::Histogram, "wall time of one virtual-queue update (ns)"),
     def(SPAN_JOURNAL_APPEND, MetricKind::Histogram, "wall time of one journal append (ns)"),
-    def(SPAN_JOURNAL_FSYNC, MetricKind::Histogram, "wall time of one journal fsync (ns)"),
+    def(
+        SPAN_JOURNAL_FSYNC,
+        MetricKind::Histogram,
+        "wall time of one journal fsync, or of the snapshot writer's journal sync or snapshot \
+         write (ns)",
+    ),
     def(
         SPAN_SNAPSHOT_WRITE,
         MetricKind::Histogram,
-        "wall time of one checkpoint snapshot write (ns)",
+        "stepping-thread time of one checkpoint snapshot: capture, JSON, hand-off (ns)",
     ),
     def(COUNTER_SLOTS, MetricKind::Counter, "slots solved"),
     def(COUNTER_BDMA_ROUNDS, MetricKind::Counter, "BDMA alternation rounds executed"),

@@ -371,6 +371,7 @@ fn reload(
     telemetry: &TelemetrySession,
     events: &mut dyn Write,
 ) -> Result<(), ServerError> {
+    driver.drain_checkpoint()?;
     let path = requested.map(PathBuf::from).or_else(|| startup_path.map(Path::to_path_buf));
     let outcome = match path {
         None => Err(ConfigError::Reload {

@@ -450,6 +450,9 @@ impl<'s> StepDriver<'s> {
 
         let mut interrupted = false;
         if let Some(session) = self.session.as_mut() {
+            // A snapshot that landed since the last slot is collected
+            // first; a background write error surfaces here.
+            session.poll(self.tally.sink)?;
             // Journal latency spans go to the *sink only*: routing them
             // through the tally would book them as a stage of the next
             // slot.
@@ -471,7 +474,7 @@ impl<'s> StepDriver<'s> {
                 // Count the snapshot *before* capturing counters so resumed
                 // totals match the uninterrupted run's.
                 self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
-                write_checkpoint(
+                enqueue_checkpoint(
                     session,
                     &self.tally,
                     completed,
@@ -483,6 +486,11 @@ impl<'s> StepDriver<'s> {
                 self.last_snapshot_slots = completed;
             }
             interrupted = session.should_kill(slot);
+            if interrupted {
+                // The simulated crash leaves the directory as a synchronous
+                // snapshot would have.
+                session.drain(self.tally.sink)?;
+            }
         }
         if let Some(records) = self.records.as_mut() {
             records.push(SlotRecord {
@@ -497,45 +505,60 @@ impl<'s> StepDriver<'s> {
     }
 
     /// Writes a snapshot of the current state *now*, outside the regular
-    /// cadence — the graceful-shutdown path (SIGTERM/SIGINT, EOF). Syncs
-    /// the journal first, exactly like an in-loop checkpoint. Returns
-    /// `false` without touching disk when there is no durable session,
-    /// nothing has completed, or the latest cadence snapshot already
-    /// covers the cursor (so a shutdown on a checkpoint boundary is a
-    /// no-op and resumed counter totals stay deterministic).
+    /// cadence — the graceful-shutdown path (SIGTERM/SIGINT, EOF) — and
+    /// waits for it to land. Syncs the journal first, exactly like an
+    /// in-loop checkpoint. Returns `false` without writing when there is
+    /// no durable session, nothing has completed, or the latest cadence
+    /// snapshot already covers the cursor (so a shutdown on a checkpoint
+    /// boundary writes nothing and resumed counter totals stay
+    /// deterministic); a cadence snapshot still in flight is waited for
+    /// either way.
     pub fn checkpoint_now(&mut self) -> Result<bool, DurabilityError> {
-        if self.cursor == 0 || self.last_snapshot_slots == self.cursor {
-            return Ok(false);
-        }
         let Some(session) = self.session.as_mut() else {
             return Ok(false);
         };
-        self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
-        write_checkpoint(
-            session,
-            &self.tally,
-            self.cursor,
-            self.journal_frames,
-            &self.dpp,
-            &self.sanitizer,
-            &self.corrupt_rng,
-        )?;
-        self.last_snapshot_slots = self.cursor;
-        Ok(true)
+        let wrote = self.cursor > 0 && self.last_snapshot_slots != self.cursor;
+        if wrote {
+            self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
+            enqueue_checkpoint(
+                session,
+                &self.tally,
+                self.cursor,
+                self.journal_frames,
+                &self.dpp,
+                &self.sanitizer,
+                &self.corrupt_rng,
+            )?;
+            self.last_snapshot_slots = self.cursor;
+        }
+        session.drain(self.tally.sink)?;
+        Ok(wrote)
+    }
+
+    /// Waits for the snapshot in flight, if any, to land, returning the
+    /// error it met — for a caller about to look at or act on the
+    /// checkpoint directory (the daemon's config reload).
+    pub fn drain_checkpoint(&mut self) -> Result<(), DurabilityError> {
+        match self.session.as_mut() {
+            Some(session) => session.drain(self.tally.sink),
+            None => Ok(()),
+        }
     }
 
     /// Folds the driver's slot records — replayed head and live slots
     /// alike — into a [`SimulationResult`], so a resumed run's series are
-    /// bit-identical to an uninterrupted run's.
-    pub fn finish(self) -> SimulationResult {
-        SimulationResult {
+    /// bit-identical to an uninterrupted run's. Waits for the last
+    /// snapshot to land first and returns its error, if any.
+    pub fn finish(mut self) -> Result<SimulationResult, DurabilityError> {
+        self.drain_checkpoint()?;
+        Ok(SimulationResult {
             label: self.label,
             counters: self.tally.counters.into_inner(),
             budget: self.budget,
             average_latency: self.dpp.average_latency(),
             average_cost: self.dpp.average_cost(),
             ..fold_records(self.records.as_deref().unwrap_or_default())
-        }
+        })
     }
 }
 
@@ -588,11 +611,12 @@ fn fold_records(records: &[SlotRecord]) -> SimulationResult {
     }
 }
 
-/// Syncs the journal and atomically rewrites the snapshot with the
-/// driver's state as of `completed` slots (the caller counts the
-/// snapshot in the tally *before* calling, so the captured counters
-/// include it).
-fn write_checkpoint(
+/// Captures the driver's state as of `completed` slots and hands it to
+/// the session's snapshot writer (the caller counts the snapshot in the
+/// tally *before* calling, so the captured counters include it). The
+/// `journal.snapshot_write` span times this calling-thread part only:
+/// capture, JSON and hand-off.
+fn enqueue_checkpoint(
     session: &mut DurableSession,
     tally: &SlotTally<'_>,
     completed: u64,
@@ -601,6 +625,7 @@ fn write_checkpoint(
     sanitizer: &StateSanitizer,
     corrupt_rng: &Pcg32,
 ) -> Result<(), DurabilityError> {
+    let _span = tally.sink.map(|sink| SpanGuard::new(sink, eotora_obs::SPAN_SNAPSHOT_WRITE));
     let snapshot = RunSnapshot {
         slots: completed,
         frames,
@@ -609,18 +634,7 @@ fn write_checkpoint(
         corrupt_rng: corrupt_rng.clone(),
         counters: tally.counters.borrow().clone(),
     };
-    match tally.sink {
-        Some(sink) => {
-            let span = SpanGuard::new(sink, eotora_obs::SPAN_SNAPSHOT_WRITE);
-            session.write_snapshot(&snapshot)?;
-            span.finish();
-            if let Some(nanos) = session.take_sync_nanos() {
-                sink.span_ns(eotora_obs::SPAN_JOURNAL_FSYNC, nanos);
-            }
-        }
-        None => session.write_snapshot(&snapshot)?,
-    }
-    Ok(())
+    session.enqueue_snapshot(&snapshot, tally.sink)
 }
 
 /// Deterministically mangles a handful of state entries — the corruption
@@ -784,10 +798,15 @@ mod tests {
     }
 
     /// Runs `scenario` to its horizon into a fresh checkpoint directory
-    /// and returns the journaled records, read back through a resume.
-    fn journaled(scenario: &Scenario, bounded: bool) -> Vec<SlotRecord> {
+    /// `tag` and returns the durability config and manifest that reopen
+    /// it.
+    fn run_to_horizon(
+        scenario: &Scenario,
+        bounded: bool,
+        tag: &str,
+    ) -> (DurabilityConfig, RunManifest) {
         let dir = std::env::temp_dir().join(format!(
-            "eotora-engine-{}-{bounded}-{:?}",
+            "eotora-engine-{}-{tag}-{bounded}-{:?}",
             std::process::id(),
             std::thread::current().id()
         ));
@@ -804,11 +823,43 @@ mod tests {
             let beta = states.observe(driver.cursor(), driver.topology());
             assert!(!driver.step(beta).unwrap().interrupted);
         }
-        drop(driver);
+        (durability, manifest)
+    }
+
+    /// The records journaled in the checkpoint directory `dir`.
+    fn read_records(dir: &std::path::Path) -> Vec<SlotRecord> {
+        let frames = eotora_durability::read_journal(&dir.join("journal")).unwrap();
+        frames.frames.iter().map(|frame| SlotRecord::decode(frame).unwrap()).collect()
+    }
+
+    /// The records `scenario` journals, read back from disk.
+    fn journaled(scenario: &Scenario, bounded: bool) -> Vec<SlotRecord> {
+        let (durability, _) = run_to_horizon(scenario, bounded, "journaled");
+        let records = read_records(&durability.dir);
+        let _ = std::fs::remove_dir_all(&durability.dir);
+        records
+    }
+
+    #[test]
+    fn a_resumed_head_keeps_only_the_last_records_stations() {
+        let scenario = Scenario::paper(8, 5).with_horizon(7);
+        let (durability, manifest) = run_to_horizon(&scenario, false, "head");
+        let journal = read_records(&durability.dir);
         let mut session = open_session(&durability, &manifest).unwrap();
         let head = session.take_resume().expect("a finished run resumes").head;
-        let _ = std::fs::remove_dir_all(&dir);
-        head
+        drop(session);
+        let _ = std::fs::remove_dir_all(&durability.dir);
+        assert_eq!(head.len(), 7);
+        assert_eq!(head.iter().filter(|rec| !rec.stations.is_empty()).count(), 1);
+        let last = head.last().unwrap();
+        assert_eq!(last.stations, journal[6].stations);
+        assert_eq!(last.stations.len(), 8);
+        for (rec, full) in head.iter().zip(&journal) {
+            assert_eq!(
+                SlotRecord { stations: Vec::new(), ..rec.clone() },
+                SlotRecord { stations: Vec::new(), ..full.clone() }
+            );
+        }
     }
 
     #[test]

@@ -424,6 +424,10 @@ pub fn run_federation(
         if let Some(d) = durability {
             let every = d.checkpoint_every.max(1);
             if slot == cfg.horizon || slot % every == 0 {
+                // The region snapshots land before the one that claims them.
+                for driver in &mut drivers {
+                    driver.drain_checkpoint()?;
+                }
                 write_fed_snapshot(&d.dir, slot, &nodes, &fault)?;
             }
         }
@@ -432,7 +436,7 @@ pub fn run_federation(
         }
     }
 
-    let results: Vec<SimulationResult> = drivers.into_iter().map(StepDriver::finish).collect();
+    let results = drivers.into_iter().map(StepDriver::finish).collect::<Result<Vec<_>, _>>()?;
     Ok(FederationRun::Completed(Box::new(FederationReport::new(cfg, results, &nodes))))
 }
 

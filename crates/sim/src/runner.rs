@@ -163,7 +163,7 @@ pub(crate) fn run_engine(
             return Ok(DurableRun::Interrupted { slot: report.record.slot });
         }
     }
-    Ok(DurableRun::Completed(Box::new(driver.finish())))
+    Ok(DurableRun::Completed(Box::new(driver.finish()?)))
 }
 
 /// The robust-solve configuration of a scenario's run: the given per-slot
