@@ -43,13 +43,13 @@ echo "==> slot_solve bench smoke (quick mode)"
 rm -f target/BENCH_slot_solve.quick.json
 EOTORA_QUICK=1 cargo bench -p eotora-bench --bench slot_solve
 
-echo "==> slot_solve regression guard (engine p50 speedup >= 1.5x at 30 devices)"
+echo "==> slot_solve regression guard (engine p50 speedup >= 2.0x at 30 devices)"
 awk '
   /"devices":/ { dev = $2; gsub(/[^0-9]/, "", dev) }
   /"p50_speedup":/ && dev == 30 {
     val = $2; gsub(/[^0-9.]/, "", val); found = 1
-    if (val + 0 < 1.5) {
-      printf "FAIL: engine p50 speedup %.2fx < 1.5x at 30 devices\n", val
+    if (val + 0 < 2.0) {
+      printf "FAIL: engine p50 speedup %.2fx < 2.0x at 30 devices\n", val
       exit 1
     }
     printf "OK: engine p50 speedup %.2fx at 30 devices\n", val

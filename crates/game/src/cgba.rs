@@ -7,10 +7,15 @@
 //! entries whose strategy touches one of those resources (plus the mover's
 //! own entries) can change value. [`CgbaScratch`] caches per-entry costs and
 //! uses [`GameStructure::touching`] to mark exactly those entries dirty,
-//! recomputing each with the *same expression* the naive scan uses — the
-//! mover sequence and every intermediate float are bit-identical to the
-//! rescan (asserted per-iteration under `cfg(test)` or the `naive-check`
-//! feature, and property-tested in `tests/incremental.rs`).
+//! recomputing each to the *same float* the naive scan's
+//! [`Profile::strategy_cost`] gives. The refresh takes the player's own
+//! load out of a per-range load buffer once per dirty player instead of
+//! searching for it in every probe (see `RangeCache::phase` for why the
+//! floats agree). The mover sequence and every intermediate float are
+//! bit-identical to the rescan: under `cfg(test)` or the `naive-check`
+//! feature each move is asserted against a full rescan and, after each
+//! phase, every cached cost against [`Profile::strategy_cost`] and
+//! [`Profile::player_cost`]; `tests/incremental.rs` property-tests it.
 //!
 //! Every solve runs this one kernel through [`cgba_from`]. It has two
 //! hooks for the fault-tolerant path: an optional [`StrategyFilter`] whose
@@ -74,11 +79,16 @@ use crate::{validate_parts, GameRef, GameStructure, Profile, StrategyFilter};
 ///
 /// Measured on a 2-vCPU VM, cold CGBA(0) solves of the paper's P2-A game
 /// (48 entries per device) alternating with the serial kernel in one
-/// process: width 2 took 1.16× the serial time in total at 960 entries,
-/// 1.06× at 1,440, 0.77–1.18× at 1,920, 0.78–0.79× at 2,400, 0.83× at
-/// 2,880 and 0.65–0.72× at 4,800. Every figure here, [`RANGES_PER_THREAD`]
-/// and [`SPIN_LIMIT`] were measured at width 2 only, so the production
-/// width rule (`eotora_core::sharded`) also caps the width at 2.
+/// process, the cutoff forced to 0: width 2 took 1.18–2.22× the serial
+/// time in total at 960 entries, 1.15–1.45× at 1,440, 0.96–1.62× at
+/// 1,920, 0.88–1.23× at 2,400, 0.77–1.14× at 2,880, 0.74–0.93× at 3,840
+/// and 0.77–0.86× at 4,800. The excluded-load probe made each phase
+/// shorter while the hand-off cost stayed, which moved the break-even up
+/// from ~1,440 entries to ~2,400–2,880; the cutoff stays at 1,600, the
+/// size the width tests (`tests/width.rs`) build their games from, until
+/// those games grow with it. Every figure here, [`RANGES_PER_THREAD`] and
+/// [`SPIN_LIMIT`] were measured at width 2 only, so the production width
+/// rule (`eotora_core::sharded`) also caps the width at 2.
 const MIN_SPLIT_ENTRIES: usize = 1_600;
 
 /// Ranges per thread of a split solve. Each thread starts on its own block
@@ -88,9 +98,11 @@ const MIN_SPLIT_ENTRIES: usize = 1_600;
 const RANGES_PER_THREAD: usize = 4;
 
 /// Spin iterations a waiting thread burns before it starts yielding. On a
-/// 2-vCPU VM, perfbench `paper_plain` read a `decision_ms_p50` of 14.8 ms
-/// at `1 << 10`, 15.3–16.2 ms at `1 << 7` and 16.0–16.9 ms at `1 << 14`
-/// (long pause loops get a vCPU descheduled).
+/// 2-vCPU VM, perfbench `paper_plain` (seed 1, 10 s runs, six rotations)
+/// read a `decision_ms_p50` of 9.23–9.69 ms at `1 << 10`, 9.24–9.88 ms at
+/// `1 << 7` and 9.37–9.84 ms at `1 << 14`; before the excluded-load probe
+/// shortened each phase it read 14.8, 15.3–16.2 and 16.0–16.9 ms (long
+/// pause loops get a vCPU descheduled).
 const SPIN_LIMIT: u32 = 1 << 10;
 
 /// How CGBA picks which improvable player moves next.
@@ -163,6 +175,10 @@ pub struct CgbaScratch {
     moves: Vec<(usize, usize)>,
     /// Reused buffer for [`MoveState`]'s changed-resource list.
     changed: Vec<(usize, u64)>,
+    /// One excluded-load buffer of `num_resources` floats per range of the
+    /// last MaxGain solve, back to back (see [`RangeCache::phase`]). Sized
+    /// on the calling thread, so helper threads never allocate.
+    excl: Vec<f64>,
     /// Most threads each MaxGain iteration may be split over (0 and 1:
     /// serial).
     threads: usize,
@@ -435,6 +451,9 @@ struct RangeCache<'a> {
     best_s: &'a mut [usize],
     best_cost: &'a mut [f64],
     player_dirty: &'a mut [bool],
+    /// This range's excluded-load buffer, one float per resource: level
+    /// with the profile's loads between phases.
+    excl: &'a mut [f64],
 }
 
 /// A range's MaxGain candidate for one iteration.
@@ -475,11 +494,13 @@ impl<'a> RangeCache<'a> {
             best_s: &mut scratch.best_s,
             best_cost: &mut scratch.best_cost,
             player_dirty: &mut scratch.player_dirty,
+            excl: &mut scratch.excl,
         }
     }
 
     /// Cuts the range into `width` non-empty contiguous ranges with about
-    /// equal entry counts, in player order.
+    /// equal entry counts, in player order. The load buffer must hold
+    /// `width` equal parts, one per range.
     fn split(mut self, width: usize) -> Vec<Self> {
         let n = self.hi - self.lo;
         debug_assert!((2..=n).contains(&width), "width {width} for {n} players");
@@ -492,14 +513,17 @@ impl<'a> RangeCache<'a> {
             prev = at.clamp(prev + 1, self.hi - (width - k));
             cuts.push(prev);
         }
-        let mut ranges: Vec<Self> = cuts.into_iter().rev().map(|at| self.split_off(at)).collect();
+        let resources = self.excl.len() / width;
+        let mut ranges: Vec<Self> =
+            cuts.into_iter().rev().map(|at| self.split_off(at, resources)).collect();
         ranges.push(self);
         ranges.reverse();
         ranges
     }
 
-    /// Splits players `at..hi` off into their own range, keeping `lo..at`.
-    fn split_off(&mut self, at: usize) -> Self {
+    /// Splits players `at..hi` off into their own range, keeping `lo..at`;
+    /// the new range takes the last `resources` floats of the load buffer.
+    fn split_off(&mut self, at: usize, resources: usize) -> Self {
         fn tail<'b, T>(slice: &mut &'b mut [T], at: usize) -> &'b mut [T] {
             let (head, tail) = std::mem::take(slice).split_at_mut(at);
             *slice = head;
@@ -507,6 +531,7 @@ impl<'a> RangeCache<'a> {
         }
         let players = at - self.lo;
         let entries = self.offsets[at] - self.offsets[self.lo];
+        let kept = self.excl.len() - resources;
         let split = Self {
             lo: at,
             hi: self.hi,
@@ -518,6 +543,7 @@ impl<'a> RangeCache<'a> {
             best_s: tail(&mut self.best_s, players),
             best_cost: tail(&mut self.best_cost, players),
             player_dirty: tail(&mut self.player_dirty, players),
+            excl: tail(&mut self.excl, kept),
         };
         self.hi = at;
         split
@@ -527,6 +553,18 @@ impl<'a> RangeCache<'a> {
     /// refreshes the range's dirty entries against the profile, and
     /// returns its candidate. Disallowed entries are never probed; their
     /// cached cost is `+∞`.
+    ///
+    /// A dirty player's entries are probed against the range's
+    /// excluded-load buffer: `excl[r] = loads[r] − cw` for each `(r, cw)`
+    /// of its current strategy, written once before its entries and
+    /// restored to `loads[r]` after them, so each probe is
+    /// `Σ m_r·w·(excl[r] + w)` with no search for the player's own load.
+    /// That is bit for bit [`Profile::strategy_cost`], which computes
+    /// `loads[r] − own + w` with `own = cw` on the current strategy's
+    /// resources and `own = 0.0` elsewhere: the first case is the same two
+    /// operations in the same order, and `x − 0.0` is `x` for every finite
+    /// `x`, `±0.0` included. A strategy never lists a resource twice
+    /// (`validate_parts`), so at most one `cw` applies per resource.
     fn phase<G: GameRef>(
         &mut self,
         game: &G,
@@ -546,9 +584,16 @@ impl<'a> RangeCache<'a> {
             best_s,
             best_cost,
             player_dirty,
+            excl,
         } = self;
         let (lo, hi, offsets) = (*lo, *hi, *offsets);
         let base = offsets[lo];
+        let loads = &profile.loads;
+        // The buffer is brought level with the loads at a solve's first
+        // phase, then follows the loads each move changed.
+        if last.is_none() {
+            excl.copy_from_slice(loads);
+        }
         // The mover's own entries all change (its `own` contribution term
         // follows its current choice), as do its cost and best response.
         if let Some((i, _)) = last.filter(|&(i, _)| (lo..hi).contains(&i)) {
@@ -558,6 +603,7 @@ impl<'a> RangeCache<'a> {
         }
         let structure = game.structure();
         for &(r, _) in changed {
+            excl[r] = loads[r];
             // `touching` is in ascending player order: this range's pairs
             // are one contiguous run.
             let touching = structure.touching(r);
@@ -577,6 +623,7 @@ impl<'a> RangeCache<'a> {
             }
         }
 
+        let weights = game.weights();
         let mut found = Candidate::default();
         for i in lo..hi {
             let k = i - lo;
@@ -586,6 +633,11 @@ impl<'a> RangeCache<'a> {
                 found.probes += 1;
             }
             if player_dirty[k] {
+                let strategies = structure.strategies(i);
+                let current = &strategies[profile.choices[i]];
+                for &(r, cw) in current {
+                    excl[r] = loads[r] - cw;
+                }
                 let entries = offsets[i] - base..offsets[i + 1] - base;
                 let mut best = (profile.choices[i], f64::INFINITY);
                 for (s, (cost, dirty)) in strat_cost[entries.clone()]
@@ -596,7 +648,11 @@ impl<'a> RangeCache<'a> {
                     if *dirty {
                         *cost = if filter.is_none_or(|f| f.is_allowed(i, s)) {
                             found.probes += 1;
-                            profile.strategy_cost(game, i, s)
+                            let mut probe = 0.0;
+                            for &(r, w) in &strategies[s] {
+                                probe += weights.get(r) * w * (excl[r] + w);
+                            }
+                            probe
                         } else {
                             f64::INFINITY
                         };
@@ -605,6 +661,9 @@ impl<'a> RangeCache<'a> {
                     if *cost < best.1 {
                         best = (s, *cost);
                     }
+                }
+                for &(r, _) in current {
+                    excl[r] = loads[r];
                 }
                 best_s[k] = best.0;
                 best_cost[k] = best.1;
@@ -618,6 +677,29 @@ impl<'a> RangeCache<'a> {
                     found.gap = gap;
                     found.mover = Some((i, best_s[k]));
                 }
+            }
+        }
+        // The float-level oracle: every cached cost of the range, refreshed
+        // this phase or kept from an earlier one, is what a rescan gives.
+        #[cfg(any(test, feature = "naive-check"))]
+        for i in lo..hi {
+            let k = i - lo;
+            assert_eq!(
+                cur_cost[k].to_bits(),
+                profile.player_cost(game, i).to_bits(),
+                "cached cost of player {i} diverged from Profile::player_cost"
+            );
+            for s in 0..structure.strategies(i).len() {
+                let expected = if filter.is_none_or(|f| f.is_allowed(i, s)) {
+                    profile.strategy_cost(game, i, s)
+                } else {
+                    f64::INFINITY
+                };
+                assert_eq!(
+                    strat_cost[offsets[i] + s - base].to_bits(),
+                    expected.to_bits(),
+                    "cached cost of ({i}, {s}) diverged from Profile::strategy_cost"
+                );
             }
         }
         found
@@ -916,6 +998,12 @@ fn cgba_max_gain<G: GameRef>(
 ) -> CgbaReport {
     let initial_cost = initial.total_cost(game);
     let width = scratch.split_width();
+    let ranges = if width == 1 {
+        1
+    } else {
+        (width * RANGES_PER_THREAD).min(game.structure().num_players())
+    };
+    scratch.excl.resize(ranges * game.structure().num_resources(), 0.0);
     let mut threads = 1;
     let mut changed = std::mem::take(&mut scratch.changed);
     changed.clear();
@@ -929,7 +1017,6 @@ fn cgba_max_gain<G: GameRef>(
             whole.phase(game, &state.read().expect("CGBA move state poisoned"), lambda, filter)
         })
     } else {
-        let ranges = (width * RANGES_PER_THREAD).min(game.structure().num_players());
         let team = Team::new(whole.split(ranges));
         std::thread::scope(|scope| {
             // Armed before the first spawn, so helpers already running are
@@ -1349,6 +1436,82 @@ mod tests {
             assert_eq!(scratch.last_threads(), threads, "{} entries", 40 * strategies);
             assert_eq!(split, serial);
             assert_eq!(scratch.moves(), serial_scratch.moves());
+        }
+    }
+
+    /// The excluded-load probe must reproduce `Profile::strategy_cost` bit
+    /// for bit on the cases its identity argument names, at every width:
+    /// players whose every candidate uses exactly the resources of their
+    /// current strategy (each probe subtracts an own load on every
+    /// resource), players whose moves drive a private resource back to
+    /// exactly `0.0` (probed as `0.0 + w`), and filtered entries. The
+    /// phase's own oracle checks every cached float; this pins the
+    /// report, moves and probes against the serial run and, unfiltered,
+    /// against the rescan reference.
+    #[test]
+    fn excluded_load_probes_match_the_reference_at_every_width() {
+        let (players, per_player, shared) = (40, MIN_SPLIT_ENTRIES / 40 + 8, 12);
+        let mut rng = Pcg32::seed(17);
+        let mut game = CongestionGame::new(
+            (0..shared + 2 * players).map(|_| rng.uniform_in(0.2, 3.0)).collect(),
+        );
+        for i in 0..players {
+            let private = (shared + 2 * i, rng.uniform_in(0.1, 2.0));
+            let strategies = (0..per_player)
+                .map(|s| match i % 3 {
+                    0 => [i % shared, (i + 5) % shared]
+                        .map(|r| (r, rng.uniform_in(0.1, 2.0)))
+                        .to_vec(),
+                    1 => vec![
+                        (private.0 + s % 2, private.1),
+                        (rng.below(shared), rng.uniform_in(0.1, 2.0)),
+                    ],
+                    _ => vec![(rng.below(shared), rng.uniform_in(0.1, 2.0))],
+                })
+                .collect();
+            game.add_player(strategies);
+        }
+        let initial = Profile::random(&game, &mut Pcg32::seed(5));
+        let mut filter = StrategyFilter::allow_all(game.structure());
+        for i in 0..players {
+            for s in (i % 4..per_player).step_by(4) {
+                filter.disallow(i, s);
+            }
+        }
+        let config = CgbaConfig::default();
+        let reference = cgba_from_reference(&game, initial.clone(), &config);
+        for filter in [None, Some(&filter)] {
+            let mut serial = None;
+            for width in 1..=3 {
+                let mut scratch = CgbaScratch::default();
+                scratch.set_threads(width);
+                let report = cgba_from(
+                    &game,
+                    initial.clone(),
+                    &config,
+                    filter,
+                    || false,
+                    false,
+                    &mut scratch,
+                );
+                assert_eq!(scratch.last_threads(), width);
+                let run = (report, scratch.moves().to_vec(), scratch.probes());
+                let serial = serial.get_or_insert_with(|| run.clone());
+                assert_eq!(&run, serial, "width {width}, filtered: {}", filter.is_some());
+            }
+            let (report, moves, _) = serial.take().expect("width 1 ran");
+            assert!(
+                moves.iter().any(|&(i, _)| i % 3 == 0),
+                "a player over fixed resources must move"
+            );
+            // A player that ends on its other private resource left the
+            // first one at exactly 0.0 on the way.
+            assert!((0..players).any(|i| i % 3 == 1
+                && report.profile.choices()[i] % 2 != initial.choices()[i] % 2
+                && report.profile.loads()[shared + 2 * i + initial.choices()[i] % 2] == 0.0));
+            if filter.is_none() {
+                assert_eq!(report, reference);
+            }
         }
     }
 

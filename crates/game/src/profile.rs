@@ -120,9 +120,11 @@ impl Profile {
 
     /// The cost player `i` would pay for strategy `s` against the rest of
     /// the profile — the single-entry building block of
-    /// [`Profile::best_response`]. The incremental CGBA scheduler calls this
-    /// exact expression when refreshing dirty cache entries, so cached and
-    /// freshly scanned values are bit-identical.
+    /// [`Profile::best_response`], and the definition the incremental CGBA
+    /// scheduler's cached costs must equal bit for bit. The scheduler
+    /// evaluates it against a buffer that already excludes `i`'s own load
+    /// instead of searching for it per resource; its `naive-check` oracle
+    /// compares every cached cost with this function.
     pub(crate) fn strategy_cost<G: GameRef>(&self, game: &G, i: usize, s: usize) -> f64 {
         let structure = game.structure();
         let weights = game.weights();
