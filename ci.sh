@@ -202,6 +202,15 @@ for path in dumps:
         assert {"seq", "t_ns", "type"} <= rec.keys(), f"bad postmortem line in {path}"
 print(f"OK: forced escalation dumped {len(dumps)} valid postmortem(s)")
 EOF
+# The same faulted run traced: its NaN floats are written as `null`, and
+# `eotora trace` must still read every line and all 100 slots.
+./target/release/eotora run "$TEL_DIR/scenario.json" \
+  --fault-trace "$TEL_DIR/faults.json" --no-sanitize \
+  --trace "$TEL_DIR/faulted-trace.jsonl" > /dev/null
+./target/release/eotora trace "$TEL_DIR/faulted-trace.jsonl" > "$TEL_DIR/trace.txt" 2> "$TEL_DIR/trace.err"
+if [ -s "$TEL_DIR/trace.err" ]; then cat "$TEL_DIR/trace.err"; echo "FAIL: eotora trace warned on a faulted trace"; exit 1; fi
+grep -q "faulted-trace.jsonl: [0-9]* events over 100 slots" "$TEL_DIR/trace.txt"
+echo "OK: faulted trace reads back whole (100 slots, no malformed lines)"
 
 echo "==> durability smoke (kill at slot 57, resume, bit-for-bit CSV diff)"
 # A 100-slot run checkpointed every 10 slots is killed mid-flight at slot 57

@@ -33,7 +33,7 @@
 //! millisecond-scale scheduler noise.) ci.sh's quick-mode gate fails if
 //! the overhead exceeds 5% at the 30-device scale.
 //! A fifth **live** arm repeats the engine path with a full in-memory
-//! [`TelemetrySession`] attached (sharded live registry, flight-recorder
+//! [`TelemetrySession`] attached (live registry, flight-recorder
 //! ring, health monitor) — which must not perturb the decision sequence —
 //! and times one slot's worth of hot-path telemetry traffic on its own
 //! each slot: `live_overhead_pct` is the p50 of that emission batch

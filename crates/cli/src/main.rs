@@ -23,7 +23,9 @@ use eotora_cli::{
 };
 use eotora_core::system::MecSystem;
 use eotora_federation::{LinkFaultConfig, RebalancePolicy};
-use eotora_obs::{HealthMonitor, HealthSample, HealthSummary, Recorder, TelemetrySession};
+use eotora_obs::{
+    HealthMonitor, HealthSample, HealthSummary, Recorder, RegistrySnapshot, TelemetrySession,
+};
 use eotora_sim::durable::{read_manifest_in, resume_durable, run_durable, DurableRun};
 use eotora_sim::report::{ascii_table, num, slot_csv};
 use eotora_sim::runner::{run_many, run_mode, SimulationResult};
@@ -868,23 +870,19 @@ fn health_from_prom(text: &str, v_flag: f64, budget_flag: f64) -> Result<HealthS
     let gauge = |name: &str| values.get(&eotora_obs::prometheus_name(name)).copied();
     let v = gauge(eotora_obs::GAUGE_CONFIG_V).unwrap_or(v_flag);
     let budget = gauge(eotora_obs::GAUGE_CONFIG_BUDGET).unwrap_or(budget_flag);
-    let totals = HealthSample {
-        slot: counter(eotora_obs::COUNTER_SLOTS),
-        queue: gauge(eotora_obs::GAUGE_QUEUE_BACKLOG).unwrap_or(0.0),
-        avg_cost: gauge(eotora_obs::GAUGE_AVG_COST).unwrap_or(0.0),
-        masked_resources: counter(eotora_obs::COUNTER_FAULT_MASKED_RESOURCES),
-        substitutions: counter(eotora_obs::COUNTER_FAULT_STATE_SUBSTITUTIONS),
-        deadline_expirations: counter(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS),
-        escalations: counter(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS)
-            + counter(eotora_obs::COUNTER_ROBUST_LIFEBOAT_DECISIONS)
-            + counter(eotora_obs::COUNTER_ROBUST_EQUAL_SHARE_FALLBACKS),
-        journal_p99_ms: prom_histogram_quantile(
-            text,
-            &format!("{}_ns", eotora_obs::prometheus_name(eotora_obs::SPAN_JOURNAL_APPEND)),
-            0.99,
-        )
-        .map_or(0.0, |ns| ns / 1e6),
-    };
+    let journal_p99_ms = prom_histogram_quantile(
+        text,
+        &format!("{}_ns", eotora_obs::prometheus_name(eotora_obs::SPAN_JOURNAL_APPEND)),
+        0.99,
+    )
+    .map_or(0.0, |ns| ns / 1e6);
+    let totals = HealthSample::from_counters(
+        counter(eotora_obs::COUNTER_SLOTS),
+        gauge(eotora_obs::GAUGE_QUEUE_BACKLOG).unwrap_or(0.0),
+        gauge(eotora_obs::GAUGE_AVG_COST).unwrap_or(0.0),
+        journal_p99_ms,
+        counter,
+    );
     Ok(eotora_obs::health::assess_totals(v, budget, &totals))
 }
 
@@ -910,37 +908,10 @@ fn prom_histogram_quantile(text: &str, prefix: &str, q: f64) -> Option<f64> {
     buckets.iter().find(|&&(_, cum)| cum >= target).map(|&(le, _)| le)
 }
 
-/// Builds a [`HealthSample`] from one metrics-snapshot JSON object
-/// (the line format written by `run --metrics-out m.jsonl`).
-fn snapshot_sample(value: &serde_json::Value) -> Result<HealthSample, String> {
-    let counters = field(value, "counters").ok_or("snapshot line is missing `counters`")?;
-    let gauges = field(value, "gauges").ok_or("snapshot line is missing `gauges`")?;
-    let cget = |name: &str| {
-        field(counters, name).and_then(serde_json::Value::as_f64).map_or(0, |x| x as u64)
-    };
-    let gget = |name: &str| field(gauges, name).and_then(serde_json::Value::as_f64);
-    let journal_p99_ms = field(value, "spans")
-        .and_then(|s| field(s, eotora_obs::SPAN_JOURNAL_APPEND))
-        .and_then(|s| field(s, "p99_ns"))
-        .and_then(serde_json::Value::as_f64)
-        .map_or(0.0, |ns| ns / 1e6);
-    Ok(HealthSample {
-        slot: field(value, "slot").and_then(serde_json::Value::as_f64).map_or(0, |x| x as u64),
-        queue: gget(eotora_obs::GAUGE_QUEUE_BACKLOG).unwrap_or(0.0),
-        avg_cost: gget(eotora_obs::GAUGE_AVG_COST).unwrap_or(0.0),
-        masked_resources: cget(eotora_obs::COUNTER_FAULT_MASKED_RESOURCES),
-        substitutions: cget(eotora_obs::COUNTER_FAULT_STATE_SUBSTITUTIONS),
-        deadline_expirations: cget(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS),
-        escalations: cget(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS)
-            + cget(eotora_obs::COUNTER_ROBUST_LIFEBOAT_DECISIONS)
-            + cget(eotora_obs::COUNTER_ROBUST_EQUAL_SHARE_FALLBACKS),
-        journal_p99_ms,
-    })
-}
-
-/// Health over a metrics JSONL file. Multiple snapshots are replayed
-/// through the hysteresis monitor; a single (final-only) snapshot falls
-/// back to whole-run classification.
+/// Health over a metrics JSONL file: each line is the session's
+/// [`RegistrySnapshot`]. Multiple snapshots are replayed through the
+/// hysteresis monitor; a single (final-only) snapshot falls back to
+/// whole-run classification.
 fn health_from_snapshots(
     text: &str,
     v_flag: f64,
@@ -953,16 +924,20 @@ fn health_from_snapshots(
         if line.trim().is_empty() {
             continue;
         }
-        let value = serde_json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        if let Some(gauges) = field(&value, "gauges") {
-            v = field(gauges, eotora_obs::GAUGE_CONFIG_V)
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(v);
-            budget = field(gauges, eotora_obs::GAUGE_CONFIG_BUDGET)
-                .and_then(serde_json::Value::as_f64)
-                .unwrap_or(budget);
-        }
-        samples.push(snapshot_sample(&value).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+        let snap: RegistrySnapshot =
+            serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let gauge = |name: &str| snap.gauges.get(name).copied();
+        v = gauge(eotora_obs::GAUGE_CONFIG_V).unwrap_or(v);
+        budget = gauge(eotora_obs::GAUGE_CONFIG_BUDGET).unwrap_or(budget);
+        let journal_p99_ms =
+            snap.spans.get(eotora_obs::SPAN_JOURNAL_APPEND).map_or(0.0, |s| s.p99_ns as f64 / 1e6);
+        samples.push(HealthSample::from_counters(
+            snap.slot,
+            gauge(eotora_obs::GAUGE_QUEUE_BACKLOG).unwrap_or(0.0),
+            gauge(eotora_obs::GAUGE_AVG_COST).unwrap_or(0.0),
+            journal_p99_ms,
+            |name| snap.counters.get(name).copied().unwrap_or(0),
+        ));
     }
     match samples.as_slice() {
         [] => Err("no snapshots in file".into()),
@@ -1016,21 +991,13 @@ fn health_from_trace(text: &str, v: f64, budget: f64) -> Result<HealthSummary, S
                 cost_sum +=
                     field(&value, "cost").and_then(serde_json::Value::as_f64).unwrap_or(0.0);
                 slots += 1;
-                let cget = |name: &str| counters.get(name).copied().unwrap_or(0);
-                monitor.observe(HealthSample {
+                monitor.observe(HealthSample::from_counters(
                     slot,
-                    queue: field(&value, "queue")
-                        .and_then(serde_json::Value::as_f64)
-                        .unwrap_or(0.0),
-                    avg_cost: cost_sum / slots as f64,
-                    masked_resources: cget(eotora_obs::COUNTER_FAULT_MASKED_RESOURCES),
-                    substitutions: cget(eotora_obs::COUNTER_FAULT_STATE_SUBSTITUTIONS),
-                    deadline_expirations: cget(eotora_obs::COUNTER_DEADLINE_EXPIRATIONS),
-                    escalations: cget(eotora_obs::COUNTER_ROBUST_SOLVE_ERRORS)
-                        + cget(eotora_obs::COUNTER_ROBUST_LIFEBOAT_DECISIONS)
-                        + cget(eotora_obs::COUNTER_ROBUST_EQUAL_SHARE_FALLBACKS),
-                    journal_p99_ms: journal.quantile(0.99).map_or(0.0, |ns| ns / 1e6),
-                });
+                    field(&value, "queue").and_then(serde_json::Value::as_f64).unwrap_or(0.0),
+                    cost_sum / slots as f64,
+                    journal.quantile(0.99).map_or(0.0, |ns| ns / 1e6),
+                    |name| counters.get(name).copied().unwrap_or(0),
+                ));
             }
             _ => {}
         }

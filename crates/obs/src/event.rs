@@ -153,8 +153,13 @@ impl TraceEvent {
         let u64_field = |name: &str| -> Result<u64, Error> {
             u64::from_value(get_field(fields, name, "TraceEvent")?)
         };
+        // The JSON writer emits non-finite floats as `null`; they read
+        // back as NaN so every line the recorder wrote parses.
         let f64_field = |name: &str| -> Result<f64, Error> {
-            f64::from_value(get_field(fields, name, "TraceEvent")?)
+            match get_field(fields, name, "TraceEvent")? {
+                Value::Null => Ok(f64::NAN),
+                v => f64::from_value(v),
+            }
         };
         let str_field = |name: &str| -> Result<String, Error> {
             String::from_value(get_field(fields, name, "TraceEvent")?)
@@ -280,6 +285,48 @@ mod tests {
             let line = serde_json::to_string(&record).unwrap();
             let back: TraceRecord = serde_json::from_str(&line).unwrap();
             assert_eq!(back, record);
+        }
+    }
+
+    #[test]
+    fn non_finite_floats_read_back_as_nan() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let events = [
+                TraceEvent::Slot { slot: 5, objective: x, latency: x, cost: x, queue: x },
+                TraceEvent::QueueUpdate { slot: 5, before: x, after: x, excess: x },
+                TraceEvent::Health {
+                    slot: 5,
+                    rule: "queue_level".into(),
+                    from: "ok".into(),
+                    to: "critical".into(),
+                    value: x,
+                },
+                TraceEvent::BdmaIteration {
+                    slot: 5,
+                    round: 1,
+                    objective: x,
+                    accepted: false,
+                    p2a_nanos: 1,
+                    p2b_nanos: 2,
+                },
+            ];
+            for event in events {
+                let line = serde_json::to_string(&TraceRecord { seq: 0, t_ns: 0, event }).unwrap();
+                assert!(line.contains("null"), "{line}");
+                let back: TraceRecord = serde_json::from_str(&line).unwrap();
+                let floats = match back.event {
+                    TraceEvent::Slot { objective, latency, cost, queue, .. } => {
+                        vec![objective, latency, cost, queue]
+                    }
+                    TraceEvent::QueueUpdate { before, after, excess, .. } => {
+                        vec![before, after, excess]
+                    }
+                    TraceEvent::Health { value, .. } => vec![value],
+                    TraceEvent::BdmaIteration { objective, .. } => vec![objective],
+                    other => panic!("unexpected {other:?}"),
+                };
+                assert!(floats.iter().all(|v| v.is_nan()), "{line} read back as {floats:?}");
+            }
         }
     }
 

@@ -15,14 +15,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, Once, PoisonError, Weak};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::event::{TraceEvent, TraceRecord};
-use crate::recorder::Recorder;
 
 fn unix_nanos() -> u64 {
     SystemTime::now()
@@ -34,7 +33,6 @@ struct RingState {
     events: VecDeque<TraceRecord>,
     seq: u64,
     dropped: u64,
-    counters: BTreeMap<String, u64>,
 }
 
 pub(crate) struct FlightRing {
@@ -59,11 +57,14 @@ impl FlightRing {
     }
 }
 
-/// Default ring capacity: enough for several slots' worth of spans,
-/// counters, and BDMA iterations at paper-scale device counts.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+/// Ring capacity: enough for several slots' worth of spans, counters,
+/// and BDMA iterations at paper-scale device counts.
+pub const FLIGHT_CAPACITY: usize = 4096;
 
 /// An always-on bounded recorder of the most recent trace events.
+///
+/// It stores events as given: a `Counter` event carries whatever total
+/// the caller stamped on it (the session stamps its registry's total).
 ///
 /// Cloning is cheap and shares the ring (the panic hook holds a weak
 /// reference, so a dropped recorder never leaks).
@@ -74,7 +75,7 @@ pub struct FlightRecorder {
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        Self::new(DEFAULT_FLIGHT_CAPACITY)
+        Self::new(FLIGHT_CAPACITY)
     }
 }
 
@@ -89,13 +90,13 @@ impl FlightRecorder {
                     events: VecDeque::with_capacity(capacity),
                     seq: 0,
                     dropped: 0,
-                    counters: BTreeMap::new(),
                 }),
             }),
         }
     }
 
-    fn push(&self, event: TraceEvent) {
+    /// Appends one event, evicting the oldest when the ring is full.
+    pub fn record(&self, event: TraceEvent) {
         let mut state = self.ring.lock();
         let seq = state.seq;
         state.seq += 1;
@@ -143,30 +144,6 @@ impl FlightRecorder {
     }
 }
 
-impl Recorder for FlightRecorder {
-    fn is_enabled(&self) -> bool {
-        true
-    }
-
-    fn span_ns(&self, name: &str, nanos: u64) {
-        self.push(TraceEvent::Span { name: name.to_owned(), nanos });
-    }
-
-    fn add(&self, name: &str, delta: u64) {
-        let total = {
-            let mut state = self.ring.lock();
-            let total = state.counters.entry(name.to_owned()).or_insert(0);
-            *total += delta;
-            *total
-        };
-        self.push(TraceEvent::Counter { name: name.to_owned(), value: total });
-    }
-
-    fn record(&self, event: &TraceEvent) {
-        self.push(event.clone());
-    }
-}
-
 fn panic_sinks() -> &'static Mutex<Vec<(Weak<FlightRing>, PathBuf)>> {
     static SINKS: Mutex<Vec<(Weak<FlightRing>, PathBuf)>> = Mutex::new(Vec::new());
     &SINKS
@@ -205,7 +182,7 @@ mod tests {
     fn ring_keeps_only_the_most_recent_events() {
         let flight = FlightRecorder::new(16);
         for i in 0..40u64 {
-            flight.span_ns("p2a", i);
+            flight.record(TraceEvent::Span { name: "p2a".into(), nanos: i });
         }
         assert_eq!(flight.len(), 16);
         assert_eq!(flight.dropped(), 24);
@@ -226,24 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_record_running_totals() {
-        let flight = FlightRecorder::new(64);
-        flight.add("slots", 1);
-        flight.add("slots", 1);
-        let mut buf = Vec::new();
-        flight.dump_jsonl(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains(r#""value":1"#));
-        assert!(text.contains(r#""value":2"#));
-    }
-
-    #[test]
     fn panic_hook_dumps_registered_rings() {
         let dir = std::env::temp_dir().join(format!("eotora-flight-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("panic-dump.jsonl");
         let flight = FlightRecorder::new(64);
-        flight.add("slots", 7);
+        flight.record(TraceEvent::Counter { name: "slots".into(), value: 7 });
         install_panic_hook();
         flight.register_for_panic(path.clone());
         let result = std::thread::Builder::new()

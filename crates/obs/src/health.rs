@@ -15,6 +15,15 @@
 use std::collections::VecDeque;
 use std::fmt;
 
+use crate::names;
+
+/// The robust-ladder counters whose sum is a sample's `escalations`.
+pub const ESCALATION_COUNTERS: &[&str] = &[
+    names::COUNTER_ROBUST_SOLVE_ERRORS,
+    names::COUNTER_ROBUST_LIFEBOAT_DECISIONS,
+    names::COUNTER_ROBUST_EQUAL_SHARE_FALLBACKS,
+];
+
 /// Overall or per-rule health level, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum HealthStatus {
@@ -153,6 +162,31 @@ pub struct HealthSample {
     /// Current p99 of the journal append span, milliseconds (0 when no
     /// journal is attached).
     pub journal_p99_ms: f64,
+}
+
+impl HealthSample {
+    /// The one mapping from run counters to a sample: `counter` returns
+    /// a counter's cumulative total by name (0 when absent), whatever
+    /// holds it — the live registry, a metrics snapshot, an exposition
+    /// or a replayed trace.
+    pub fn from_counters(
+        slot: u64,
+        queue: f64,
+        avg_cost: f64,
+        journal_p99_ms: f64,
+        counter: impl Fn(&str) -> u64,
+    ) -> Self {
+        HealthSample {
+            slot,
+            queue,
+            avg_cost,
+            masked_resources: counter(names::COUNTER_FAULT_MASKED_RESOURCES),
+            substitutions: counter(names::COUNTER_FAULT_STATE_SUBSTITUTIONS),
+            deadline_expirations: counter(names::COUNTER_DEADLINE_EXPIRATIONS),
+            escalations: ESCALATION_COUNTERS.iter().map(|name| counter(name)).sum(),
+            journal_p99_ms,
+        }
+    }
 }
 
 /// Per-rule outcome in a [`HealthSummary`].

@@ -23,7 +23,7 @@ pub struct Histogram {
     max: u64,
 }
 
-pub(crate) fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     if v < SUB_BUCKETS as u64 {
         v as usize
     } else {
@@ -62,14 +62,6 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reassembles a histogram from raw parts (used by the sharded
-    /// atomic histogram's merge-on-read snapshot). `buckets[i]` must be
-    /// the count for [`bucket_index`] `i`; `count`/`sum`/`min`/`max`
-    /// must describe the same observations.
-    pub(crate) fn from_parts(buckets: Vec<u64>, count: u64, sum: u128, min: u64, max: u64) -> Self {
-        Histogram { buckets, count, sum, min, max }
     }
 
     /// Raw per-index bucket counts (index is [`bucket_index`]).

@@ -7,10 +7,13 @@
 //! * [`NoopRecorder`]: recording disabled; every hook is a no-op and
 //!   [`SpanGuard`]s skip the clock reads entirely, so instrumented code
 //!   costs nothing when tracing is off.
-//! * [`LiveRegistry`]: lock-free live aggregation — per-span log-linear
-//!   [`Histogram`]s with quantile readout, counters and gauges, exported
-//!   as Prometheus text or JSONL snapshots; [`TelemetrySession`] wraps it
-//!   with health rules and a postmortem [`FlightRecorder`].
+//! * [`LiveRegistry`]: live aggregation — atomic counters and gauges and
+//!   one log-linear [`Histogram`] per span name with quantile readout,
+//!   exported as Prometheus text or JSONL snapshots. [`TelemetrySession`]
+//!   wraps it with health rules and a postmortem [`FlightRecorder`]; the
+//!   registry is a run's only live store of counters and span histograms,
+//!   and every health reader builds its [`HealthSample`] from counter
+//!   totals with [`HealthSample::from_counters`].
 //! * [`JsonlRecorder`]: a structured JSONL sink writing one
 //!   [`TraceRecord`] per line (`slot`, `span`, `counter`,
 //!   `queue_update`, `bdma_iteration` events with sequence numbers and
@@ -34,13 +37,13 @@ mod session;
 pub mod trace;
 
 pub use event::{TraceEvent, TraceRecord};
-pub use flight::{install_panic_hook, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{install_panic_hook, FlightRecorder, FLIGHT_CAPACITY};
 pub use health::{
     HealthEvent, HealthMonitor, HealthRule, HealthSample, HealthStatus, HealthSummary,
 };
 pub use histogram::Histogram;
 pub use jsonl::JsonlRecorder;
-pub use live::{prometheus_name, LiveRegistry, RegistrySnapshot, ShardedHistogram, SpanStats};
+pub use live::{prometheus_name, LiveRegistry, RegistrySnapshot, SpanStats};
 pub use recorder::{NoopRecorder, Recorder, SpanGuard, TeeRecorder};
 pub use session::{TelemetryConfig, TelemetrySession};
 pub use trace::TraceAnalysis;

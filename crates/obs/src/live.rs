@@ -1,13 +1,13 @@
-//! Lock-free live metric registry: atomic counters, gauges, and
-//! sharded log-linear histograms with Prometheus-style exposition.
+//! Live metric registry: atomic counters and gauges, one log-linear
+//! histogram per span name, with Prometheus-style exposition.
 //!
 //! [`LiveRegistry`] pre-allocates one slot per entry of
-//! [`crate::names::ALL`], so a hot-path update is a `HashMap` probe on
-//! an interned `&'static str` plus one relaxed atomic RMW — no locks,
-//! no allocation, sub-microsecond. Histograms are sharded
-//! ([`ShardedHistogram`]) so concurrent writers (a future worker pool)
-//! do not contend on one cache line; reads merge the shards into an
-//! ordinary [`Histogram`] on demand.
+//! [`crate::names::ALL`], so a counter or gauge update is a `HashMap`
+//! probe on an interned `&'static str` plus one relaxed atomic op — no
+//! allocation, sub-microsecond. A span records into its name's
+//! [`Histogram`] behind a lock that stays uncontended because one thread
+//! steps a run and makes every update; the registry is still `Sync`, and
+//! writers on other threads are only serialized.
 //!
 //! Names outside the static registry still record (into mutex-guarded
 //! overflow maps) so experimental counters are never silently dropped —
@@ -16,121 +16,15 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
 use crate::event::TraceEvent;
-use crate::histogram::{bucket_index, bucket_upper_bound, Histogram};
+use crate::histogram::{bucket_upper_bound, Histogram};
 use crate::names::{self, MetricKind};
 use crate::recorder::Recorder;
-
-/// Number of independent shards per histogram. Eight covers the worker
-/// counts we run while keeping merge-on-read cheap.
-const SHARDS: usize = 8;
-
-/// `bucket_index(u64::MAX) + 1`: every possible observation lands in
-/// one of this many fixed buckets.
-const BUCKETS: usize = 976;
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static SHARD: usize = NEXT_SHARD.fetch_add(1, Relaxed) % SHARDS;
-}
-
-fn shard_index() -> usize {
-    SHARD.with(|s| *s)
-}
-
-struct HistShard {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistShard {
-    fn new() -> Self {
-        HistShard {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A log-linear histogram whose buckets are relaxed atomics, split into
-/// `SHARDS` shards indexed by a per-thread id.
-///
-/// Writers never contend with readers; [`ShardedHistogram::snapshot`]
-/// merges the shards into a plain [`Histogram`] with identical bucket
-/// semantics, so quantiles match single-threaded recording exactly
-/// (verified by proptest below).
-pub struct ShardedHistogram {
-    shards: Vec<HistShard>,
-}
-
-impl Default for ShardedHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ShardedHistogram {
-    /// An empty sharded histogram.
-    pub fn new() -> Self {
-        ShardedHistogram { shards: (0..SHARDS).map(|_| HistShard::new()).collect() }
-    }
-
-    /// Records one observation into the calling thread's shard.
-    pub fn record(&self, value: u64) {
-        let shard = &self.shards[shard_index() % self.shards.len()];
-        shard.buckets[bucket_index(value)].fetch_add(1, Relaxed);
-        shard.count.fetch_add(1, Relaxed);
-        shard.sum.fetch_add(value, Relaxed);
-        shard.min.fetch_min(value, Relaxed);
-        shard.max.fetch_max(value, Relaxed);
-    }
-
-    /// Total observations across all shards.
-    pub fn count(&self) -> u64 {
-        self.shards.iter().map(|s| s.count.load(Relaxed)).sum()
-    }
-
-    /// Merges all shards into a plain [`Histogram`] snapshot.
-    pub fn snapshot(&self) -> Histogram {
-        let mut buckets = vec![0u64; BUCKETS];
-        let mut count = 0u64;
-        let mut sum = 0u128;
-        let mut min = u64::MAX;
-        let mut max = 0u64;
-        for shard in &self.shards {
-            let shard_count = shard.count.load(Relaxed);
-            if shard_count == 0 {
-                continue;
-            }
-            count += shard_count;
-            sum += u128::from(shard.sum.load(Relaxed));
-            min = min.min(shard.min.load(Relaxed));
-            max = max.max(shard.max.load(Relaxed));
-            for (dst, src) in buckets.iter_mut().zip(&shard.buckets) {
-                *dst += src.load(Relaxed);
-            }
-        }
-        if count == 0 {
-            return Histogram::new();
-        }
-        while buckets.last() == Some(&0) {
-            buckets.pop();
-        }
-        Histogram::from_parts(buckets, count, sum, min, max)
-    }
-}
 
 /// Summary statistics of one span histogram inside a snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -211,14 +105,14 @@ pub fn prometheus_name(name: &str) -> String {
 /// The always-on live telemetry registry.
 ///
 /// Implements [`Recorder`], so it drops into any pipeline slot that
-/// takes `&dyn Recorder`: spans feed sharded histograms, counter
+/// takes `&dyn Recorder`: spans feed per-name histograms, counter
 /// increments feed atomic counters, gauges feed atomic f64 cells.
 /// Structured [`TraceEvent`]s are ignored here — the session layer
 /// (`TelemetrySession`) derives gauges and health from them.
 pub struct LiveRegistry {
     counters: Vec<AtomicU64>,
     gauges: Vec<AtomicU64>,
-    histograms: Vec<ShardedHistogram>,
+    histograms: Vec<Mutex<Histogram>>,
     counter_index: HashMap<&'static str, usize>,
     gauge_index: HashMap<&'static str, usize>,
     histogram_index: HashMap<&'static str, usize>,
@@ -262,7 +156,7 @@ impl LiveRegistry {
         LiveRegistry {
             counters: (0..counter_index.len()).map(|_| AtomicU64::new(0)).collect(),
             gauges: (0..gauge_index.len()).map(|_| AtomicU64::new(f64::NAN.to_bits())).collect(),
-            histograms: (0..histogram_index.len()).map(|_| ShardedHistogram::new()).collect(),
+            histograms: (0..histogram_index.len()).map(|_| Mutex::default()).collect(),
             counter_index,
             gauge_index,
             histogram_index,
@@ -289,10 +183,10 @@ impl LiveRegistry {
         lock_or_recover(&self.overflow_gauges).get(name).copied()
     }
 
-    /// Merged snapshot of a span histogram (empty if never recorded).
+    /// A copy of a span histogram (empty if never recorded).
     pub fn span_histogram(&self, name: &str) -> Histogram {
         if let Some(&idx) = self.histogram_index.get(name) {
-            return self.histograms[idx].snapshot();
+            return lock_or_recover(&self.histograms[idx]).clone();
         }
         lock_or_recover(&self.overflow_spans).get(name).cloned().unwrap_or_default()
     }
@@ -412,7 +306,7 @@ impl Recorder for LiveRegistry {
 
     fn span_ns(&self, name: &str, nanos: u64) {
         if let Some(&idx) = self.histogram_index.get(name) {
-            self.histograms[idx].record(nanos);
+            lock_or_recover(&self.histograms[idx]).record(nanos);
             return;
         }
         lock_or_recover(&self.overflow_spans).entry(name.to_owned()).or_default().record(nanos);
@@ -524,18 +418,18 @@ mod tests {
     }
 
     #[test]
-    fn sharded_histogram_matches_plain_single_threaded() {
-        let sharded = ShardedHistogram::new();
+    fn registered_span_matches_plain_histogram() {
+        let reg = LiveRegistry::new();
         let mut plain = Histogram::new();
         for v in [0u64, 1, 15, 16, 1_000, 123_456_789] {
-            sharded.record(v);
+            reg.span_ns(names::SPAN_P2A, v);
             plain.record(v);
         }
-        assert_eq!(sharded.snapshot(), plain);
+        assert_eq!(reg.span_histogram(names::SPAN_P2A), plain);
     }
 
     proptest! {
-        /// Concurrent recording across threads merges to exactly the
+        /// Spans recorded from several threads land in exactly the
         /// histogram single-threaded recording would produce.
         #[test]
         fn concurrent_merge_equals_single_threaded(
@@ -544,7 +438,7 @@ mod tests {
                 2..6,
             ),
         ) {
-            let sharded = std::sync::Arc::new(ShardedHistogram::new());
+            let reg = std::sync::Arc::new(LiveRegistry::new());
             let mut plain = Histogram::new();
             for chunk in &chunks {
                 for &v in chunk {
@@ -554,10 +448,10 @@ mod tests {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|chunk| {
-                    let sharded = std::sync::Arc::clone(&sharded);
+                    let reg = std::sync::Arc::clone(&reg);
                     std::thread::spawn(move || {
                         for v in chunk {
-                            sharded.record(v);
+                            reg.span_ns(names::SPAN_SLOT_SOLVE, v);
                         }
                     })
                 })
@@ -565,7 +459,7 @@ mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            let merged = sharded.snapshot();
+            let merged = reg.span_histogram(names::SPAN_SLOT_SOLVE);
             prop_assert_eq!(&merged, &plain);
             for q in [0.0, 0.5, 0.95, 1.0] {
                 prop_assert_eq!(merged.quantile(q), plain.quantile(q));

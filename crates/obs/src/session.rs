@@ -14,8 +14,11 @@
 //! 3. every `metrics_every` slots rewrites/appends the `--metrics-out`
 //!    file (Prometheus text for `.prom`, JSONL snapshots otherwise).
 //!
-//! Robust-ladder escalation counters (`robust.solve_errors`,
-//! `robust.lifeboat_decisions`, `robust.equal_share_fallbacks`) trigger
+//! The registry is the run's only live store of counters and span
+//! histograms: the flight ring keeps events, and each `Counter` event it
+//! holds is stamped with the registry's total at that moment.
+//!
+//! Robust-ladder escalation counters ([`ESCALATION_COUNTERS`]) trigger
 //! a flight-recorder postmortem dump into `postmortem_dir`, and a panic
 //! hook dumps the ring to `flight-panic.jsonl` there as a last resort.
 //! I/O errors are latched and surfaced by [`TelemetrySession::finish`].
@@ -29,19 +32,11 @@ use std::path::PathBuf;
 use serde::{Serialize, Value};
 
 use crate::event::TraceEvent;
-use crate::flight::{install_panic_hook, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-use crate::health::{HealthMonitor, HealthSample, HealthSummary};
+use crate::flight::{install_panic_hook, FlightRecorder};
+use crate::health::{HealthMonitor, HealthSample, HealthSummary, ESCALATION_COUNTERS};
 use crate::live::{LiveRegistry, RegistrySnapshot};
 use crate::names;
 use crate::recorder::Recorder;
-
-/// Counters whose increment marks a robust-ladder escalation and
-/// triggers a postmortem dump.
-const POSTMORTEM_TRIGGERS: &[&str] = &[
-    names::COUNTER_ROBUST_SOLVE_ERRORS,
-    names::COUNTER_ROBUST_LIFEBOAT_DECISIONS,
-    names::COUNTER_ROBUST_EQUAL_SHARE_FALLBACKS,
-];
 
 /// Cap on per-run postmortem bundles, so a long corrupt burst cannot
 /// fill the disk with near-identical dumps.
@@ -65,8 +60,6 @@ pub struct TelemetryConfig {
     /// Where postmortem flight dumps land (`None` disables dumping;
     /// health and counters still work).
     pub postmortem_dir: Option<PathBuf>,
-    /// Flight-recorder ring capacity (0 = default).
-    pub flight_capacity: usize,
 }
 
 struct SessionInner {
@@ -109,12 +102,7 @@ impl TelemetrySession {
             },
             _ => None,
         };
-        let capacity = if config.flight_capacity == 0 {
-            DEFAULT_FLIGHT_CAPACITY
-        } else {
-            config.flight_capacity
-        };
-        let flight = FlightRecorder::new(capacity);
+        let flight = FlightRecorder::default();
         if let Some(dir) = config.postmortem_dir.as_deref() {
             if let Err(e) = std::fs::create_dir_all(dir) {
                 io_error.get_or_insert(e);
@@ -160,11 +148,6 @@ impl TelemetrySession {
     /// The live registry backing this session.
     pub fn registry(&self) -> &LiveRegistry {
         &self.registry
-    }
-
-    /// The flight-recorder ring backing this session.
-    pub fn flight(&self) -> &FlightRecorder {
-        &self.flight
     }
 
     /// Current health roll-up (callable mid-run).
@@ -274,9 +257,6 @@ impl TelemetrySession {
             let h = self.registry.span_histogram(names::SPAN_JOURNAL_APPEND);
             h.quantile(0.99).unwrap_or(0.0) / 1e6
         };
-        let escalations = self.registry.counter(names::COUNTER_ROBUST_SOLVE_ERRORS)
-            + self.registry.counter(names::COUNTER_ROBUST_LIFEBOAT_DECISIONS)
-            + self.registry.counter(names::COUNTER_ROBUST_EQUAL_SHARE_FALLBACKS);
         let (events, overall, due) = {
             let mut inner = self.inner.borrow_mut();
             inner.slots = slot + 1;
@@ -291,16 +271,10 @@ impl TelemetrySession {
             if self.config.budget > 0.0 {
                 self.registry.gauge(names::GAUGE_BUDGET_RESIDUAL, self.config.budget - avg_cost);
             }
-            let sample = HealthSample {
-                slot,
-                queue,
-                avg_cost,
-                masked_resources: self.registry.counter(names::COUNTER_FAULT_MASKED_RESOURCES),
-                substitutions: self.registry.counter(names::COUNTER_FAULT_STATE_SUBSTITUTIONS),
-                deadline_expirations: self.registry.counter(names::COUNTER_DEADLINE_EXPIRATIONS),
-                escalations,
-                journal_p99_ms,
-            };
+            let sample =
+                HealthSample::from_counters(slot, queue, avg_cost, journal_p99_ms, |name| {
+                    self.registry.counter(name)
+                });
             let events = inner.monitor.observe(sample);
             if let Some(trend) = inner.monitor.last_value("queue_trend") {
                 self.registry.gauge(names::GAUGE_QUEUE_TREND, trend);
@@ -316,7 +290,7 @@ impl TelemetrySession {
                 crate::health::HealthStatus::Critical => names::COUNTER_HEALTH_TO_CRITICAL,
             };
             self.registry.add(counter, 1);
-            self.flight.record(&TraceEvent::Health {
+            self.flight.record(TraceEvent::Health {
                 slot: event.slot,
                 rule: event.rule.to_owned(),
                 from: event.from.as_str().to_owned(),
@@ -338,13 +312,14 @@ impl Recorder for TelemetrySession {
 
     fn span_ns(&self, name: &str, nanos: u64) {
         self.registry.span_ns(name, nanos);
-        self.flight.span_ns(name, nanos);
+        self.flight.record(TraceEvent::Span { name: name.to_owned(), nanos });
     }
 
     fn add(&self, name: &str, delta: u64) {
         self.registry.add(name, delta);
-        self.flight.add(name, delta);
-        if POSTMORTEM_TRIGGERS.contains(&name) {
+        let value = self.registry.counter(name);
+        self.flight.record(TraceEvent::Counter { name: name.to_owned(), value });
+        if ESCALATION_COUNTERS.contains(&name) {
             self.maybe_postmortem();
         }
     }
@@ -354,7 +329,7 @@ impl Recorder for TelemetrySession {
     }
 
     fn record(&self, event: &TraceEvent) {
-        self.flight.record(event);
+        self.flight.record(event.clone());
         if let TraceEvent::Slot { slot, latency, cost, queue, .. } = *event {
             self.observe_slot(slot, latency, cost, queue);
         }
@@ -385,6 +360,54 @@ mod tests {
         assert_eq!(reg.gauge_value(names::GAUGE_BUDGET_RESIDUAL), Some(0.5));
         assert_eq!(reg.gauge_value(names::GAUGE_HEALTH_LEVEL), Some(0.0));
         assert_eq!(reg.counter(names::COUNTER_SLOTS), 10);
+    }
+
+    /// Counter events in the flight ring carry running totals.
+    #[test]
+    fn counters_record_running_totals() {
+        let session = TelemetrySession::in_memory(100.0, 1.0);
+        session.add(names::COUNTER_SLOTS, 1);
+        session.add(names::COUNTER_SLOTS, 1);
+        let mut buf = Vec::new();
+        session.flight.dump_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains(r#""value":1"#));
+        assert!(text.contains(r#""value":2"#));
+    }
+
+    /// Every counter a postmortem lists shows the registry's total at
+    /// dump time, as its last entry for that name.
+    #[test]
+    fn postmortem_counters_equal_registry_totals() {
+        let dir = std::env::temp_dir().join(format!("eotora-session-pm-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = TelemetrySession::new(TelemetryConfig {
+            v: 100.0,
+            budget: 1.0,
+            postmortem_dir: Some(dir.clone()),
+            ..TelemetryConfig::default()
+        });
+        for t in 0..3 {
+            session.add(names::COUNTER_BDMA_ROUNDS, t + 2);
+            session.add(names::COUNTER_FAULT_MASKED_RESOURCES, 1);
+            session.add(names::COUNTER_SLOTS, 1);
+            session.record(&slot_event(t, 0.5, 1.0));
+        }
+        session.add(names::COUNTER_ROBUST_SOLVE_ERRORS, 1);
+        let text = std::fs::read_to_string(dir.join("flight-slot3.jsonl")).unwrap();
+        let mut last = std::collections::BTreeMap::new();
+        for line in text.lines() {
+            let record: crate::TraceRecord = serde_json::from_str(line).unwrap();
+            if let TraceEvent::Counter { name, value } = record.event {
+                last.insert(name, value);
+            }
+        }
+        assert_eq!(last.len(), 4);
+        for (name, value) in &last {
+            assert_eq!(*value, session.registry().counter(name), "{name}");
+        }
+        assert_eq!(last[names::COUNTER_BDMA_ROUNDS], 2 + 3 + 4);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -127,49 +127,18 @@ pub fn serve(
         ),
     )?;
 
-    let mut server_counters: BTreeMap<String, u64> = BTreeMap::new();
     let mut synced = QueueStats::default();
     let mut emitted = 0u64;
     let mut watchdog_streak = 0u64;
     let mut interrupted = false;
 
     loop {
-        // Fold the reader thread's admission/shed totals into `server.*`.
-        let stats = queue.stats();
-        bump(
-            &mut server_counters,
-            &telemetry,
-            eotora_obs::COUNTER_SERVER_ADMITTED,
-            stats.admitted - synced.admitted,
-        );
-        bump(
-            &mut server_counters,
-            &telemetry,
-            eotora_obs::COUNTER_SERVER_SHED_OLDEST,
-            stats.shed_oldest - synced.shed_oldest,
-        );
-        bump(
-            &mut server_counters,
-            &telemetry,
-            eotora_obs::COUNTER_SERVER_SHED_NEWEST,
-            stats.shed_newest - synced.shed_newest,
-        );
-        synced = stats;
-
+        sync_queue_stats(&queue, &mut synced, &telemetry);
         if flags.shutdown_requested() {
             break;
         }
         if flags.take_reload() {
-            reload(
-                None,
-                config_path,
-                &mut config,
-                &mut driver,
-                &queue,
-                &mut server_counters,
-                &telemetry,
-                events,
-            )?;
+            reload(None, config_path, &mut config, &mut driver, &queue, &telemetry, events)?;
         }
         let Some(item) = queue.pop_timeout(POLL) else {
             if queue.is_done() {
@@ -179,7 +148,7 @@ pub fn serve(
         };
         match item {
             Admission::Malformed(error) => {
-                bump(&mut server_counters, &telemetry, eotora_obs::COUNTER_SERVER_MALFORMED, 1);
+                bump(&telemetry, eotora_obs::COUNTER_SERVER_MALFORMED, 1);
                 emit(events, &encode_error(&error))?;
             }
             Admission::Control(ControlFrame::Shutdown) => break,
@@ -194,23 +163,14 @@ pub fn serve(
                 )?;
             }
             Admission::Control(ControlFrame::Reload { path }) => {
-                reload(
-                    path,
-                    config_path,
-                    &mut config,
-                    &mut driver,
-                    &queue,
-                    &mut server_counters,
-                    &telemetry,
-                    events,
-                )?;
+                reload(path, config_path, &mut config, &mut driver, &queue, &telemetry, events)?;
             }
             Admission::State(state) => {
                 let cursor = driver.cursor();
                 if state.slot < cursor {
                     // A restarted client resent its full stream; the
                     // journal already holds these slots.
-                    bump(&mut server_counters, &telemetry, eotora_obs::COUNTER_SERVER_COALESCED, 1);
+                    bump(&telemetry, eotora_obs::COUNTER_SERVER_COALESCED, 1);
                     continue;
                 }
                 if state.slot > cursor {
@@ -226,7 +186,7 @@ pub fn serve(
                     .and_then(|()| decisions.flush())
                     .map_err(|e| ServerError::Io(format!("decision stream: {e}")))?;
                 emitted += 1;
-                bump(&mut server_counters, &telemetry, eotora_obs::COUNTER_SERVER_DECISIONS, 1);
+                bump(&telemetry, eotora_obs::COUNTER_SERVER_DECISIONS, 1);
 
                 if config.watchdog_expirations > 0 {
                     let expirations_after =
@@ -238,12 +198,7 @@ pub fn serve(
                     }
                     if watchdog_streak >= config.watchdog_expirations {
                         telemetry.force_postmortem();
-                        bump(
-                            &mut server_counters,
-                            &telemetry,
-                            eotora_obs::COUNTER_SERVER_WATCHDOG_TRIPS,
-                            1,
-                        );
+                        bump(&telemetry, eotora_obs::COUNTER_SERVER_WATCHDOG_TRIPS, 1);
                         emit(
                             events,
                             &encode_event(
@@ -277,10 +232,10 @@ pub fn serve(
         while let Some(item) = queue.pop_timeout(Duration::ZERO) {
             match item {
                 Admission::State(_) => {
-                    bump(&mut server_counters, &telemetry, eotora_obs::COUNTER_SERVER_REJECTED, 1);
+                    bump(&telemetry, eotora_obs::COUNTER_SERVER_REJECTED, 1);
                 }
                 Admission::Malformed(error) => {
-                    bump(&mut server_counters, &telemetry, eotora_obs::COUNTER_SERVER_MALFORMED, 1);
+                    bump(&telemetry, eotora_obs::COUNTER_SERVER_MALFORMED, 1);
                     emit(events, &encode_error(&error))?;
                 }
                 Admission::Control(_) => {}
@@ -289,31 +244,17 @@ pub fn serve(
         driver.checkpoint_now()?;
     }
 
-    let stats = queue.stats();
-    bump(
-        &mut server_counters,
-        &telemetry,
-        eotora_obs::COUNTER_SERVER_ADMITTED,
-        stats.admitted - synced.admitted,
-    );
-    bump(
-        &mut server_counters,
-        &telemetry,
-        eotora_obs::COUNTER_SERVER_SHED_OLDEST,
-        stats.shed_oldest - synced.shed_oldest,
-    );
-    bump(
-        &mut server_counters,
-        &telemetry,
-        eotora_obs::COUNTER_SERVER_SHED_NEWEST,
-        stats.shed_newest - synced.shed_newest,
-    );
+    sync_queue_stats(&queue, &mut synced, &telemetry);
 
     let slots_completed = driver.cursor();
     let mut counters = driver.counters();
     drop(driver);
-    for (name, value) in &server_counters {
-        *counters.entry(name.clone()).or_insert(0) += value;
+    // `server.*` lives only in the telemetry registry; a zero total was
+    // never bumped and stays out of the summary.
+    for (name, value) in telemetry.registry().snapshot(slots_completed).counters {
+        if name.starts_with("server.") && value > 0 {
+            *counters.entry(name).or_insert(0) += value;
+        }
     }
     emit(
         events,
@@ -323,7 +264,7 @@ pub fn serve(
                 ("slots", Value::U64(slots_completed)),
                 ("decisions", Value::U64(emitted)),
                 ("interrupted", Value::Bool(interrupted)),
-                ("max_queue_depth", Value::U64(stats.max_depth as u64)),
+                ("max_queue_depth", Value::U64(synced.max_depth as u64)),
             ],
         ),
     )?;
@@ -339,20 +280,24 @@ fn emit(events: &mut dyn Write, line: &str) -> Result<(), ServerError> {
         .map_err(|e| ServerError::Io(format!("event stream: {e}")))
 }
 
-/// Bumps one `server.*` counter, mirroring it into the telemetry
-/// registry (NOT into the driver's metrics — those feed the durable
-/// snapshot, whose counter totals must stay identical to a batch run's).
-fn bump(
-    counters: &mut BTreeMap<String, u64>,
-    telemetry: &TelemetrySession,
-    name: &str,
-    delta: u64,
-) {
-    if delta == 0 {
-        return;
+/// Bumps one `server.*` counter in the telemetry registry (NOT in the
+/// driver's metrics — those feed the durable snapshot, whose counter
+/// totals must stay identical to a batch run's). A zero delta records
+/// nothing.
+fn bump(telemetry: &TelemetrySession, name: &str, delta: u64) {
+    if delta > 0 {
+        telemetry.add(name, delta);
     }
-    *counters.entry(name.to_owned()).or_insert(0) += delta;
-    telemetry.add(name, delta);
+}
+
+/// Folds the reader thread's admission/shed totals since `synced` into
+/// `server.*`, then advances `synced` to the queue's current stats.
+fn sync_queue_stats(queue: &AdmissionQueue, synced: &mut QueueStats, telemetry: &TelemetrySession) {
+    let stats = queue.stats();
+    bump(telemetry, eotora_obs::COUNTER_SERVER_ADMITTED, stats.admitted - synced.admitted);
+    bump(telemetry, eotora_obs::COUNTER_SERVER_SHED_OLDEST, stats.shed_oldest - synced.shed_oldest);
+    bump(telemetry, eotora_obs::COUNTER_SERVER_SHED_NEWEST, stats.shed_newest - synced.shed_newest);
+    *synced = stats;
 }
 
 /// Attempts a hot reload. On success the hot-appliable fields (deadline,
@@ -360,14 +305,12 @@ fn bump(
 /// immediately; on any failure — unreadable file, parse error, invalid
 /// value, restart-only change — the old config stays live and the typed
 /// error goes to the error stream. Never fatal.
-#[allow(clippy::too_many_arguments)]
 fn reload(
     requested: Option<String>,
     startup_path: Option<&Path>,
     config: &mut ServerConfig,
     driver: &mut StepDriver<'_>,
     queue: &AdmissionQueue,
-    counters: &mut BTreeMap<String, u64>,
     telemetry: &TelemetrySession,
     events: &mut dyn Write,
 ) -> Result<(), ServerError> {
@@ -386,7 +329,7 @@ fn reload(
             driver.set_deadline(next.deadline);
             queue.reconfigure(next.admission.capacity, next.admission.policy);
             *config = next;
-            bump(counters, telemetry, eotora_obs::COUNTER_SERVER_RELOADS, 1);
+            bump(telemetry, eotora_obs::COUNTER_SERVER_RELOADS, 1);
             emit(
                 events,
                 &encode_event(
@@ -407,7 +350,7 @@ fn reload(
             )
         }
         Err(error) => {
-            bump(counters, telemetry, eotora_obs::COUNTER_SERVER_RELOADS_REJECTED, 1);
+            bump(telemetry, eotora_obs::COUNTER_SERVER_RELOADS_REJECTED, 1);
             let record = Value::Object(vec![
                 ("error".to_owned(), Value::Str(error.to_string())),
                 ("kind".to_owned(), Value::Str("config".to_owned())),

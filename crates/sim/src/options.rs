@@ -280,7 +280,6 @@ impl EngineOptions {
                 metrics_out,
                 metrics_every: metrics_every.unwrap_or(0),
                 postmortem_dir,
-                flight_capacity: 0,
             },
             resume: has(Resume),
             trace,
