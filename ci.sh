@@ -38,8 +38,9 @@ fi
 echo "OK: figures --quick ${FIG_FLAGS[*]} ran in ${fig_elapsed} s"
 
 echo "==> slot_solve bench smoke (quick mode)"
-# The guards below read only this run's file: a bench binary that writes
-# its JSON elsewhere (the path is fixed at compile time) fails them.
+# The guards below read only this run's file. The bench writes it under
+# the CARGO_MANIFEST_DIR cargo passes at run time, so it lands in this
+# checkout's target/ even when the binary was built elsewhere.
 rm -f target/BENCH_slot_solve.quick.json
 EOTORA_QUICK=1 cargo bench -p eotora-bench --bench slot_solve
 

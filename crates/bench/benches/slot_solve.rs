@@ -609,13 +609,19 @@ fn main() {
         shard_entries.join(",\n")
     );
 
-    // Bench CWD is the package dir; the full-scale run records its numbers
-    // at the repo root where ISSUE/EXPERIMENTS expect them.
+    // The full-scale run records its numbers at the repo root where
+    // EXPERIMENTS.md expects them. The root is resolved at run time from
+    // the package dir cargo passes to the bench process, not from the
+    // one baked in at compile time, so a binary built in one checkout
+    // writes into the checkout whose ci.sh reads the file.
+    let package = std::env::var_os("CARGO_MANIFEST_DIR")
+        .expect("cargo bench sets CARGO_MANIFEST_DIR for the bench process");
+    let root = std::path::Path::new(&package).join("../..");
     let out = if quick {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/BENCH_slot_solve.quick.json")
+        root.join("target/BENCH_slot_solve.quick.json")
     } else {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_slot_solve.json")
+        root.join("BENCH_slot_solve.json")
     };
-    std::fs::write(out, json).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
-    eprintln!("wrote {out}");
+    std::fs::write(&out, json).unwrap_or_else(|e| panic!("cannot write {}: {e}", out.display()));
+    eprintln!("wrote {}", out.display());
 }

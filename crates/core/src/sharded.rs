@@ -48,12 +48,13 @@
 //! ([`CgbaScratch::set_threads`]; decisions never depend on it). The width
 //! takes no knob of its own: it is the process worker count
 //! ([`pool::default_workers`], the CLI's `--jobs`) divided by the plan's
-//! shard count, at most `MAX_KERNEL_THREADS` (2), and 1 when the solve runs
-//! inside a [`WorkerPool`] job (`run_many`, the sweeps, the ablations —
-//! their sibling jobs hold the cores). The kernel itself keeps a shard
-//! under its entry-count cutoff serial. So the paper's 100-device solve
-//! uses both workers of a 2-core host, while a 4-shard plan on 2 workers
-//! and every nested solve stay serial.
+//! shard count, at most `MAX_KERNEL_THREADS` (2). The kernel keeps a shard
+//! under its entry-count cutoff serial, and takes its helper threads from
+//! the pool's process-lifetime crew ([`pool::with_helpers`]). A solve inside
+//! a [`WorkerPool`] job (`run_many`, the sweeps, the ablations) claims only
+//! helpers that are idle, so it finds none while its sibling jobs hold the
+//! cores. So the paper's 100-device solve uses both workers of a 2-core
+//! host, while a 4-shard plan on 2 workers stays serial.
 //!
 //! # Seed, filter and deadline
 //!
@@ -245,13 +246,7 @@ impl CgbaSolver {
         let structure = game.structure();
         let weights = game.weights();
         let shards = &self.shards;
-        // Judged on the calling thread: the shard jobs below may run on
-        // pool workers themselves.
-        let width = if WorkerPool::in_worker() {
-            1
-        } else {
-            (pool::default_workers() / plan.num_shards()).clamp(1, MAX_KERNEL_THREADS)
-        };
+        let width = (pool::default_workers() / plan.num_shards()).clamp(1, MAX_KERNEL_THREADS);
         let runs: Vec<ShardRun> = WorkerPool::with_default().map_indexed(plan.num_shards(), |s| {
             let state = &mut *shards[s].lock().expect("shard state poisoned");
             let ShardState { local, scratch, warm_scratch } = state;

@@ -45,20 +45,24 @@
 //!
 //! The [`CgbaReport`], [`CgbaScratch::moves`] and the probe count are
 //! therefore bit-identical at every width (property-tested in
-//! `tests/width.rs`). Helpers are scoped threads spawned per solve. The
-//! hand-off is a phase epoch and a done count, waited on by spinning, then
-//! yielding: a slot has hundreds of phases of tens of microseconds each,
-//! too short to park a thread on. There are several ranges per thread,
-//! each claimed per phase by whichever thread gets to it first: every
-//! thread starts on its own block and then takes any range still
-//! unclaimed, so a helper that is descheduled, still starting or slower
-//! this phase never stalls it — nor does a helper the host refused to
-//! start. A drop guard on each side, armed before the first spawn, turns
-//! a panic on either into a panic of the solve instead of a hang. A game
+//! `tests/width.rs`). Helpers come from the process-lifetime crew of
+//! [`eotora_util::pool`]: a solve claims up to `width − 1` of them for its
+//! move loop ([`pool::with_helpers`]), and no OS thread is started per
+//! solve once the crew has grown to the width in use. Inside a
+//! `WorkerPool` job a solve claims only idle helpers, so it runs serially
+//! while its sibling jobs hold the cores. The hand-off is a phase epoch
+//! and a done count, waited on by spinning, then yielding: a slot has
+//! hundreds of phases of tens of microseconds each, too short to park a
+//! thread on. There are several ranges per thread, each claimed per phase
+//! by whichever thread gets to it first: every thread starts on its own
+//! block and then takes any range still unclaimed, so a helper that is
+//! descheduled, still waking or slower this phase never stalls it — nor
+//! does a helper the crew could not supply. A drop guard on each side
+//! turns a panic on either into a panic of the solve instead of a hang,
+//! and the crew waits for every helper before the solve returns. A game
 //! under `MIN_SPLIT_ENTRIES` entries runs serially whatever width was
 //! allowed. The warm-start bookkeeping, RoundRobin and
-//! [`cgba_from_reference`] stay serial, and callers give nested solves
-//! (inside a `WorkerPool` job) width 1.
+//! [`cgba_from_reference`] stay serial.
 //!
 //! [`cgba_from_reference`] keeps the pre-refactor rescan loop verbatim as
 //! the equivalence oracle and benchmark baseline.
@@ -68,42 +72,42 @@ use std::sync::{Mutex, RwLock};
 
 use serde::{Deserialize, Serialize};
 
+use eotora_util::pool::{self, SPIN_LIMIT};
 use eotora_util::rng::Pcg32;
 
 use crate::{validate_parts, GameRef, GameStructure, Profile, StrategyFilter};
 
 /// Entry count (`Σ_i |Z_i|` over all players) below which a MaxGain solve
-/// runs serially whatever [`CgbaScratch::set_threads`] allows: per-iteration
-/// scan work that small is on the order of the phase hand-off, and the
-/// per-solve thread spawn and join add sporadic millisecond stalls.
+/// runs serially whatever [`CgbaScratch::set_threads`] allows: a phase's
+/// scan work that small is on the order of the phase hand-off, so a second
+/// thread costs more than it saves.
 ///
-/// Measured on a 2-vCPU VM, cold CGBA(0) solves of the paper's P2-A game
-/// (48 entries per device) alternating with the serial kernel in one
-/// process, the cutoff forced to 0: width 2 took 1.18–2.22× the serial
-/// time in total at 960 entries, 1.15–1.45× at 1,440, 0.96–1.62× at
-/// 1,920, 0.88–1.23× at 2,400, 0.77–1.14× at 2,880, 0.74–0.93× at 3,840
-/// and 0.77–0.86× at 4,800. The excluded-load probe made each phase
-/// shorter while the hand-off cost stayed, which moved the break-even up
-/// from ~1,440 entries to ~2,400–2,880; the cutoff stays at 1,600, the
-/// size the width tests (`tests/width.rs`) build their games from, until
-/// those games grow with it. Every figure here, [`RANGES_PER_THREAD`] and
-/// [`SPIN_LIMIT`] were measured at width 2 only, so the production width
-/// rule (`eotora_core::sharded`) also caps the width at 2.
-const MIN_SPLIT_ENTRIES: usize = 1_600;
+/// Measured on a 2-vCPU VM with helpers from the pool's crew (no thread
+/// started per solve): cold CGBA(0) solves of the paper's P2-A game (48
+/// entries per device), width 2 against the serial kernel in 10–12
+/// alternating pairs per size in one process, the cutoff forced to 0.
+/// Over five sweeps the median split/serial time read 1.06–1.61× at 960
+/// entries, 0.86–1.40× at 1,440, 0.81–1.20× at 1,920, 0.92–1.13× at 2,400
+/// and 0.53–1.09× at 4,800; over seven, 0.79–1.16× at 2,880 and
+/// 0.63–1.05× at 3,840; over four, 0.66–1.14× at 3,360. Width 2 won the
+/// median in at most two of five sweeps up to 2,400 entries, three of
+/// seven at 2,880, two of four at 3,360, five of seven at 3,840 and four
+/// of five at 4,800, so the cutoff sits at 3,360. The host's shared second
+/// vCPU is what swings one size across sweeps. The same harness on
+/// helpers spawned per solve read 1.38–1.50× at 960 entries and
+/// 0.81–0.84× at 3,840: what makes small games lose is the hand-off in
+/// every phase, not the spawn (a spawned helper starts late and leaves
+/// the first phases to the caller). Every figure here,
+/// [`RANGES_PER_THREAD`] and [`SPIN_LIMIT`] were measured at width 2 only,
+/// so the production width rule (`eotora_core::sharded`) also caps the
+/// width at 2.
+const MIN_SPLIT_ENTRIES: usize = 3_360;
 
 /// Ranges per thread of a split solve. Each thread starts on its own block
 /// of ranges and then takes any range still unclaimed, so finer ranges let
 /// a thread that finished early — or a helper that started late — share
 /// the rest of the phase.
 const RANGES_PER_THREAD: usize = 4;
-
-/// Spin iterations a waiting thread burns before it starts yielding. On a
-/// 2-vCPU VM, perfbench `paper_plain` (seed 1, 10 s runs, six rotations)
-/// read a `decision_ms_p50` of 9.23–9.69 ms at `1 << 10`, 9.24–9.88 ms at
-/// `1 << 7` and 9.37–9.84 ms at `1 << 14`; before the excluded-load probe
-/// shortened each phase it read 14.8, 15.3–16.2 and 16.0–16.9 ms (long
-/// pause loops get a vCPU descheduled).
-const SPIN_LIMIT: u32 = 1 << 10;
 
 /// How CGBA picks which improvable player moves next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -362,21 +366,23 @@ impl CgbaScratch {
 
     /// Lets each iteration of every later MaxGain solve on this scratch
     /// split across up to `threads` threads: the calling thread plus
-    /// helpers spawned per solve, scanning contiguous player ranges. A solve
-    /// runs serially on a game under the split cutoff (1,600 entries), and the
-    /// width is clamped to the player count; 0 or 1 (the default) is the
-    /// serial scan. The report, [`CgbaScratch::moves`] and
-    /// [`CgbaScratch::probes`] never depend on it (see the module docs);
-    /// RoundRobin ignores it. [`CgbaScratch::last_threads`] reports the
-    /// width a solve actually used.
+    /// helpers claimed from the pool's crew for the solve, scanning
+    /// contiguous player ranges. A solve runs serially on a game under the
+    /// split cutoff (3,360 entries), and the width is clamped to the player
+    /// count; 0 or 1 (the default) is the serial scan. The report,
+    /// [`CgbaScratch::moves`] and [`CgbaScratch::probes`] never depend on
+    /// it (see the module docs); RoundRobin ignores it.
+    /// [`CgbaScratch::last_threads`] reports the width a solve actually
+    /// used.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
     }
 
     /// Threads the most recent solve on this scratch scanned on: 1 for a
     /// serial scan (RoundRobin, a game under the split cutoff, width 1)
-    /// and before any solve. Fewer than the split width when the host
-    /// refused a helper thread.
+    /// and before any solve. Fewer than the split width when the crew
+    /// could not supply a helper: the host refused a thread, or the solve
+    /// ran inside a pool batch and found no idle helper.
     pub fn last_threads(&self) -> usize {
         self.last_threads.max(1)
     }
@@ -860,7 +866,7 @@ impl<'a> Team<'a> {
 
 /// Releases the helpers when the caller leaves the move loop — also by
 /// unwinding, so a panicking `should_stop` or `naive-check` assert cannot
-/// leave them spinning in a scope that waits to join them.
+/// leave them spinning while the crew waits for them.
 struct ReleaseHelpers<'t, 'a>(&'t Team<'a>);
 
 impl Drop for ReleaseHelpers<'_, '_> {
@@ -1018,21 +1024,15 @@ fn cgba_max_gain<G: GameRef>(
         })
     } else {
         let team = Team::new(whole.split(ranges));
-        std::thread::scope(|scope| {
-            // Armed before the first spawn, so helpers already running are
-            // released however the caller leaves the scope.
+        // Helper `k` starts each phase on its own block of ranges. A helper
+        // the crew could not supply leaves its ranges to the threads
+        // running: each range is claimed by whoever reaches it.
+        let serve = |k: usize| team.serve(k * ranges / width, &state, game, lambda, filter);
+        pool::with_helpers(width - 1, &serve, |helpers| {
+            // Releases the helpers however the caller leaves the move loop,
+            // before `with_helpers` waits for them.
             let _release = ReleaseHelpers(&team);
-            for t in 1..width {
-                let (team, state, first) = (&team, &state, t * ranges / width);
-                // A refused thread's ranges go to the threads already
-                // running: each range is claimed by whoever reaches it.
-                if spawn_helper(scope, move || team.serve(first, state, game, lambda, filter))
-                    .is_err()
-                {
-                    break;
-                }
-                threads += 1;
-            }
+            threads += helpers;
             mover.run(should_stop, || team.phase(&state, game, lambda, filter))
         })
     };
@@ -1044,19 +1044,6 @@ fn cgba_max_gain<G: GameRef>(
     scratch.changed = changed;
     let total_cost = profile.total_cost(game);
     CgbaReport { profile, total_cost, initial_cost, iterations, converged }
-}
-
-/// Starts one helper of a split solve. An error means the host refused the
-/// thread (e.g. a process or pids limit).
-fn spawn_helper<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    work: impl FnOnce() + Send + 'scope,
-) -> std::io::Result<()> {
-    #[cfg(test)]
-    if tests::refuse_spawn() {
-        return Err(std::io::Error::other("helper thread refused"));
-    }
-    std::thread::Builder::new().spawn_scoped(scope, work).map(drop)
 }
 
 /// The calling thread's side of a MaxGain solve: the move loop. Only it
@@ -1372,27 +1359,8 @@ pub fn empirical_price_of_anarchy<G: GameRef>(
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
-
     use super::*;
     use crate::CongestionGame;
-
-    thread_local! {
-        /// Helper spawns the calling thread may still make before
-        /// [`spawn_helper`] reports the host refusing the thread.
-        static SPAWNS_LEFT: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-
-    /// Whether the next helper spawn on this thread is refused.
-    pub(super) fn refuse_spawn() -> bool {
-        SPAWNS_LEFT.with(|left| match left.get() {
-            0 => true,
-            n => {
-                left.set(n - 1);
-                false
-            }
-        })
-    }
 
     /// `players` players with `strategies` one- or two-resource strategies
     /// each over 12 resources.
@@ -1515,17 +1483,18 @@ mod tests {
         }
     }
 
-    /// A host that refuses a helper thread part-way through the spawns
-    /// must neither hang the solve nor change it: the helpers already
-    /// running and the caller share the refused helper's ranges.
+    /// A crew that supplies fewer helpers than the width asks for (a host
+    /// refusing a thread part-way through the claim) must neither hang the
+    /// solve nor change it: the helpers running and the caller share the
+    /// missing helper's ranges.
     #[test]
     fn a_refused_helper_leaves_its_ranges_to_the_running_threads() {
-        let game = game(50, 48, 4);
+        let game = game(70, 48, 4);
         let (serial, serial_scratch) = solve(&game, 1);
         for allowed in [0, 1] {
-            SPAWNS_LEFT.with(|left| left.set(allowed));
+            pool::refuse_helpers_after(allowed);
             let (split, scratch) = solve(&game, 3);
-            SPAWNS_LEFT.with(|left| left.set(usize::MAX));
+            pool::refuse_helpers_after(usize::MAX);
             assert_eq!(scratch.last_threads(), 1 + allowed);
             assert_eq!(split, serial);
             assert_eq!(scratch.moves(), serial_scratch.moves());

@@ -16,10 +16,10 @@ use eotora_game::{
 use eotora_util::rng::Pcg32;
 use proptest::prelude::*;
 
-/// Entries the test games have at least: the kernel's split cutoff (1,600).
+/// Entries the test games have at least: the kernel's split cutoff (3,360).
 /// A game under it would scan serially at any width, which `solve_at`
 /// asserts against.
-const SPLIT_ENTRIES: usize = 1_600;
+const SPLIT_ENTRIES: usize = 3_360;
 
 /// A random valid game with at least [`SPLIT_ENTRIES`] entries — the
 /// sizes the kernel actually splits. Each strategy uses one to three
