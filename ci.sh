@@ -5,6 +5,18 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "==> non-test lines per crate (printed, not gated)"
+# Each src/**/*.rs counted up to its first `#[cfg(test)]` line — the rule
+# the line-count gates in ROADMAP.md quote.
+total=0
+for crate in crates/*/; do
+  lines=$(find "${crate}src" -name '*.rs' | sort \
+    | xargs awk 'FNR == 1 { on = 1 } /#\[cfg\(test\)\]/ { on = 0 } on { n++ } END { print n + 0 }')
+  printf '%6d  %s\n' "$lines" "$(basename "$crate")"
+  total=$((total + lines))
+done
+printf '%6d  total\n' "$total"
+
 echo "==> cargo build --release"
 cargo build --release
 

@@ -26,13 +26,13 @@ use eotora_federation::{LinkFaultConfig, RebalancePolicy};
 use eotora_obs::{
     HealthMonitor, HealthSample, HealthSummary, Recorder, RegistrySnapshot, TelemetrySession,
 };
-use eotora_sim::durable::{read_manifest_in, resume_durable, run_durable, DurableRun};
+use eotora_sim::durable::read_manifest_in;
 use eotora_sim::report::{ascii_table, num, slot_csv};
-use eotora_sim::runner::{run_many, run_mode, SimulationResult};
+use eotora_sim::runner::{run_engine, run_many, SimulationResult};
 use eotora_sim::scenario::Scenario;
 use eotora_sim::{
-    DriverMode, EngineOption, EngineOptions, FederationConfig, FederationReport, FederationRun,
-    Surface, DURABILITY_OPTIONS, ENGINE_OPTIONS,
+    Checkpoint, DriverMode, EngineOption, EngineOptions, FederationConfig, FederationReport,
+    RunOutcome, Surface, DURABILITY_OPTIONS, ENGINE_OPTIONS,
 };
 
 fn main() -> ExitCode {
@@ -228,48 +228,49 @@ const RUN_FLAGS: &[&str] = &["--out", "--csv", "--svg", "--jobs", "--bdma-eps", 
 /// fixes the scenario: the output flags.
 const RESUME_FLAGS: &[&str] = &["--out", "--csv", "--svg"];
 
-/// Reports how a `run` ended: the resume hint when the kill hook
-/// interrupted the checkpointed run in `dir`, else the result table, the
-/// requested output files, and the health line.
-fn report_outcome(
-    args: &[String],
+/// Reports how a checkpointable run ended: the resume hint when the kill
+/// hook interrupted it in `dir`, which `eotora <command> --resume`
+/// resumes, else `report` of the completed result.
+fn report_outcome<R>(
+    outcome: RunOutcome<R>,
+    command: &str,
     dir: Option<&Path>,
-    outcome: DurableRun,
-    telemetry: Option<TelemetrySession>,
+    report: impl FnOnce(R) -> Result<(), String>,
 ) -> Result<(), String> {
     match outcome {
-        DurableRun::Interrupted { slot } => {
-            let dir = dir.unwrap_or(Path::new("")).display();
-            outln!("interrupted after slot {slot}; resume with `eotora run --resume {dir}`")?;
-            Ok(())
+        RunOutcome::Interrupted { slot } => {
+            let dir = dir.unwrap_or(Path::new(".")).display();
+            outln!("interrupted after slot {slot}; resume with `eotora {command} --resume {dir}`")
         }
-        DurableRun::Completed(result) => {
-            report_run(args, &result)?;
-            telemetry.map_or(Ok(()), finish_telemetry)
-        }
+        RunOutcome::Completed(result) => report(*result),
     }
 }
 
 /// `eotora run <scenario.json>` runs a scenario, and
 /// `eotora run --resume <dir>` picks a checkpointed run back up, the
-/// manifest in the directory supplying the scenario and mode. The engine
-/// options are read and checked by the one schema
+/// manifest in the directory, read once here, supplying the scenario and
+/// mode. The engine options are read and checked by the one schema
 /// ([`eotora_sim::EngineOptions`]); output flags work the same on both.
 fn cmd_run(args: &[String]) -> Result<(), String> {
     let given = run_options(args)?;
-    let scenario = match flag_value(args, EngineOption::Resume.flag()) {
+    let resumed = match flag_value(args, EngineOption::Resume.flag()) {
         Some(dir) => {
             eprintln!("resuming checkpointed run in {dir} …");
-            read_manifest_in(Path::new(dir))
-                .map_err(|e| format!("cannot resume from {dir}: {e}"))?
-                .scenario
+            let manifest = read_manifest_in(Path::new(dir))
+                .map_err(|e| format!("cannot resume from {dir}: {e}"))?;
+            let mode =
+                manifest.driver_mode().map_err(|e| format!("cannot resume from {dir}: {e}"))?;
+            Some((manifest, mode))
         }
+        None => None,
+    };
+    let scenario = match &resumed {
+        Some((manifest, _)) => manifest.scenario.clone(),
         None => fresh_scenario(args)?,
     };
     let options =
         EngineOptions::parse(Surface::Cli, &given, &scenario).map_err(|e| e.to_string())?;
-    let mode = options.mode().clone();
-    if let DriverMode::Robust { faults, robust } = &mode {
+    if let DriverMode::Robust { faults, robust } = options.mode() {
         eprintln!(
             "robust mode: {} fault event(s), slot deadline {}{}",
             faults.events.len(),
@@ -278,6 +279,11 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
         );
     }
     let durability = options.durability();
+    let checkpoint = durability.map(|cfg| match &resumed {
+        Some((manifest, _)) => Checkpoint::Resume(cfg, manifest),
+        None => Checkpoint::Fresh(cfg),
+    });
+    let mode = resumed.as_ref().map_or(options.mode(), |(_, mode)| mode).clone();
     let telemetry =
         options.live_telemetry().then(|| TelemetrySession::new(options.telemetry().clone()));
     let trace = match options.trace() {
@@ -299,19 +305,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             .map(|t| t as &dyn Recorder)
             .or(telemetry.as_ref().map(|t| t as &dyn Recorder))
             .or(trace.as_ref().map(|(_, jsonl)| jsonl as &dyn Recorder));
-        match &durability {
-            Some(cfg) if options.resume() => resume_durable(cfg, sink),
-            Some(cfg) => run_durable(&scenario, mode, cfg, sink),
-            None => Ok(DurableRun::Completed(Box::new(run_mode(&scenario, mode, sink)))),
-        }
-        .map_err(|e| e.to_string())?
+        run_engine(&scenario, mode, checkpoint, sink).map_err(|e| e.to_string())?
     };
     if let Some((path, sink)) = trace {
         let events = sink.records_written();
         sink.finish().map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         eprintln!("wrote {} ({events} events)", path.display());
     }
-    report_outcome(args, durability.map(|d| d.dir.as_path()), outcome, telemetry)
+    report_outcome(outcome, "run", durability.map(|d| d.dir.as_path()), |result| {
+        report_run(args, &result)?;
+        telemetry.map_or(Ok(()), finish_telemetry)
+    })
 }
 
 /// Checks the flags of `eotora run [--resume]` and returns its engine
@@ -589,6 +593,7 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
         };
         (cfg, faults)
     };
+    cfg.validate().map_err(|reason| format!("invalid federation config: {reason}"))?;
     let options = EngineOptions::parse(Surface::Cli, &given, &eotora_sim::region_scenario(&cfg, 0))
         .map_err(|e| e.to_string())?;
 
@@ -622,14 +627,9 @@ fn cmd_federate(args: &[String]) -> Result<(), String> {
     }
     let outcome = eotora_sim::run_federation(&cfg, &faults, durability.as_ref())
         .map_err(|e| e.to_string())?;
-    match outcome {
-        FederationRun::Interrupted { slot } => {
-            let dir = durability.as_ref().map_or(Path::new("."), |d| &d.dir).display();
-            outln!("interrupted after slot {slot}; resume with `eotora federate --resume {dir}`")?;
-            Ok(())
-        }
-        FederationRun::Completed(report) => report_federation(args, &report),
-    }
+    report_outcome(outcome, "federate", durability.as_ref().map(|d| d.dir.as_path()), |report| {
+        report_federation(args, &report)
+    })
 }
 
 /// Parses `--policy` / `--floor` into a [`RebalancePolicy`] (default:

@@ -127,17 +127,35 @@ impl DurabilityConfig {
     }
 }
 
-/// Outcome of a durable run.
+/// How a batch run ([`crate::run_engine`]) or a federation
+/// ([`crate::run_federation`]) ended.
 #[derive(Debug)]
-pub enum DurableRun {
-    /// The run reached its horizon; the final snapshot is on disk.
-    Completed(Box<SimulationResult>),
-    /// The kill hook fired after `slot` completed; resume with
-    /// [`resume_durable`].
+pub enum RunOutcome<R> {
+    /// The run reached its horizon; with checkpoints, the final snapshot
+    /// is on disk.
+    Completed(Box<R>),
+    /// The kill hook fired after `slot` completed; resume from the
+    /// checkpoint directory.
     Interrupted {
         /// Last completed slot.
         slot: u64,
     },
+}
+
+/// How [`StepDriver::open`](crate::engine::StepDriver::open) takes a
+/// checkpoint directory, and what it does with a run already there.
+#[derive(Debug, Clone, Copy)]
+pub enum Checkpoint<'a> {
+    /// Starts the run; refuses a directory that holds one (`eotora run
+    /// --checkpoint-dir`).
+    Fresh(&'a DurabilityConfig),
+    /// Resumes the run of this manifest, read from the directory.
+    Resume(&'a DurabilityConfig, &'a RunManifest),
+    /// Resumes the run if the directory holds it, else starts it
+    /// ([`open_session`]): a federation region.
+    Open(&'a DurabilityConfig),
+    /// As `Open`, under the daemon's `"server"` manifest.
+    Server(&'a DurabilityConfig),
 }
 
 /// `manifest.json`: identifies what is running in a checkpoint directory,
@@ -204,16 +222,24 @@ impl RunManifest {
     }
 
     /// The [`DriverMode`] a batch manifest resumes — the inverse of
-    /// [`RunManifest::new`]. Errs with the reason on any other mode name
-    /// (the server's `"server"` manifests resume through the daemon).
-    pub fn driver_mode(&self) -> Result<DriverMode, String> {
+    /// [`RunManifest::new`]. A `"server"` manifest is refused as the
+    /// daemon's, which resumes it on restart; any other name is corrupt.
+    pub fn driver_mode(&self) -> Result<DriverMode, DurabilityError> {
         match self.mode.as_str() {
             "plain" => Ok(DriverMode::Plain),
             "robust" => Ok(DriverMode::Robust {
                 faults: self.faults.clone().unwrap_or_default(),
                 robust: robust_config(&self.scenario, self.deadline_ms.map(Duration::from_millis)),
             }),
-            other => Err(format!("unknown run mode `{other}`")),
+            "server" => Err(DurabilityError::InvalidConfig {
+                reason: "the directory holds an `eotora serve` run; restarting `eotora serve` \
+                         on it resumes the run"
+                    .to_owned(),
+            }),
+            other => Err(DurabilityError::CorruptManifest {
+                path: MANIFEST_FILE.to_owned(),
+                reason: format!("unknown run mode `{other}`"),
+            }),
         }
     }
 }
@@ -329,6 +355,17 @@ fn land(path: &Path, job: SnapshotJob) -> Result<Landed, DurabilityError> {
 }
 
 impl DurableSession {
+    fn new(
+        writer: JournalWriter,
+        cfg: &DurabilityConfig,
+        checkpoint_every: u64,
+        resume: Option<ResumeState>,
+    ) -> Self {
+        let snapshot_path = snapshot_path(&cfg.dir);
+        let (checkpoint_every, kill_at_slot) = (checkpoint_every.max(1), cfg.kill_at_slot);
+        Self { writer, snapshot_path, checkpoint_every, kill_at_slot, resume, snapshots: None }
+    }
+
     /// Takes the resume payload (present exactly once, on a resumed run).
     pub(crate) fn take_resume(&mut self) -> Option<ResumeState> {
         self.resume.take()
@@ -360,11 +397,7 @@ impl DurableSession {
         sink: Option<&dyn Recorder>,
     ) -> Result<(), DurabilityError> {
         self.drain(sink)?;
-        let payload = serde_json::to_string(snapshot)
-            .map_err(|e| DurabilityError::InvalidConfig {
-                reason: format!("run snapshot failed to serialize: {e}"),
-            })?
-            .into_bytes();
+        let payload = to_json(snapshot, "run snapshot")?;
         let journal = self.writer.detach_sync()?;
         let writer = match self.snapshots.take() {
             Some(writer) => writer,
@@ -454,55 +487,69 @@ fn journal_dir(dir: &Path) -> PathBuf {
 }
 
 fn write_manifest(dir: &Path, manifest: &RunManifest) -> Result<(), DurabilityError> {
-    let path = manifest_path(dir);
-    let text = serde_json::to_string(manifest).map_err(|e| DurabilityError::InvalidConfig {
-        reason: format!("run manifest failed to serialize: {e}"),
-    })?;
-    write_atomic(&path, text.as_bytes())
+    write_atomic(&manifest_path(dir), &to_json(manifest, "run manifest")?)
 }
 
 /// Reads the run manifest of the checkpoint directory `dir` — how
 /// `eotora run --resume` learns the scenario it resumes.
 pub fn read_manifest_in(dir: &Path) -> Result<RunManifest, DurabilityError> {
-    let path = manifest_path(dir);
-    let text = fs::read_to_string(&path).map_err(|e| DurabilityError::io(&path, &e))?;
-    let manifest: RunManifest = serde_json::from_str(&text).map_err(|e| {
-        DurabilityError::CorruptManifest { path: path.display().to_string(), reason: e.to_string() }
-    })?;
-    if manifest.version > MANIFEST_VERSION {
-        return Err(DurabilityError::UnsupportedVersion {
-            found: manifest.version,
-            supported: MANIFEST_VERSION,
-        });
-    }
-    Ok(manifest)
+    read_manifest(&manifest_path(dir), MANIFEST_VERSION, |m: &RunManifest| m.version)
 }
 
-fn fresh_session(
-    cfg: &DurabilityConfig,
-    manifest: &RunManifest,
-) -> Result<DurableSession, DurabilityError> {
-    fs::create_dir_all(&cfg.dir).map_err(|e| DurabilityError::io(&cfg.dir, &e))?;
-    let existing_manifest = manifest_path(&cfg.dir);
-    if existing_manifest.exists() || snapshot_path(&cfg.dir).exists() {
+/// Serializes `value` to JSON; `what` names it in the error.
+pub(crate) fn to_json<T: Serialize>(value: &T, what: &str) -> Result<Vec<u8>, DurabilityError> {
+    let text = serde_json::to_string(value).map_err(|e| DurabilityError::InvalidConfig {
+        reason: format!("{what} failed to serialize: {e}"),
+    })?;
+    Ok(text.into_bytes())
+}
+
+/// Reads the JSON manifest at `path`, refusing a layout `version` newer
+/// than `supported`.
+pub(crate) fn read_manifest<T: Deserialize>(
+    path: &Path,
+    supported: u32,
+    version: fn(&T) -> u32,
+) -> Result<T, DurabilityError> {
+    let text = fs::read_to_string(path).map_err(|e| DurabilityError::io(path, &e))?;
+    let manifest = serde_json::from_str(&text).map_err(|e| DurabilityError::CorruptManifest {
+        path: path.display().to_string(),
+        reason: e.to_string(),
+    })?;
+    match version(&manifest) {
+        found if found > supported => Err(DurabilityError::UnsupportedVersion { found, supported }),
+        _ => Ok(manifest),
+    }
+}
+
+/// Reads the JSON payload of the snapshot at `path`, written under
+/// `schema`.
+pub(crate) fn read_snapshot_json<T: Deserialize>(
+    path: &Path,
+    schema: &str,
+) -> Result<T, DurabilityError> {
+    let corrupt = |reason: String| DurabilityError::CorruptSnapshot {
+        path: path.display().to_string(),
+        reason,
+    };
+    let text = String::from_utf8(read_snapshot(path, schema)?)
+        .map_err(|_| corrupt("payload is not valid UTF-8".to_owned()))?;
+    serde_json::from_str(&text).map_err(|e| corrupt(format!("payload failed to deserialize: {e}")))
+}
+
+/// Refuses a directory that already holds a run (its manifest or a
+/// snapshot).
+pub(crate) fn refuse_held_run(dir: &Path) -> Result<(), DurabilityError> {
+    if manifest_path(dir).exists() || snapshot_path(dir).exists() {
         return Err(DurabilityError::InvalidConfig {
             reason: format!(
                 "checkpoint directory {} already holds a run; resume it with \
                  `run --resume` or point --checkpoint-dir at a fresh directory",
-                cfg.dir.display()
+                dir.display()
             ),
         });
     }
-    write_manifest(&cfg.dir, manifest)?;
-    let writer = JournalWriter::create(&journal_dir(&cfg.dir), cfg.fsync, cfg.max_segment_bytes)?;
-    Ok(DurableSession {
-        writer,
-        snapshot_path: snapshot_path(&cfg.dir),
-        checkpoint_every: cfg.checkpoint_every.max(1),
-        kill_at_slot: cfg.kill_at_slot,
-        resume: None,
-        snapshots: None,
-    })
+    Ok(())
 }
 
 /// Runs `scenario` in `mode` with checkpointing under `cfg`. The directory
@@ -518,10 +565,8 @@ pub fn run_durable(
     mode: DriverMode,
     cfg: &DurabilityConfig,
     sink: Option<&dyn Recorder>,
-) -> Result<DurableRun, DurabilityError> {
-    let manifest = RunManifest::new(scenario, &mode, cfg)?;
-    let session = fresh_session(cfg, &manifest)?;
-    run_engine(scenario, mode, sink, Some(session))
+) -> Result<RunOutcome<SimulationResult>, DurabilityError> {
+    run_engine(scenario, mode, Some(Checkpoint::Fresh(cfg)), sink)
 }
 
 /// Resumes the run checkpointed in `cfg.dir`: reads the manifest, restores
@@ -531,26 +576,22 @@ pub fn run_durable(
 /// `dir`, `max_segment_bytes` and the `kill_at_slot` test hook are
 /// consulted. `sink` is routed as in [`run_durable`].
 ///
-/// Returns the same [`DurableRun`] a never-interrupted run would — all
+/// Returns the same [`RunOutcome`] a never-interrupted run would — all
 /// decision-derived values bit-identical (see the module docs).
 pub fn resume_durable(
     cfg: &DurabilityConfig,
     sink: Option<&dyn Recorder>,
-) -> Result<DurableRun, DurabilityError> {
+) -> Result<RunOutcome<SimulationResult>, DurabilityError> {
     let manifest = read_manifest_in(&cfg.dir)?;
-    let mode = manifest.driver_mode().map_err(|reason| DurabilityError::CorruptManifest {
-        path: manifest_path(&cfg.dir).display().to_string(),
-        reason,
-    })?;
-    let session = resume_session(cfg, &manifest)?;
-    run_engine(&manifest.scenario, mode, sink, Some(session))
+    let mode = manifest.driver_mode()?;
+    run_engine(&manifest.scenario, mode, Some(Checkpoint::Resume(cfg, &manifest)), sink)
 }
 
 /// Reconstructs the live session of a checkpoint directory that already
 /// holds a run: restores the snapshot, replays the journal head, and
 /// reopens the journal for appends after the snapshot slot (discarding
 /// any stale suffix for deterministic re-execution).
-fn resume_session(
+pub(crate) fn resume_session(
     cfg: &DurabilityConfig,
     manifest: &RunManifest,
 ) -> Result<DurableSession, DurabilityError> {
@@ -561,21 +602,12 @@ fn resume_session(
         }
     })?;
     let snap_path = snapshot_path(&cfg.dir);
-    let snapshot: Option<RunSnapshot> = if snap_path.exists() {
-        let payload = read_snapshot(&snap_path, SNAPSHOT_SCHEMA)?;
-        let text = String::from_utf8(payload).map_err(|_| DurabilityError::CorruptSnapshot {
-            path: snap_path.display().to_string(),
-            reason: "payload is not valid UTF-8".to_owned(),
-        })?;
-        Some(serde_json::from_str(&text).map_err(|e| DurabilityError::CorruptSnapshot {
-            path: snap_path.display().to_string(),
-            reason: format!("payload failed to deserialize: {e}"),
-        })?)
-    } else {
-        // Crashed before the first checkpoint: nothing to restore, so the
-        // run restarts from slot 0 (journaled frames are discarded and
-        // their slots re-executed deterministically).
-        None
+    // No snapshot: the run crashed before its first checkpoint, so it
+    // restarts from slot 0 (journaled frames are discarded and their
+    // slots re-executed deterministically).
+    let snapshot: Option<RunSnapshot> = match snap_path.exists() {
+        true => Some(read_snapshot_json(&snap_path, SNAPSHOT_SCHEMA)?),
+        false => None,
     };
     let snapshot_frames = snapshot.as_ref().map_or(0, |s| s.frames);
 
@@ -610,20 +642,13 @@ fn resume_session(
         (Vec::new(), 0, 0, writer)
     };
 
-    Ok(DurableSession {
-        writer,
-        snapshot_path: snap_path,
-        checkpoint_every: manifest.checkpoint_every.max(1),
-        kill_at_slot: cfg.kill_at_slot,
-        resume: Some(ResumeState { snapshot, head, torn_frames_dropped, frames_discarded }),
-        snapshots: None,
-    })
+    let resume = ResumeState { snapshot, head, torn_frames_dropped, frames_discarded };
+    Ok(DurableSession::new(writer, cfg, manifest.checkpoint_every, Some(resume)))
 }
 
-/// Opens the durable session for `cfg.dir`, fresh or resumed — the
-/// auto-resume entry point the server daemon starts through:
+/// Opens the durable session for `cfg.dir`, fresh or resumed:
 ///
-/// * an empty directory writes `manifest` and starts a fresh journal;
+/// * a directory holding no run gets `manifest` and a fresh journal;
 /// * a directory already holding a run is verified against `manifest` —
 ///   same mode, scenario, and fault schedule, or a typed
 ///   [`DurabilityError::InvalidConfig`] — and resumed from its
@@ -639,7 +664,12 @@ pub fn open_session(
     manifest: &RunManifest,
 ) -> Result<DurableSession, DurabilityError> {
     if !manifest_path(&cfg.dir).exists() {
-        return fresh_session(cfg, manifest);
+        fs::create_dir_all(&cfg.dir).map_err(|e| DurabilityError::io(&cfg.dir, &e))?;
+        refuse_held_run(&cfg.dir)?;
+        write_manifest(&cfg.dir, manifest)?;
+        let writer =
+            JournalWriter::create(&journal_dir(&cfg.dir), cfg.fsync, cfg.max_segment_bytes)?;
+        return Ok(DurableSession::new(writer, cfg, cfg.checkpoint_every, None));
     }
     let existing = read_manifest_in(&cfg.dir)?;
     if existing.mode != manifest.mode

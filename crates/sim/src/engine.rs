@@ -3,7 +3,8 @@
 //! [`StepDriver`] owns one controller's complete solving state — the DPP
 //! controller, sanitizer, corruption RNG, counter tally, and optional
 //! durable session — and exposes a single [`StepDriver::step`]: feed it
-//! the observed `β_t`, get back the slot's [`SlotRecord`]. The batch
+//! the observed `β_t`, get back the slot's [`SlotRecord`]. Every
+//! front-end opens its driver through [`StepDriver::open`]. The batch
 //! `run_engine` loop drives it for `scenario.horizon` slots from a
 //! `StateProvider`; the `eotora-server` daemon drives the *same* driver
 //! from a JSONL stream with no horizon (`DriverTuning::horizon =
@@ -33,12 +34,13 @@ use eotora_core::sanitize::StateSanitizer;
 use eotora_core::system::MecSystem;
 use eotora_durability::{DurabilityError, SlotRecord};
 use eotora_obs::{Recorder, SpanGuard, TraceEvent};
-use eotora_states::SystemState;
+use eotora_states::{StateProvider, SystemState};
 use eotora_util::rng::Pcg32;
 use eotora_util::series::TimeSeries;
 
 use crate::durable::{
-    open_session, DurabilityConfig, DurableSession, ResumeState, RunManifest, RunSnapshot,
+    open_session, refuse_held_run, resume_session, Checkpoint, DurabilityConfig, DurableSession,
+    ResumeState, RunManifest, RunSnapshot,
 };
 use crate::runner::SimulationResult;
 use crate::scenario::Scenario;
@@ -265,25 +267,68 @@ impl<'s> StepDriver<'s> {
         }
     }
 
-    /// Opens the `eotora-server` daemon's engine, fresh or resumed
-    /// ([`open_session`]): plain, or robust under `deadline`; no horizon,
-    /// bounded memory, manifest mode `"server"`.
+    /// Opens an engine, the one way batch runs ([`crate::run_engine`]),
+    /// the daemon and federation regions start one: writes down the run's
+    /// [`RunManifest`] and opens its session as `checkpoint` says (none:
+    /// in memory), then builds the scenario's system and the driver.
+    pub fn open(
+        scenario: &Scenario,
+        mode: DriverMode,
+        checkpoint: Option<Checkpoint<'_>>,
+        sink: Option<&'s dyn Recorder>,
+        tuning: DriverTuning,
+    ) -> Result<Self, DurabilityError> {
+        let session = match checkpoint {
+            None => None,
+            Some(Checkpoint::Resume(cfg, manifest)) => Some(resume_session(cfg, manifest)?),
+            Some(Checkpoint::Fresh(cfg)) => {
+                let manifest = RunManifest::new(scenario, &mode, cfg)?;
+                refuse_held_run(&cfg.dir)?;
+                Some(open_session(cfg, &manifest)?)
+            }
+            Some(Checkpoint::Open(cfg)) => {
+                Some(open_session(cfg, &RunManifest::new(scenario, &mode, cfg)?)?)
+            }
+            Some(Checkpoint::Server(cfg)) => {
+                let manifest = RunManifest {
+                    mode: "server".to_owned(),
+                    faults: None,
+                    ..RunManifest::new(scenario, &mode, cfg)?
+                };
+                Some(open_session(cfg, &manifest)?)
+            }
+        };
+        let system = MecSystem::random(&scenario.system, scenario.seed);
+        Ok(Self::new(scenario, system, mode, session, sink, tuning))
+    }
+
+    /// Opens the `eotora-server` daemon's engine under its `"server"`
+    /// manifest, fresh or resumed: plain, or robust under `deadline`; no
+    /// horizon, bounded memory.
     pub fn daemon(
         scenario: &Scenario,
         deadline: Option<std::time::Duration>,
         durability: &DurabilityConfig,
         sink: &'s dyn Recorder,
     ) -> Result<Self, DurabilityError> {
-        let mode = crate::options::driver_mode(scenario, None, deadline, true);
-        let manifest = RunManifest {
-            mode: "server".to_owned(),
-            faults: None,
-            ..RunManifest::new(scenario, &mode, durability)?
-        };
-        let session = open_session(durability, &manifest)?;
-        let system = MecSystem::random(&scenario.system, scenario.seed);
-        let tuning = DriverTuning { horizon: Some(u64::MAX), bounded: true };
-        Ok(Self::new(scenario, system, mode, Some(session), Some(sink), tuning))
+        Self::open(
+            scenario,
+            crate::options::driver_mode(scenario, None, deadline, true),
+            Some(Checkpoint::Server(durability)),
+            Some(sink),
+            DriverTuning { horizon: Some(u64::MAX), bounded: true },
+        )
+    }
+
+    /// `scenario`'s own state source, fast-forwarded past the slots this
+    /// driver restored, so its next observation is the cursor slot's —
+    /// exactly what an uninterrupted run would observe there.
+    pub(crate) fn scenario_states(&self, scenario: &Scenario) -> StateProvider {
+        let mut states = StateProvider::paper(self.topology(), &scenario.states, scenario.seed);
+        for slot in 0..self.cursor {
+            states.observe(slot, self.topology());
+        }
+        states
     }
 
     /// The next slot this driver will solve (> 0 after a resume).
@@ -448,7 +493,8 @@ impl<'s> StepDriver<'s> {
             stages,
         };
 
-        let mut interrupted = false;
+        let completed = slot + 1;
+        let mut due = false;
         if let Some(session) = self.session.as_mut() {
             // A snapshot that landed since the last slot is collected
             // first; a background write error surfaces here.
@@ -469,28 +515,16 @@ impl<'s> StepDriver<'s> {
             }
             self.tally.add(eotora_obs::COUNTER_DURABILITY_FRAMES, 1);
             self.journal_frames += 1;
-            let completed = slot + 1;
-            if session.checkpoint_due(completed, self.horizon) {
-                // Count the snapshot *before* capturing counters so resumed
-                // totals match the uninterrupted run's.
-                self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
-                enqueue_checkpoint(
-                    session,
-                    &self.tally,
-                    completed,
-                    self.journal_frames,
-                    &self.dpp,
-                    &self.sanitizer,
-                    &self.corrupt_rng,
-                )?;
-                self.last_snapshot_slots = completed;
-            }
-            interrupted = session.should_kill(slot);
-            if interrupted {
-                // The simulated crash leaves the directory as a synchronous
-                // snapshot would have.
-                session.drain(self.tally.sink)?;
-            }
+            due = session.checkpoint_due(completed, self.horizon);
+        }
+        if due {
+            self.checkpoint(completed)?;
+        }
+        let interrupted = self.session.as_ref().is_some_and(|s| s.should_kill(slot));
+        if interrupted {
+            // The simulated crash leaves the directory as a synchronous
+            // snapshot would have.
+            self.drain_checkpoint()?;
         }
         if let Some(records) = self.records.as_mut() {
             records.push(SlotRecord {
@@ -500,7 +534,7 @@ impl<'s> StepDriver<'s> {
             });
         }
         self.previous_stations = Some(record.stations.clone());
-        self.cursor = slot + 1;
+        self.cursor = completed;
         Ok(StepReport { record, interrupted })
     }
 
@@ -514,25 +548,40 @@ impl<'s> StepDriver<'s> {
     /// deterministic); a cadence snapshot still in flight is waited for
     /// either way.
     pub fn checkpoint_now(&mut self) -> Result<bool, DurabilityError> {
-        let Some(session) = self.session.as_mut() else {
+        if self.session.is_none() {
             return Ok(false);
-        };
+        }
         let wrote = self.cursor > 0 && self.last_snapshot_slots != self.cursor;
         if wrote {
-            self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
-            enqueue_checkpoint(
-                session,
-                &self.tally,
-                self.cursor,
-                self.journal_frames,
-                &self.dpp,
-                &self.sanitizer,
-                &self.corrupt_rng,
-            )?;
-            self.last_snapshot_slots = self.cursor;
+            self.checkpoint(self.cursor)?;
         }
-        session.drain(self.tally.sink)?;
+        self.drain_checkpoint()?;
         Ok(wrote)
+    }
+
+    /// Captures the driver's state as of `completed` slots and hands it to
+    /// the session's snapshot writer. The snapshot is counted *before*
+    /// the counters are captured, so resumed totals match the
+    /// uninterrupted run's. The `journal.snapshot_write` span times this
+    /// calling-thread part only: capture, JSON and hand-off.
+    fn checkpoint(&mut self, completed: u64) -> Result<(), DurabilityError> {
+        let Some(session) = self.session.as_mut() else {
+            return Ok(());
+        };
+        self.tally.add(eotora_obs::COUNTER_DURABILITY_SNAPSHOTS, 1);
+        let sink = self.tally.sink;
+        let _span = sink.map(|sink| SpanGuard::new(sink, eotora_obs::SPAN_SNAPSHOT_WRITE));
+        let snapshot = RunSnapshot {
+            slots: completed,
+            frames: self.journal_frames,
+            controller: self.dpp.checkpoint_full(),
+            sanitizer: self.sanitizer.snapshot(),
+            corrupt_rng: self.corrupt_rng.clone(),
+            counters: self.tally.counters.borrow().clone(),
+        };
+        session.enqueue_snapshot(&snapshot, sink)?;
+        self.last_snapshot_slots = completed;
+        Ok(())
     }
 
     /// Waits for the snapshot in flight, if any, to land, returning the
@@ -611,32 +660,6 @@ fn fold_records(records: &[SlotRecord]) -> SimulationResult {
     }
 }
 
-/// Captures the driver's state as of `completed` slots and hands it to
-/// the session's snapshot writer (the caller counts the snapshot in the
-/// tally *before* calling, so the captured counters include it). The
-/// `journal.snapshot_write` span times this calling-thread part only:
-/// capture, JSON and hand-off.
-fn enqueue_checkpoint(
-    session: &mut DurableSession,
-    tally: &SlotTally<'_>,
-    completed: u64,
-    frames: u64,
-    dpp: &EotoraDpp,
-    sanitizer: &StateSanitizer,
-    corrupt_rng: &Pcg32,
-) -> Result<(), DurabilityError> {
-    let _span = tally.sink.map(|sink| SpanGuard::new(sink, eotora_obs::SPAN_SNAPSHOT_WRITE));
-    let snapshot = RunSnapshot {
-        slots: completed,
-        frames,
-        controller: dpp.checkpoint_full(),
-        sanitizer: sanitizer.snapshot(),
-        corrupt_rng: corrupt_rng.clone(),
-        counters: tally.counters.borrow().clone(),
-    };
-    session.enqueue_snapshot(&snapshot, tally.sink)
-}
-
 /// Deterministically mangles a handful of state entries — the corruption
 /// model behind `CorruptState` fault events: NaN task sizes, negative data
 /// lengths, infinite spectral efficiencies, NaN prices.
@@ -660,7 +683,6 @@ fn corrupt_state(state: &mut SystemState, rng: &mut Pcg32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eotora_states::StateProvider;
     use proptest::prelude::*;
 
     fn record(slot: u64, stages: &[(&str, f64)], rounds_used: f64) -> SlotRecord {

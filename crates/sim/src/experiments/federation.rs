@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use eotora_federation::{LinkFaultConfig, PartitionWindow};
 use serde::{Deserialize, Serialize};
 
-use crate::federation::{global_scenario, run_federation, FederationConfig, FederationRun};
+use crate::durable::RunOutcome;
+use crate::federation::{global_scenario, run_federation, FederationConfig};
 use crate::runner::run;
 
 /// One arm of the federation comparison.
@@ -75,8 +76,8 @@ fn federated_arm(
     tolerance: f64,
 ) -> FederationArm {
     let report = match run_federation(cfg, faults, None) {
-        Ok(FederationRun::Completed(report)) => report,
-        Ok(FederationRun::Interrupted { slot }) => {
+        Ok(RunOutcome::Completed(report)) => report,
+        Ok(RunOutcome::Interrupted { slot }) => {
             unreachable!("non-durable federation cannot interrupt (slot {slot})")
         }
         Err(e) => unreachable!("non-durable federation cannot fail: {e}"),

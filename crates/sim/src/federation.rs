@@ -31,17 +31,18 @@ use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use eotora_core::system::{MecSystem, SystemConfig};
-use eotora_durability::{read_snapshot, write_atomic, write_snapshot, DurabilityError};
+use eotora_core::system::SystemConfig;
+use eotora_durability::{write_atomic, write_snapshot, DurabilityError};
 use eotora_federation::{
     FederationNode, InProcessBus, LinkFault, LinkFaultConfig, LinkFaultState, NodeConfig,
     NodeState, PeerBus, QueueGossip, RebalancePolicy,
 };
-use eotora_states::StateProvider;
 use eotora_topology::{region_devices, RandomTopologyConfig};
 use serde::{Deserialize, Serialize};
 
-use crate::durable::{open_session, DurabilityConfig, RunManifest};
+use crate::durable::{
+    read_manifest, read_snapshot_json, to_json, Checkpoint, DurabilityConfig, RunOutcome,
+};
 use crate::engine::{DriverMode, DriverTuning, StepDriver};
 use crate::runner::SimulationResult;
 use crate::scenario::Scenario;
@@ -138,27 +139,30 @@ impl FederationConfig {
         1.0 / f64::from(self.regions.max(1))
     }
 
-    fn validate(&self) -> Result<(), DurabilityError> {
-        let fail = |reason: String| Err(DurabilityError::InvalidConfig { reason });
+    /// Checks that the configuration describes a federation: at least 2
+    /// regions, a device for each, a positive horizon, sync cadence and
+    /// budget, and a share floor within the equal share. Errs with the
+    /// reason.
+    pub fn validate(&self) -> Result<(), String> {
         if self.regions < 2 {
-            return fail(format!("a federation needs at least 2 regions, got {}", self.regions));
+            return Err(format!("a federation needs at least 2 regions, got {}", self.regions));
         }
         if self.total_devices < self.regions as usize {
-            return fail(format!(
+            return Err(format!(
                 "{} devices cannot cover {} regions (each region needs at least one)",
                 self.total_devices, self.regions
             ));
         }
         if self.horizon == 0 || self.sync_every == 0 {
-            return fail("horizon and sync-every must be positive".to_owned());
+            return Err("horizon and sync-every must be positive".to_owned());
         }
         if !(self.total_budget.is_finite() && self.total_budget > 0.0) {
-            return fail(format!("fleet budget must be positive, got {}", self.total_budget));
+            return Err(format!("fleet budget must be positive, got {}", self.total_budget));
         }
         if let RebalancePolicy::QueueProportional { floor } = self.policy {
             let cap = self.equal_share();
             if !(floor.is_finite() && (0.0..=cap).contains(&floor)) {
-                return fail(format!("share floor {floor} outside [0, {cap}]"));
+                return Err(format!("share floor {floor} outside [0, {cap}]"));
             }
         }
         Ok(())
@@ -213,19 +217,6 @@ struct FedSnapshot {
     slots: u64,
     nodes: Vec<NodeState>,
     fault: LinkFaultState,
-}
-
-/// Outcome of a federated run.
-#[derive(Debug)]
-pub enum FederationRun {
-    /// All regions reached the horizon.
-    Completed(Box<FederationReport>),
-    /// The kill hook fired after `slot` completed in every region; resume
-    /// by calling [`run_federation`] again with the same checkpoint root.
-    Interrupted {
-        /// Last completed slot.
-        slot: u64,
-    },
 }
 
 /// Fleet-level results of a completed federated run.
@@ -297,48 +288,29 @@ pub fn run_standalone(cfg: &FederationConfig) -> Vec<SimulationResult> {
 /// all on the same snapshot cadence. A root that already holds a matching
 /// manifest resumes; a mismatched one is rejected with a typed error.
 /// `durability.kill_at_slot` interrupts every region after that slot —
-/// the federation-wide crash the kill–resume chaos test drives.
+/// the federation-wide crash the kill–resume chaos test drives. A
+/// configuration [`FederationConfig::validate`] refuses is a typed
+/// [`DurabilityError::InvalidConfig`].
 pub fn run_federation(
     cfg: &FederationConfig,
     faults: &LinkFaultConfig,
     durability: Option<&DurabilityConfig>,
-) -> Result<FederationRun, DurabilityError> {
-    cfg.validate()?;
+) -> Result<RunOutcome<FederationReport>, DurabilityError> {
+    cfg.validate().map_err(|reason| DurabilityError::InvalidConfig { reason })?;
     if let Some(d) = durability {
         prepare_root(&d.dir, cfg, faults)?;
     }
 
-    // Per-region drivers and state streams, durable sessions included.
+    // Per-region drivers, each in its own checkpoint directory.
     let regions = cfg.regions as usize;
+    let scenarios: Vec<Scenario> = (0..cfg.regions).map(|r| region_scenario(cfg, r)).collect();
     let mut drivers = Vec::with_capacity(regions);
-    let mut providers = Vec::with_capacity(regions);
-    for region in 0..cfg.regions {
-        let scenario = region_scenario(cfg, region);
-        let session = match durability {
-            Some(d) => {
-                let region_cfg = DurabilityConfig {
-                    dir: d.dir.join(format!("region-{region}")),
-                    checkpoint_every: d.checkpoint_every.max(1),
-                    fsync: d.fsync,
-                    max_segment_bytes: d.max_segment_bytes,
-                    kill_at_slot: d.kill_at_slot,
-                };
-                let manifest = RunManifest::new(&scenario, &DriverMode::Plain, &region_cfg)?;
-                Some(open_session(&region_cfg, &manifest)?)
-            }
-            None => None,
-        };
-        let system = MecSystem::random(&scenario.system, scenario.seed);
-        let provider = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-        drivers.push(StepDriver::new(
-            &scenario,
-            system,
-            DriverMode::Plain,
-            session,
-            None,
-            DriverTuning::default(),
-        ));
-        providers.push(provider);
+    for (region, scenario) in scenarios.iter().enumerate() {
+        let dir = |d: &DurabilityConfig| d.dir.join(format!("region-{region}"));
+        let region_cfg = durability.map(|d| DurabilityConfig { dir: dir(d), ..d.clone() });
+        let checkpoint = region_cfg.as_ref().map(Checkpoint::Open);
+        let tuning = DriverTuning::default();
+        drivers.push(StepDriver::open(scenario, DriverMode::Plain, checkpoint, None, tuning)?);
     }
 
     // Lock-step invariant: every region resumes at the same cursor (they
@@ -356,11 +328,8 @@ pub fn run_federation(
             });
         }
     }
-    for (driver, provider) in drivers.iter().zip(&mut providers) {
-        for slot in 0..cursor {
-            provider.observe(slot, driver.topology());
-        }
-    }
+    let mut providers: Vec<_> =
+        drivers.iter().zip(&scenarios).map(|(d, scenario)| d.scenario_states(scenario)).collect();
 
     // Federation protocol state: fresh, or restored from `federation.bin`.
     let mut fault = LinkFault::new(faults.clone());
@@ -380,7 +349,8 @@ pub fn run_federation(
         .collect();
     if cursor > 0 {
         if let Some(d) = durability {
-            let snap = read_fed_snapshot(&d.dir)?;
+            let snap: FedSnapshot =
+                read_snapshot_json(&fed_snapshot_path(&d.dir), FED_SNAPSHOT_SCHEMA)?;
             if snap.slots != cursor || snap.nodes.len() != regions {
                 return Err(DurabilityError::InvalidConfig {
                     reason: format!(
@@ -432,12 +402,12 @@ pub fn run_federation(
             }
         }
         if interrupted {
-            return Ok(FederationRun::Interrupted { slot: slot - 1 });
+            return Ok(RunOutcome::Interrupted { slot: slot - 1 });
         }
     }
 
     let results = drivers.into_iter().map(StepDriver::finish).collect::<Result<Vec<_>, _>>()?;
-    Ok(FederationRun::Completed(Box::new(FederationReport::new(cfg, results, &nodes))))
+    Ok(RunOutcome::Completed(Box::new(FederationReport::new(cfg, results, &nodes))))
 }
 
 /// One sync boundary at the start of `slot`: release delayed frames,
@@ -541,18 +511,7 @@ fn fed_snapshot_path(root: &Path) -> PathBuf {
 /// Reads the federation manifest of checkpoint root `dir` — the hook the
 /// CLI's `federate --resume` uses to recover the full configuration.
 pub fn read_federation_manifest(dir: &Path) -> Result<FederationManifest, DurabilityError> {
-    let path = fed_manifest_path(dir);
-    let text = fs::read_to_string(&path).map_err(|e| DurabilityError::io(&path, &e))?;
-    let manifest: FederationManifest = serde_json::from_str(&text).map_err(|e| {
-        DurabilityError::CorruptManifest { path: path.display().to_string(), reason: e.to_string() }
-    })?;
-    if manifest.version > FED_MANIFEST_VERSION {
-        return Err(DurabilityError::UnsupportedVersion {
-            found: manifest.version,
-            supported: FED_MANIFEST_VERSION,
-        });
-    }
-    Ok(manifest)
+    read_manifest(&fed_manifest_path(dir), FED_MANIFEST_VERSION, |m: &FederationManifest| m.version)
 }
 
 fn prepare_root(
@@ -581,10 +540,7 @@ fn prepare_root(
         }
         return Ok(());
     }
-    let text = serde_json::to_string(&manifest).map_err(|e| DurabilityError::InvalidConfig {
-        reason: format!("federation manifest failed to serialize: {e}"),
-    })?;
-    write_atomic(&fed_manifest_path(dir), text.as_bytes())
+    write_atomic(&fed_manifest_path(dir), &to_json(&manifest, "federation manifest")?)
 }
 
 fn write_fed_snapshot(
@@ -598,23 +554,8 @@ fn write_fed_snapshot(
         nodes: nodes.iter().map(|n| n.state().clone()).collect(),
         fault: fault.state().clone(),
     };
-    let payload = serde_json::to_string(&snapshot).map_err(|e| DurabilityError::InvalidConfig {
-        reason: format!("federation snapshot failed to serialize: {e}"),
-    })?;
-    write_snapshot(&fed_snapshot_path(root), FED_SNAPSHOT_SCHEMA, payload.as_bytes())
-}
-
-fn read_fed_snapshot(root: &Path) -> Result<FedSnapshot, DurabilityError> {
-    let path = fed_snapshot_path(root);
-    let payload = read_snapshot(&path, FED_SNAPSHOT_SCHEMA)?;
-    let text = String::from_utf8(payload).map_err(|_| DurabilityError::CorruptSnapshot {
-        path: path.display().to_string(),
-        reason: "payload is not valid UTF-8".to_owned(),
-    })?;
-    serde_json::from_str(&text).map_err(|e| DurabilityError::CorruptSnapshot {
-        path: path.display().to_string(),
-        reason: format!("payload failed to deserialize: {e}"),
-    })
+    let payload = to_json(&snapshot, "federation snapshot")?;
+    write_snapshot(&fed_snapshot_path(root), FED_SNAPSHOT_SCHEMA, &payload)
 }
 
 #[cfg(test)]
@@ -641,8 +582,8 @@ mod tests {
     fn clean_fixed_federation_matches_standalone_regions() {
         let cfg = small(11).with_policy(RebalancePolicy::Fixed);
         let report = match run_federation(&cfg, &LinkFaultConfig::clean(), None).unwrap() {
-            FederationRun::Completed(report) => report,
-            FederationRun::Interrupted { slot } => panic!("interrupted at {slot}"),
+            RunOutcome::Completed(report) => report,
+            RunOutcome::Interrupted { slot } => panic!("interrupted at {slot}"),
         };
         let standalone = run_standalone(&cfg);
         assert_eq!(report.regions.len(), 3);
@@ -663,8 +604,8 @@ mod tests {
     fn queue_proportional_rebalances_and_holds_the_fleet_budget() {
         let cfg = small(13);
         let report = match run_federation(&cfg, &LinkFaultConfig::clean(), None).unwrap() {
-            FederationRun::Completed(report) => report,
-            FederationRun::Interrupted { slot } => panic!("interrupted at {slot}"),
+            RunOutcome::Completed(report) => report,
+            RunOutcome::Interrupted { slot } => panic!("interrupted at {slot}"),
         };
         assert!(report.counters.get("fed.budget_rebalances").copied().unwrap_or(0) > 0);
         assert!(report.counters.get("fed.rounds_promoted").copied().unwrap_or(0) > 0);
@@ -684,8 +625,8 @@ mod tests {
         faults.partitions = vec![PartitionWindow { from_slot: 5, to_slot: 20, regions: vec![2] }];
         let cfg = small(17);
         let report = match run_federation(&cfg, &faults, None).unwrap() {
-            FederationRun::Completed(report) => report,
-            FederationRun::Interrupted { slot } => panic!("interrupted at {slot}"),
+            RunOutcome::Completed(report) => report,
+            RunOutcome::Interrupted { slot } => panic!("interrupted at {slot}"),
         };
         assert!(report.counters.get("fed.partitions").copied().unwrap_or(0) > 0);
         assert!(report.counters.get("fed.stale_epochs").copied().unwrap_or(0) > 0);
@@ -706,7 +647,7 @@ mod tests {
         let cfg = small(19).with_horizon(10);
         let durability = DurabilityConfig::new(&dir);
         let run = run_federation(&cfg, &LinkFaultConfig::clean(), Some(&durability)).unwrap();
-        assert!(matches!(run, FederationRun::Completed(_)));
+        assert!(matches!(run, RunOutcome::Completed(_)));
         let other = small(23).with_horizon(10);
         let err = run_federation(&other, &LinkFaultConfig::clean(), Some(&durability))
             .expect_err("mismatched manifest must be rejected");

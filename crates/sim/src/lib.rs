@@ -15,13 +15,15 @@
 //!   the Criterion benches render. EXPERIMENTS.md records paper-vs-measured
 //!   shapes for all of them.
 //! * [`engine`] — the reusable per-slot [`engine::StepDriver`] every
-//!   front-end solves through: the batch loops here and the
-//!   `eotora-server` daemon share one engine, which is what makes their
-//!   decision streams bit-identical.
+//!   front-end solves through, opened by one function,
+//!   [`engine::StepDriver::open`]: the batch loop ([`runner::run_engine`]),
+//!   the `eotora-server` daemon and each federation region share one
+//!   engine, which is what makes their decision streams bit-identical.
 //! * [`durable`] — crash-safe runs: checkpointed controller snapshots plus
 //!   a checksummed write-ahead slot journal, with deterministic
 //!   kill–resume ([`durable::run_durable`] in any journalable
-//!   [`DriverMode`] / [`durable::resume_durable`]).
+//!   [`DriverMode`] / [`durable::resume_durable`]); a
+//!   [`durable::Checkpoint`] tells the opener how to take a directory.
 //! * [`options`] — the one engine-options schema shared by the CLI and
 //!   the server config, and the configs built from it.
 //! * [`federation`] — federated multi-region control: N per-region
@@ -54,16 +56,16 @@ pub mod scenario;
 pub mod svg;
 
 pub use durable::{
-    open_session, resume_durable, run_durable, DurabilityConfig, DurableRun, DurableSession,
-    RunManifest, MANIFEST_VERSION,
+    open_session, resume_durable, run_durable, Checkpoint, DurabilityConfig, DurableSession,
+    RunManifest, RunOutcome, MANIFEST_VERSION,
 };
 pub use engine::{DriverMode, DriverTuning, StepDriver, StepReport};
 pub use federation::{
     read_federation_manifest, region_scenario, run_federation, run_standalone, FederationConfig,
-    FederationManifest, FederationReport, FederationRun, FED_MANIFEST_VERSION,
+    FederationManifest, FederationReport, FED_MANIFEST_VERSION,
 };
 pub use options::{
     EngineOption, EngineOptions, OptionError, Surface, DURABILITY_OPTIONS, ENGINE_OPTIONS,
 };
-pub use runner::{robust_config, run, run_many, run_mode, SimulationResult};
+pub use runner::{robust_config, run, run_engine, run_many, run_mode, SimulationResult};
 pub use scenario::Scenario;

@@ -7,19 +7,18 @@
 //! the plain or the robust pipeline, and its optional
 //! [`Recorder`] sink additionally receives the event stream (e.g. a JSONL
 //! sink for `eotora run --trace`). [`run`] is the plain shorthand;
-//! checkpointed runs go through [`crate::durable::run_durable`].
+//! [`run_engine`] adds checkpoints, which [`crate::durable::run_durable`]
+//! and [`crate::durable::resume_durable`] name.
 
 use std::collections::BTreeMap;
 
 use eotora_core::robust::RobustConfig;
-use eotora_core::system::MecSystem;
 use eotora_durability::DurabilityError;
 use eotora_obs::Recorder;
-use eotora_states::StateProvider;
 use eotora_util::series::TimeSeries;
 use serde::{Deserialize, Serialize};
 
-use crate::durable::{DurableRun, DurableSession};
+use crate::durable::{Checkpoint, RunOutcome};
 use crate::engine::{DriverMode, DriverTuning, StepDriver};
 use crate::scenario::Scenario;
 
@@ -115,61 +114,56 @@ pub fn run_mode(
     mode: DriverMode,
     sink: Option<&dyn Recorder>,
 ) -> SimulationResult {
-    match run_engine(scenario, mode, sink, None) {
-        Ok(DurableRun::Completed(result)) => *result,
-        // Without a durable session the engine performs no I/O and has no
-        // kill hook, so it can neither fail nor interrupt.
-        Ok(DurableRun::Interrupted { .. }) | Err(_) => {
+    match run_engine(scenario, mode, None, sink) {
+        Ok(RunOutcome::Completed(result)) => *result,
+        // Without checkpoints the engine performs no I/O and has no kill
+        // hook, so it can neither fail nor interrupt.
+        Ok(RunOutcome::Interrupted { .. }) | Err(_) => {
             unreachable!("non-durable run cannot fail or interrupt")
         }
     }
 }
 
 /// The one simulation loop behind every batch entry point: plain and
-/// robust pipelines, optional trace sink, optional
-/// durability. All per-slot mechanics live in
-/// [`StepDriver`](crate::engine::StepDriver) — this function only owns
-/// the horizon loop and the scenario's state source, which is exactly the
-/// part the `eotora-server` daemon replaces with a network stream.
+/// robust pipelines, optional trace sink, optional checkpoints. The
+/// driver opens through [`StepDriver::open`] and holds all per-slot
+/// mechanics; this function only owns the horizon loop and the
+/// scenario's state source, which is exactly the part the
+/// `eotora-server` daemon replaces with a network stream.
 ///
-/// With a [`DurableSession`], each completed slot appends a slot record
-/// to the write-ahead journal and snapshots the full controller state on
-/// the session's cadence (journal synced first — see
-/// [`crate::durable`]). If the session carries resume state, the first
-/// `snapshot.slots` slots are *replayed* from the journal head instead of
-/// re-solved: the controller, sanitizer, and corruption RNG restore from
-/// the snapshot, the state provider fast-forwards by re-observing the
-/// completed slots, and the loop continues where the interrupted run
-/// stopped — producing bit-identical decisions and series.
-pub(crate) fn run_engine(
+/// With a `checkpoint`, each completed slot appends a slot record to the
+/// write-ahead journal and snapshots the full controller state on the
+/// session's cadence (journal synced first — see [`crate::durable`]). A
+/// resumed session's first `snapshot.slots` slots are *replayed* from the
+/// journal head instead of re-solved: the controller, sanitizer, and
+/// corruption RNG restore from the snapshot, the state source
+/// fast-forwards by re-observing the completed slots, and the loop
+/// continues where the interrupted run stopped — producing bit-identical
+/// decisions and series. Of a [`Checkpoint::Resume`], `scenario` and
+/// `mode` must be its manifest's.
+pub fn run_engine(
     scenario: &Scenario,
     mode: DriverMode,
+    checkpoint: Option<Checkpoint<'_>>,
     sink: Option<&dyn Recorder>,
-    durable: Option<DurableSession>,
-) -> Result<DurableRun, DurabilityError> {
-    let system = MecSystem::random(&scenario.system, scenario.seed);
-    let mut states = StateProvider::paper(system.topology(), &scenario.states, scenario.seed);
-    let mut driver =
-        StepDriver::new(scenario, system, mode, durable, sink, DriverTuning::default());
-    // Fast-forward the state source past any resume-replayed slots so the
-    // cursor slot observes exactly what the uninterrupted run would.
-    for slot in 0..driver.cursor() {
-        states.observe(slot, driver.topology());
-    }
+) -> Result<RunOutcome<SimulationResult>, DurabilityError> {
+    let mut driver = StepDriver::open(scenario, mode, checkpoint, sink, DriverTuning::default())?;
+    let mut states = driver.scenario_states(scenario);
     while driver.cursor() < driver.horizon() {
         let beta = states.observe(driver.cursor(), driver.topology());
         let report = driver.step(beta)?;
         if report.interrupted {
-            return Ok(DurableRun::Interrupted { slot: report.record.slot });
+            return Ok(RunOutcome::Interrupted { slot: report.record.slot });
         }
     }
-    Ok(DurableRun::Completed(Box::new(driver.finish()?)))
+    Ok(RunOutcome::Completed(Box::new(driver.finish()?)))
 }
 
 /// The robust-solve configuration of a scenario's run: the given per-slot
 /// wall-clock deadline, sanitizer on. The scenario itself adds nothing —
 /// rounds, λ and shards reach the robust solve through the controller's
-/// own [`eotora_core::dpp::DppConfig`].
+/// own [`eotora_core::dpp::DppConfig`]; `_scenario` stays only because
+/// perfbench imports this signature.
 pub fn robust_config(_scenario: &Scenario, deadline: Option<std::time::Duration>) -> RobustConfig {
     RobustConfig { deadline, ..Default::default() }
 }

@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use eotora_durability::FsyncPolicy;
 use eotora_federation::{LinkFaultConfig, PartitionWindow};
 use eotora_sim::durable::DurabilityConfig;
-use eotora_sim::federation::{run_federation, FederationConfig, FederationReport, FederationRun};
-use eotora_sim::SimulationResult;
+use eotora_sim::federation::{run_federation, FederationConfig, FederationReport};
+use eotora_sim::{RunOutcome, SimulationResult};
 
 fn temp_root(tag: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
@@ -38,17 +38,17 @@ fn faults(seed: u64) -> LinkFaultConfig {
     faults
 }
 
-fn completed(run: FederationRun) -> FederationReport {
+fn completed(run: RunOutcome<FederationReport>) -> FederationReport {
     match run {
-        FederationRun::Completed(report) => *report,
-        FederationRun::Interrupted { slot } => panic!("unexpected interrupt after slot {slot}"),
+        RunOutcome::Completed(report) => *report,
+        RunOutcome::Interrupted { slot } => panic!("unexpected interrupt after slot {slot}"),
     }
 }
 
-fn interrupted(run: FederationRun) -> u64 {
+fn interrupted(run: RunOutcome<FederationReport>) -> u64 {
     match run {
-        FederationRun::Interrupted { slot } => slot,
-        FederationRun::Completed(_) => panic!("federation unexpectedly ran to completion"),
+        RunOutcome::Interrupted { slot } => slot,
+        RunOutcome::Completed(_) => panic!("federation unexpectedly ran to completion"),
     }
 }
 

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use eotora_core::fault::FaultSchedule;
 use eotora_durability::DurabilityError;
-use eotora_sim::durable::{resume_durable, run_durable, DurabilityConfig, DurableRun};
+use eotora_sim::durable::{resume_durable, run_durable, DurabilityConfig, RunOutcome};
 use eotora_sim::{robust_config, run, run_mode, DriverMode, Scenario, SimulationResult};
 use eotora_util::rng::Pcg32;
 
@@ -33,17 +33,17 @@ fn scenario(seed: u64) -> Scenario {
     Scenario::paper(8, seed).with_horizon(24).with_bdma_rounds(2)
 }
 
-fn completed(outcome: DurableRun) -> SimulationResult {
+fn completed(outcome: RunOutcome<SimulationResult>) -> SimulationResult {
     match outcome {
-        DurableRun::Completed(result) => *result,
-        DurableRun::Interrupted { slot } => panic!("unexpected interrupt after slot {slot}"),
+        RunOutcome::Completed(result) => *result,
+        RunOutcome::Interrupted { slot } => panic!("unexpected interrupt after slot {slot}"),
     }
 }
 
-fn interrupted(outcome: DurableRun) -> u64 {
+fn interrupted(outcome: RunOutcome<SimulationResult>) -> u64 {
     match outcome {
-        DurableRun::Interrupted { slot } => slot,
-        DurableRun::Completed(_) => panic!("run unexpectedly ran to completion"),
+        RunOutcome::Interrupted { slot } => slot,
+        RunOutcome::Completed(_) => panic!("run unexpectedly ran to completion"),
     }
 }
 
